@@ -6,7 +6,8 @@ Subcommands:
     verify <suite> [--scenario path] [--seed N] [--report out]
 
 Exit codes: 0 all checks pass, 1 check failure, 2 input error,
-3 inconclusive (orthogonalization search found nothing either way).
+3 inconclusive (orthogonalization search found nothing either way),
+4 numerical failure (the eigensolver did not converge).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, dynamics, qubit, uncertainty
-from .hilbert import eigendecompose
+from .hilbert import ConvergenceError, eigendecompose
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "QUNCERT_SEED"
@@ -43,6 +44,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_NUMERIC = 4
 
 
 class ScenarioFormatError(ValueError):
@@ -326,7 +328,7 @@ def _suite_ehrenfest(scenario, rng) -> list[Check]:
         checks.append(check_max("ehrenfest.fig2D.static_observables", static, 1e-10))
         return checks
 
-    spec = eigendecompose(scenario.hamiltonian)
+    spec = scenario.spectrum
     fd = dynamics.default_fd_step(spec, scenario.hbar)
     grid = scenario.time_grid
     span = grid.stop - grid.start
@@ -483,8 +485,7 @@ def _suite_ml(scenario, rng) -> list[Check]:
     if scenario is None:
         preset = qubit.FIGURE_PRESETS["fig2D"]
         s = qubit.qubit_scenario(preset)
-        spec = eigendecompose(s.hamiltonian)
-        amps = dynamics.energy_amplitudes(s.initial_state, spec)
+        spec, amps = s.spectrum, s.amplitudes
         result = uncertainty.orthogonalization_time(spec, amps, s.hbar)
         bounds = uncertainty.ml_bounds(spec, amps, s.hbar)
         tau_expect = math.pi / preset.omega
@@ -529,8 +530,7 @@ def _suite_ml(scenario, rng) -> list[Check]:
                 )
         return checks
 
-    spec = eigendecompose(scenario.hamiltonian)
-    amps = dynamics.energy_amplitudes(scenario.initial_state, spec)
+    spec, amps = scenario.spectrum, scenario.amplitudes
     bounds = uncertainty.ml_bounds(spec, amps, scenario.hbar)
     try:
         result = uncertainty.orthogonalization_time(spec, amps, scenario.hbar)
@@ -595,8 +595,7 @@ def _suite_qsl(scenario, rng) -> list[Check]:
         )
         return checks
 
-    spec = eigendecompose(scenario.hamiltonian)
-    amps = dynamics.energy_amplitudes(scenario.initial_state, spec)
+    spec, amps = scenario.spectrum, scenario.amplitudes
     tau = uncertainty.qsl_tau(spec, amps, scenario.hbar)
     bounds = uncertainty.ml_bounds(spec, amps, scenario.hbar)
     expected = max(bounds.from_energy_spread, bounds.from_mean_energy)
@@ -823,6 +822,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

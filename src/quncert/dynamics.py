@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -70,13 +71,26 @@ def _validated_observables(observables, dim: int) -> dict:
             raise ValueError(
                 f"observable {name!r} has dimension {m.shape[0]}, expected {dim}"
             )
-        out[name] = m
+        out[name] = _frozen_copy(m)
+    return out
+
+
+def _frozen_copy(array: np.ndarray) -> np.ndarray:
+    """Read-only private copy, so caches derived from it cannot go stale."""
+    out = np.array(array, copy=True)
+    out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Hamiltonian, initial state, sampling grid, and named observables."""
+    """Hamiltonian, initial state, sampling grid, and named observables.
+
+    The arrays are read-only copies of the caller's.  The spectral
+    decomposition and the initial energy amplitudes are computed on first
+    use and cached; ``dataclasses.replace`` builds a new instance with
+    caches of its own.
+    """
 
     hbar: float
     hamiltonian: np.ndarray
@@ -96,8 +110,8 @@ class Scenario:
                 f"initial_state dimension {psi.shape[0]} does not match "
                 f"hamiltonian dimension {h.shape[0]}"
             )
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "initial_state", psi)
+        object.__setattr__(self, "hamiltonian", _frozen_copy(h))
+        object.__setattr__(self, "initial_state", _frozen_copy(psi))
         object.__setattr__(
             self, "observables", _validated_observables(self.observables, h.shape[0])
         )
@@ -105,6 +119,18 @@ class Scenario:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """Spectral decomposition of the Hamiltonian, computed once."""
+        return eigendecompose(self.hamiltonian)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """Initial state's expansion over the eigenbasis, ascending energy."""
+        alpha0 = self.spectrum.eigenvectors.conj().T @ self.initial_state
+        alpha0.setflags(write=False)
+        return alpha0
 
 
 def default_time_grid(hamiltonian, hbar: float = 1.0, steps: int = DEFAULT_STEPS) -> TimeGrid:
@@ -179,11 +205,10 @@ def evolve(scenario: Scenario, store_states: bool = True) -> Trajectory:
     energy amplitudes; the statistics and the coherence series are then
     recomputed from the reassembled state at every grid point.
     """
-    spec = eigendecompose(scenario.hamiltonian)
+    spec = scenario.spectrum
     times = scenario.time_grid.times()
-    alpha0 = spec.eigenvectors.conj().T @ scenario.initial_state
     phases = np.exp(-1j * np.outer(spec.eigenvalues, times) / scenario.hbar)
-    states = spec.eigenvectors @ (alpha0[:, None] * phases)
+    states = spec.eigenvectors @ (scenario.amplitudes[:, None] * phases)
 
     series = {
         name: _series_stats(matrix, states, f"observable {name!r}")
@@ -334,17 +359,15 @@ def ehrenfest_residual(
         raise ValueError(
             f"observable has dimension {a.shape[0]}, expected {scenario.dim}"
         )
-    spec = eigendecompose(scenario.hamiltonian)
+    spec = scenario.spectrum
     if fd_step is None:
         fd_step = default_fd_step(spec, scenario.hbar)
     if not (math.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
 
-    alpha0 = spec.eigenvectors.conj().T @ scenario.initial_state
-
     def state_at(tau: float) -> np.ndarray:
         phases = np.exp(-1j * spec.eigenvalues * (tau / scenario.hbar))
-        return spec.eigenvectors @ (alpha0 * phases)
+        return spec.eigenvectors @ (scenario.amplitudes * phases)
 
     def mean_at(tau: float) -> float:
         psi = state_at(tau)

@@ -154,6 +154,13 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     v[:, q] = sw * col_p + c * col_q
 
 
+def _anchor_index(column: np.ndarray) -> int:
+    """Index of the largest-modulus component; ties break toward the lowest."""
+    mods = np.abs(column)
+    top = float(mods.max())
+    return int(np.nonzero(top - mods <= PHASE_TIE_TOL)[0][0])
+
+
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus component is real >= 0.
 
@@ -161,19 +168,10 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """
     out = v.copy()
     for k in range(out.shape[1]):
-        mods = np.abs(out[:, k])
-        top = float(mods.max())
-        anchor = int(np.nonzero(top - mods <= PHASE_TIE_TOL)[0][0])
-        z = out[anchor, k]
+        z = out[_anchor_index(out[:, k]), k]
         if abs(z) > 0.0:
             out[:, k] *= np.conj(z) / abs(z)
     return out
-
-
-def _anchor_index(column: np.ndarray) -> int:
-    mods = np.abs(column)
-    top = float(mods.max())
-    return int(np.nonzero(top - mods <= PHASE_TIE_TOL)[0][0])
 
 
 def _order_degenerate(evals: np.ndarray, vecs: np.ndarray):

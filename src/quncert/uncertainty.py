@@ -15,7 +15,7 @@ import numpy as np
 
 from . import qstat
 from .dynamics import Scenario, ehrenfest_rate
-from .hilbert import SpectralDecomposition, as_state, eigendecompose, require_hermitian
+from .hilbert import SpectralDecomposition, as_state, require_hermitian
 
 BOUND_SLACK_TOL = 1e-10
 # below this the Mandelstam-Tamm clock is undefined (energy eigenstate)
@@ -101,7 +101,6 @@ def _mt_context(observable, scenario: Scenario):
         raise ValueError(
             f"observable has dimension {a.shape[0]}, expected {scenario.dim}"
         )
-    spec = eigendecompose(scenario.hamiltonian)
     energy_spread = qstat.stats(scenario.hamiltonian, scenario.initial_state).stddev
     if energy_spread <= ENERGY_SPREAD_MIN:
         raise ValueError(
@@ -109,15 +108,18 @@ def _mt_context(observable, scenario: Scenario):
             f"(energy spread {energy_spread:.3e})"
         )
     rate_eps = (
-        RATE_EPS_FACTOR * spec.span * float(np.linalg.norm(a, 2)) / scenario.hbar
+        RATE_EPS_FACTOR
+        * scenario.spectrum.span
+        * float(np.linalg.norm(a, 2))
+        / scenario.hbar
     )
-    alpha0 = spec.eigenvectors.conj().T @ scenario.initial_state
-    return a, spec, alpha0, energy_spread, rate_eps
+    return a, energy_spread, rate_eps
 
 
-def _sample_at(a, scenario, spec, alpha0, energy_spread, rate_eps, t: float) -> MTSample:
+def _sample_at(a, scenario, energy_spread, rate_eps, t: float) -> MTSample:
+    spec = scenario.spectrum
     phases = np.exp(-1j * spec.eigenvalues * (t / scenario.hbar))
-    psi = spec.eigenvectors @ (alpha0 * phases)
+    psi = spec.eigenvectors @ (scenario.amplitudes * phases)
     a_psi = a @ psi
     mean = float(np.real(np.vdot(psi, a_psi)))
     residual = a_psi - mean * psi
@@ -133,15 +135,15 @@ def mt_sample(observable, scenario: Scenario, t: float) -> MTSample:
     """Mandelstam-Tamm sample dT = dA / |d<A>/dt| with the exact rate."""
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be a finite real, got {t!r}")
-    ctx = _mt_context(observable, scenario)
-    return _sample_at(ctx[0], scenario, ctx[1], ctx[2], ctx[3], ctx[4], float(t))
+    a, energy_spread, rate_eps = _mt_context(observable, scenario)
+    return _sample_at(a, scenario, energy_spread, rate_eps, float(t))
 
 
 def mt_series(observable, scenario: Scenario) -> list[MTSample]:
     """One MTSample per point of the scenario's time grid, in grid order."""
-    a, spec, alpha0, energy_spread, rate_eps = _mt_context(observable, scenario)
+    a, energy_spread, rate_eps = _mt_context(observable, scenario)
     return [
-        _sample_at(a, scenario, spec, alpha0, energy_spread, rate_eps, float(t))
+        _sample_at(a, scenario, energy_spread, rate_eps, float(t))
         for t in scenario.time_grid.times()
     ]
 

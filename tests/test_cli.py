@@ -9,15 +9,19 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from quncert import hilbert
 from quncert.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
+    EXIT_NUMERIC,
     EXIT_PASS,
+    OFFSET_VALUES,
     format_value,
     load_scenario,
     main,
@@ -202,12 +206,38 @@ def test_verify_inconclusive_exit_code(tmp_path, capsys):
 
 
 def test_exit_codes_are_distinct():
-    assert sorted([EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE]) == [
-        0,
-        1,
-        2,
-        3,
-    ]
+    codes = [EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE, EXIT_NUMERIC]
+    assert sorted(codes) == [0, 1, 2, 3, 4]
+
+
+def test_eigensolver_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(hilbert, "JACOBI_MAX_SWEEPS", 0)
+    assert main(["verify", "conservation"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigensolver did not converge")
+    assert "Traceback" not in err
+
+
+def test_verify_scenario_decomposes_each_hamiltonian_once(tmp_path, monkeypatch):
+    original = hilbert.eigendecompose
+    calls = []
+
+    def counting(matrix):
+        calls.append(np.array(matrix))
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name == "quncert" or name.startswith("quncert."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+
+    path = write_json(tmp_path / "scenario.json", BALANCED_QUBIT)
+    assert main(["verify", "all", "--scenario", path, "--report", str(tmp_path / "r")]) == 0
+    # the scenario's own H once, then H + c*I once per offset
+    assert len(calls) == 1 + len(OFFSET_VALUES)
+    distinct = {m.tobytes() for m in calls}
+    assert len(distinct) == len(calls)
 
 
 def test_figure_fig1_population_panels(tmp_path, capsys):

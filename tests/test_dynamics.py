@@ -5,6 +5,7 @@ independent oracles for the generic evolve pipeline.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,52 @@ def test_scenario_validation():
             time_grid=grid,
             observables={},
         )
+
+
+def test_scenario_arrays_are_read_only_copies():
+    rng = np.random.default_rng(21)
+    h = random_hermitian(rng, 4)
+    probe = random_hermitian(rng, 4)
+    s = Scenario(
+        hbar=1.0,
+        hamiltonian=h,
+        initial_state=random_state(rng, 4),
+        time_grid=TimeGrid(0.0, 1.0, 8),
+        observables={"probe": probe},
+    )
+    assert s.hamiltonian is not h
+    before_h = h.copy()
+    h[0, 0] += 1.0
+    probe[1, 1] += 1.0
+    # the lazily computed spectrum is that of H as it was at construction
+    assert np.array_equal(s.hamiltonian, before_h)
+    assert np.array_equal(s.spectrum.eigenvalues, eigendecompose(before_h).eigenvalues)
+    assert s.observables["probe"][1, 1] != probe[1, 1]
+    arrays = [s.hamiltonian, s.initial_state, s.amplitudes, *s.observables.values()]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_scenario_spectrum_is_cached():
+    s = random_scenario(22, 5)
+    assert s.spectrum is s.spectrum
+    assert s.amplitudes is s.amplitudes
+    fresh = eigendecompose(s.hamiltonian)
+    assert np.array_equal(s.spectrum.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(s.spectrum.eigenvectors, fresh.eigenvectors)
+    assert np.array_equal(s.amplitudes, energy_amplitudes(s.initial_state, fresh))
+
+
+def test_replaced_scenario_decomposes_its_own_hamiltonian():
+    s = random_scenario(23, 5)
+    base = s.spectrum
+    shifted = replace(s, hamiltonian=shift_hamiltonian(s.hamiltonian, 7.3))
+    assert shifted.spectrum is not base
+    np.testing.assert_allclose(
+        shifted.spectrum.eigenvalues, base.eigenvalues + 7.3, rtol=0, atol=1e-12
+    )
+    assert s.spectrum is base
 
 
 def test_default_time_grid_spans_two_periods():
