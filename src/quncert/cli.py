@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, dynamics, qubit, uncertainty
-from .hilbert import ConvergenceError, eigendecompose
+from .hilbert import ConvergenceError
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "QUNCERT_SEED"
@@ -356,24 +356,24 @@ def _suite_ehrenfest(scenario, rng) -> list[Check]:
 def _uncertainty_fuzz(rng, kind: str) -> list[Check]:
     checks = []
     for dim in range(2, 7):
-        min_slack = math.inf
-        min_gap = math.inf
-        for _ in range(1000):
-            a = random_hermitian(rng, dim)
-            b = random_hermitian(rng, dim)
-            psi = random_state(rng, dim)
-            if kind == "robertson":
-                result = uncertainty.robertson_check(a, b, psi)
-                min_slack = min(min_slack, result.slack)
-            else:
-                strong = uncertainty.schrodinger_check(a, b, psi)
-                weak = uncertainty.robertson_check(a, b, psi)
-                min_slack = min(min_slack, strong.slack)
-                min_gap = min(min_gap, strong.rhs - weak.rhs)
+        a = np.empty((1000, dim, dim), dtype=np.complex128)
+        b = np.empty_like(a)
+        psi = np.empty((1000, dim), dtype=np.complex128)
+        for k in range(1000):
+            a[k] = random_hermitian(rng, dim)
+            b[k] = random_hermitian(rng, dim)
+            psi[k] = random_state(rng, dim)
+        product, robertson, schrodinger = uncertainty._pair_bounds(a, b, psi)
+        rhs = robertson if kind == "robertson" else schrodinger
         checks.append(
-            check_min(f"{kind}.dim{dim}.min_slack", min_slack, -uncertainty.BOUND_SLACK_TOL)
+            check_min(
+                f"{kind}.dim{dim}.min_slack",
+                float(np.min(product - rhs)),
+                -uncertainty.BOUND_SLACK_TOL,
+            )
         )
         if kind == "schrodinger":
+            min_gap = float(np.min(schrodinger - robertson))
             checks.append(
                 check_min(f"{kind}.dim{dim}.rhs_dominates_robertson", min_gap, 0.0)
             )
@@ -514,9 +514,8 @@ def _suite_ml(scenario, rng) -> list[Check]:
             )
         )
         for name, p in _ml_certificate_cases().items():
-            spec_p = eigendecompose(p.hamiltonian())
-            amps_p = dynamics.energy_amplitudes(p.state(), spec_p)
-            res = uncertainty.orthogonalization_time(spec_p, amps_p, p.hbar)
+            s = qubit.qubit_scenario(p)
+            res = uncertainty.orthogonalization_time(s.spectrum, s.amplitudes, p.hbar)
             expected = 2.0 * max(abs(p.alpha1), abs(p.alpha2)) ** 2 - 1.0
             ok = (not res.found) and res.min_overlap_bound is not None
             checks.append(check_bool(f"ml.{name}.never_orthogonal", ok))
@@ -573,8 +572,8 @@ def _suite_qsl(scenario, rng) -> list[Check]:
         for name, preset in qubit.FIGURE_PRESETS.items():
             if preset.coherence == 0.0:
                 continue
-            spec = eigendecompose(preset.hamiltonian())
-            amps = dynamics.energy_amplitudes(preset.state(), spec)
+            s = qubit.qubit_scenario(preset)
+            spec, amps = s.spectrum, s.amplitudes
             tau = uncertainty.qsl_tau(spec, amps, preset.hbar)
             bounds = uncertainty.ml_bounds(spec, amps, preset.hbar)
             checks.append(check_bool(f"qsl.{name}.finite", math.isfinite(tau)))
@@ -583,8 +582,8 @@ def _suite_qsl(scenario, rng) -> list[Check]:
                 check_max(f"qsl.{name}.equals_max_bound", abs(tau - expected), 1e-12)
             )
         preset = qubit.FIGURE_PRESETS["fig2D"]
-        spec = eigendecompose(preset.hamiltonian())
-        amps = dynamics.energy_amplitudes(preset.state(), spec)
+        s = qubit.qubit_scenario(preset)
+        spec, amps = s.spectrum, s.amplitudes
         tau = uncertainty.qsl_tau(spec, amps, preset.hbar)
         result = uncertainty.orthogonalization_time(spec, amps, preset.hbar)
         checks.append(

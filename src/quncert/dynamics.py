@@ -9,8 +9,10 @@ checks.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,7 +59,7 @@ class TimeGrid:
         return (self.stop - self.start) / (self.steps - 1)
 
 
-def _validated_observables(observables, dim: int) -> dict:
+def _validated_observables(observables, dim: int) -> MappingProxyType:
     out = {}
     for name, matrix in observables.items():
         if not name or any(ch not in _NAME_OK for ch in name):
@@ -72,7 +74,7 @@ def _validated_observables(observables, dim: int) -> dict:
                 f"observable {name!r} has dimension {m.shape[0]}, expected {dim}"
             )
         out[name] = _frozen_copy(m)
-    return out
+    return MappingProxyType(out)
 
 
 def _frozen_copy(array: np.ndarray) -> np.ndarray:
@@ -86,7 +88,8 @@ def _frozen_copy(array: np.ndarray) -> np.ndarray:
 class Scenario:
     """Hamiltonian, initial state, sampling grid, and named observables.
 
-    The arrays are read-only copies of the caller's.  The spectral
+    The arrays are read-only copies of the caller's, and ``observables`` is a
+    read-only mapping, so nothing bypasses the validation.  The spectral
     decomposition and the initial energy amplitudes are computed on first
     use and cached; ``dataclasses.replace`` builds a new instance with
     caches of its own.
@@ -96,7 +99,7 @@ class Scenario:
     hamiltonian: np.ndarray
     initial_state: np.ndarray
     time_grid: TimeGrid
-    observables: dict = field(default_factory=dict)
+    observables: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (math.isfinite(self.hbar) and self.hbar > 0):
@@ -180,21 +183,19 @@ def energy_amplitudes(state, spec: SpectralDecomposition) -> np.ndarray:
     return spec.eigenvectors.conj().T @ psi
 
 
+def _states_at(scenario: Scenario, times) -> np.ndarray:
+    """State columns psi(t), shape (dim, len(times)), from the cached expansion.
+
+    psi(t) = sum_k a_k exp(-i E_k t / hbar) |E_k>: pure phase factors on the
+    initial energy amplitudes, reassembled in the original basis.
+    """
+    spec = scenario.spectrum
+    phases = np.exp(-1j * np.outer(spec.eigenvalues, times) / scenario.hbar)
+    return spec.eigenvectors @ (scenario.amplitudes[:, None] * phases)
+
+
 def _series_stats(matrix: np.ndarray, states: np.ndarray, what: str) -> SeriesStats:
-    a_states = matrix @ states
-    means_c = np.einsum("it,it->t", states.conj(), a_states)
-    worst = float(np.max(np.abs(means_c.imag)))
-    if worst >= qstat.MEAN_IMAG_TOL:
-        raise ValueError(
-            f"{what} series has imaginary residue {worst:.3e}; "
-            "inputs are not Hermitian"
-        )
-    means = means_c.real
-    # shifted variance ||(A - <A>) psi||^2: nonnegative by construction and
-    # free of the second-minus-squared-mean cancellation near eigenstates
-    residuals = a_states - states * means
-    variances = np.einsum("it,it->t", residuals.conj(), residuals).real
-    variances = np.clip(variances, 0.0, None)
+    means, variances, _ = qstat._moments(matrix, states, f"{what} series")
     return SeriesStats(means, variances, np.sqrt(variances))
 
 
@@ -207,26 +208,16 @@ def evolve(scenario: Scenario, store_states: bool = True) -> Trajectory:
     """
     spec = scenario.spectrum
     times = scenario.time_grid.times()
-    phases = np.exp(-1j * np.outer(spec.eigenvalues, times) / scenario.hbar)
-    states = spec.eigenvectors @ (scenario.amplitudes[:, None] * phases)
+    states = _states_at(scenario, times)
 
     series = {
         name: _series_stats(matrix, states, f"observable {name!r}")
         for name, matrix in scenario.observables.items()
     }
     energy = _series_stats(scenario.hamiltonian, states, "energy")
-
-    amps = spec.eigenvectors.conj().T @ states
-    mods = np.abs(amps)
-    n = scenario.dim
-    coherence = (mods.sum(axis=0) ** 2 - (mods**2).sum(axis=0)) / (n - 1)
-    coherence = np.clip(coherence, 0.0, None)
-    if n == 2:
-        # exact two-level factorization of sqrt(1 - C^2); see
-        # qstat.coherence_from_amplitudes for why the sqrt form is avoided
-        predictability = np.abs(mods[0] ** 2 - mods[1] ** 2)
-    else:
-        predictability = np.sqrt(np.clip(1.0 - coherence**2, 0.0, None))
+    coherence, predictability = qstat._coherence_columns(
+        np.abs(spec.eigenvectors.conj().T @ states)
+    )
 
     return Trajectory(
         times=times,
@@ -365,19 +356,14 @@ def ehrenfest_residual(
     if not (math.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
 
-    def state_at(tau: float) -> np.ndarray:
-        phases = np.exp(-1j * spec.eigenvalues * (tau / scenario.hbar))
-        return spec.eigenvectors @ (scenario.amplitudes * phases)
-
-    def mean_at(tau: float) -> float:
-        psi = state_at(tau)
-        value = complex(np.vdot(psi, a @ psi))
-        if abs(value.imag) >= qstat.MEAN_IMAG_TOL:
-            raise ValueError(
-                f"expectation value has imaginary residue {value.imag:.3e}"
-            )
-        return float(value.real)
-
-    fd = (mean_at(t + fd_step) - mean_at(t - fd_step)) / (2.0 * fd_step)
-    exact = ehrenfest_rate(a, scenario.hamiltonian, state_at(t), scenario.hbar)
+    # one single-column evaluation per stencil point, so that the rounding of
+    # each mean (which the difference quotient amplifies by 1/fd_step) does
+    # not depend on how many columns share a matrix product
+    plus, minus = (
+        float(qstat._moments(a, _states_at(scenario, [tau]))[0][0])
+        for tau in (t + fd_step, t - fd_step)
+    )
+    fd = (plus - minus) / (2.0 * fd_step)
+    psi = _states_at(scenario, [t])[:, 0]
+    exact = ehrenfest_rate(a, scenario.hamiltonian, psi, scenario.hbar)
     return abs(fd - exact)

@@ -17,8 +17,6 @@ from .hilbert import SpectralDecomposition, as_state, require_hermitian
 # Sesquilinear forms of Hermitian operators are real up to rounding; anything
 # larger than this residue signals a non-Hermitian input.
 MEAN_IMAG_TOL = 1e-10
-# <A^2> - <A>^2 may round slightly negative; clamp down to zero within this.
-VARIANCE_CLAMP_FLOOR = -1e-12
 STATE_NORM_TOL = 1e-9
 
 
@@ -40,29 +38,29 @@ class CoherenceSummary:
     basis_dim: int
 
 
-def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) >= MEAN_IMAG_TOL:
+def _moments(matrix: np.ndarray, states: np.ndarray, what: str = "expectation value"):
+    """Means, shifted variances and A psi of matrices on columns of states.
+
+    ``matrix`` is (..., d, d) and ``states`` (..., d, T), leading axes
+    broadcasting.  Nothing is validated, but a mean whose imaginary residue
+    reaches MEAN_IMAG_TOL raises.
+    """
+    a_states = matrix @ states
+    means = np.vecdot(states, a_states, axis=-2)
+    worst = float(np.max(np.abs(means.imag)))
+    if worst >= MEAN_IMAG_TOL:
         raise ValueError(
-            f"{what} has imaginary residue {value.imag:.3e}; "
-            "inputs are not Hermitian"
+            f"{what} has imaginary residue {worst:.3e}; inputs are not Hermitian"
         )
-    return float(value.real)
-
-
-def clamped_variance(raw: float) -> float:
-    """Clamp tiny negative rounding residue to zero; reject anything worse."""
-    if raw < VARIANCE_CLAMP_FLOOR:
-        raise ValueError(f"variance {raw:.3e} is below the rounding floor")
-    return raw if raw > 0.0 else 0.0
+    means = means.real
+    residuals = a_states - states * means[..., None, :]
+    variances = np.vecdot(residuals, residuals, axis=-2).real
+    return means, variances, a_states
 
 
 def expectation(observable, state) -> float:
     """<state|observable|state> with the imaginary residue discarded."""
-    a = require_hermitian(observable, "observable")
-    psi = as_state(state, norm_tol=STATE_NORM_TOL)
-    if a.shape[0] != psi.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {psi.shape[0]}")
-    return _real_part(complex(np.vdot(psi, a @ psi)), "expectation value")
+    return stats(observable, state).mean
 
 
 def stats(observable, state) -> StatSummary:
@@ -77,43 +75,45 @@ def stats(observable, state) -> StatSummary:
     psi = as_state(state, norm_tol=STATE_NORM_TOL)
     if a.shape[0] != psi.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {psi.shape[0]}")
-    a_psi = a @ psi
-    mean = _real_part(complex(np.vdot(psi, a_psi)), "expectation value")
-    residual = a_psi - mean * psi
-    variance = clamped_variance(float(np.real(np.vdot(residual, residual))))
-    return StatSummary(mean, variance, math.sqrt(variance))
+    means, variances, _ = _moments(a, psi[:, None])
+    variance = float(variances[0])
+    return StatSummary(float(means[0]), variance, math.sqrt(variance))
+
+
+def _coherence_columns(mods: np.ndarray):
+    """Coherence and predictability of each column of amplitude moduli (n, T).
+
+    C = (1/(n-1)) * sum_{i != j} |a_i| |a_j|  (ordered pairs, so the qubit
+    case reduces to 2|a_1||a_2|), clipped at zero, and P = sqrt(1 - C^2).
+    """
+    n = mods.shape[0]
+    coherence = (mods.sum(axis=0) ** 2 - (mods**2).sum(axis=0)) / (n - 1)
+    coherence = np.clip(coherence, 0.0, None)
+    if n == 2:
+        # 1 - C^2 factors exactly as (p_1 - p_2)^2 for two levels, which
+        # sidesteps the steep sqrt near C = 1 where cancellation in 1 - C^2
+        # would otherwise blow rounding noise up to ~1e-8.
+        predictability = np.abs(mods[0] ** 2 - mods[1] ** 2)
+    else:
+        predictability = np.sqrt(np.clip(1.0 - coherence**2, 0.0, None))
+    return coherence, predictability
 
 
 def coherence_from_amplitudes(amplitudes) -> CoherenceSummary:
-    """Coherence of a normalized amplitude vector over its own basis.
-
-    C = (1/(n-1)) * sum_{i != j} |a_i| |a_j|  (ordered pairs, so the qubit
-    case reduces to 2|a_1||a_2|), and predictability P = sqrt(1 - C^2).
-    """
+    """Coherence of a normalized amplitude vector over its own basis."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or amps.size < 2:
         raise ValueError("coherence needs an amplitude vector of dimension >= 2")
     mods = np.abs(amps)
-    total_sq = float(mods.sum()) ** 2
     prob_sum = float((mods**2).sum())
     if abs(prob_sum - 1.0) > STATE_NORM_TOL:
         raise ValueError(
             f"amplitudes are not normalized: sum of squared moduli is {prob_sum!r}"
         )
-    n = amps.size
-    coherence = (total_sq - prob_sum) / (n - 1)
-    if coherence > 1.0 + 1e-12:
-        raise ValueError(f"coherence {coherence!r} exceeds 1 beyond rounding")
-    coherence = max(coherence, 0.0)
-    if n == 2:
-        # 1 - C^2 factors exactly as (p_1 - p_2)^2 for two levels, which
-        # sidesteps the steep sqrt near C = 1 where cancellation in 1 - C^2
-        # would otherwise blow rounding noise up to ~1e-8.
-        predictability = abs(float(mods[0] ** 2) - float(mods[1] ** 2))
-    else:
-        pred_sq = 1.0 - coherence * coherence
-        predictability = math.sqrt(pred_sq) if pred_sq > 0.0 else 0.0
-    return CoherenceSummary(coherence, predictability, n)
+    coherence, predictability = _coherence_columns(mods[:, None])
+    if coherence[0] > 1.0 + 1e-12:
+        raise ValueError(f"coherence {coherence[0]!r} exceeds 1 beyond rounding")
+    return CoherenceSummary(float(coherence[0]), float(predictability[0]), amps.size)
 
 
 def l1_coherence(state, basis: SpectralDecomposition) -> CoherenceSummary:

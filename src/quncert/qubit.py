@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Scenario, Trajectory, default_time_grid
+from .dynamics import Scenario, TimeGrid, Trajectory
 from .hilbert import as_state
 
 SIGMA_X = np.asarray([[0, 1], [1, 0]], dtype=np.complex128)
@@ -102,13 +102,12 @@ def qubit_scenario(
     steps: int = 1000,
 ) -> Scenario:
     """Scenario for a preset: two precession periods on a uniform grid."""
-    h = preset.hamiltonian()
-    grid = default_time_grid(h, hbar=preset.hbar, steps=steps)
+    span = preset.hbar * preset.omega  # E_max - E_min, exact for +-hbar*omega/2
     return Scenario(
         hbar=preset.hbar,
-        hamiltonian=h,
+        hamiltonian=preset.hamiltonian(),
         initial_state=preset.state(),
-        time_grid=grid,
+        time_grid=TimeGrid(0.0, 4.0 * math.pi * preset.hbar / span, steps),
         observables=(
             default_clock_observables() if observables is None else observables
         ),

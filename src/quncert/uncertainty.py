@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstat
-from .dynamics import Scenario, ehrenfest_rate
+from .dynamics import Scenario, _states_at
 from .hilbert import SpectralDecomposition, as_state, require_hermitian
 
 BOUND_SLACK_TOL = 1e-10
@@ -45,39 +45,44 @@ class BoundCheck:
         return cls(lhs, rhs, slack, slack >= -BOUND_SLACK_TOL)
 
 
-def _pair_stats(a, b, state):
+def _pair_bounds(a, b, states):
+    """Uncertainty product and both bound right-hand sides over stacks.
+
+    ``a`` and ``b`` are (..., d, d) Hermitian stacks and ``states`` a
+    (..., d) stack of normalized states, none of them validated here.
+    Returns dA * dB, the Robertson |<[A, B]>| / 2 and the Schrodinger
+    right-hand side, each of shape (...).
+    """
+    columns = states[..., None]
+    mean_a, var_a, a_psi = qstat._moments(a, columns, "first observable mean")
+    mean_b, var_b, b_psi = qstat._moments(b, columns, "second observable mean")
+    # <AB> = <A psi | B psi> for Hermitian A
+    ab = np.vecdot(a_psi, b_psi, axis=-2)[..., 0]
+    product = np.sqrt(var_a[..., 0]) * np.sqrt(var_b[..., 0])
+    # <[A,B]> = <AB> - <BA> = 2i Im<AB>, and Re<AB> = <AB+BA>/2
+    covariance = ab.real - mean_a[..., 0] * mean_b[..., 0]
+    return product, np.abs(ab.imag), np.hypot(covariance, ab.imag)
+
+
+def _validated_pair_bounds(a, b, state):
     a = require_hermitian(a, "first observable")
     b = require_hermitian(b, "second observable")
     psi = as_state(state, norm_tol=qstat.STATE_NORM_TOL)
     if a.shape[0] != psi.shape[0] or b.shape[0] != psi.shape[0]:
         raise ValueError("observable/state dimension mismatch")
-    a_psi = a @ psi
-    b_psi = b @ psi
-    mean_a = float(np.real(np.vdot(psi, a_psi)))
-    mean_b = float(np.real(np.vdot(psi, b_psi)))
-    res_a = a_psi - mean_a * psi
-    res_b = b_psi - mean_b * psi
-    var_a = float(np.real(np.vdot(res_a, res_a)))
-    var_b = float(np.real(np.vdot(res_b, res_b)))
-    # <AB> = <A psi | B psi> for Hermitian A
-    ab = complex(np.vdot(a_psi, b_psi))
-    return mean_a, mean_b, math.sqrt(var_a), math.sqrt(var_b), ab
+    return [float(x) for x in _pair_bounds(a, b, psi)]
 
 
 def robertson_check(a, b, state) -> BoundCheck:
     """dA * dB >= |<[A, B]>| / 2 on the given state."""
-    _, _, sd_a, sd_b, ab = _pair_stats(a, b, state)
-    # <[A,B]> = <AB> - <BA> = 2i Im<AB>
-    rhs = abs(ab.imag)
-    return BoundCheck.of(sd_a * sd_b, rhs)
+    product, rhs, _ = _validated_pair_bounds(a, b, state)
+    return BoundCheck.of(product, rhs)
 
 
 def schrodinger_check(a, b, state) -> BoundCheck:
     """Strengthened bound with the symmetrized covariance term included."""
-    mean_a, mean_b, sd_a, sd_b, ab = _pair_stats(a, b, state)
-    covariance = ab.real - mean_a * mean_b   # Re<AB> = <AB+BA>/2
-    rhs = math.hypot(covariance, ab.imag)
-    return BoundCheck.of(sd_a * sd_b, rhs)
+    product, _, rhs = _validated_pair_bounds(a, b, state)
+    return BoundCheck.of(product, rhs)
 
 
 @dataclass(frozen=True)
@@ -116,36 +121,33 @@ def _mt_context(observable, scenario: Scenario):
     return a, energy_spread, rate_eps
 
 
-def _sample_at(a, scenario, energy_spread, rate_eps, t: float) -> MTSample:
-    spec = scenario.spectrum
-    phases = np.exp(-1j * spec.eigenvalues * (t / scenario.hbar))
-    psi = spec.eigenvectors @ (scenario.amplitudes * phases)
-    a_psi = a @ psi
-    mean = float(np.real(np.vdot(psi, a_psi)))
-    residual = a_psi - mean * psi
-    delta_a = math.sqrt(float(np.real(np.vdot(residual, residual))))
-    rate = abs(ehrenfest_rate(a, scenario.hamiltonian, psi, scenario.hbar))
-    if rate <= rate_eps:
-        return MTSample(t, delta_a, rate, math.inf, math.inf)
-    delta_t = delta_a / rate
-    return MTSample(t, delta_a, rate, delta_t, energy_spread * delta_t)
+def _mt_samples(observable, scenario: Scenario, times) -> list[MTSample]:
+    a, energy_spread, rate_eps = _mt_context(observable, scenario)
+    h = scenario.hamiltonian
+    states = _states_at(scenario, times)
+    _, variances, _ = qstat._moments(a, states, "observable mean")
+    # exact rate d<A>/dt = <[A, H]> / (i hbar): the mean of a Hermitian generator
+    rates, _, _ = qstat._moments(
+        (a @ h - h @ a) / (1j * scenario.hbar), states, "commutator rate"
+    )
+    delta_a, rates = np.sqrt(variances), np.abs(rates)
+    delta_t = np.divide(
+        delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps
+    )
+    columns = (times, delta_a, rates, delta_t, energy_spread * delta_t)
+    return [MTSample(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def mt_sample(observable, scenario: Scenario, t: float) -> MTSample:
     """Mandelstam-Tamm sample dT = dA / |d<A>/dt| with the exact rate."""
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be a finite real, got {t!r}")
-    a, energy_spread, rate_eps = _mt_context(observable, scenario)
-    return _sample_at(a, scenario, energy_spread, rate_eps, float(t))
+    return _mt_samples(observable, scenario, np.array([float(t)]))[0]
 
 
 def mt_series(observable, scenario: Scenario) -> list[MTSample]:
     """One MTSample per point of the scenario's time grid, in grid order."""
-    a, energy_spread, rate_eps = _mt_context(observable, scenario)
-    return [
-        _sample_at(a, scenario, energy_spread, rate_eps, float(t))
-        for t in scenario.time_grid.times()
-    ]
+    return _mt_samples(observable, scenario, scenario.time_grid.times())
 
 
 def _probabilities(spec: SpectralDecomposition, amplitudes) -> np.ndarray:

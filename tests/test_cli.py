@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from quncert.cli import (
 )
 
 SQ = math.sqrt(0.5)
+DATA = Path(__file__).resolve().parent / "data"
 
 BALANCED_QUBIT = {
     "hbar": 1.0,
@@ -218,7 +220,9 @@ def test_eigensolver_failure_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_verify_scenario_decomposes_each_hamiltonian_once(tmp_path, monkeypatch):
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Matrices passed to eigendecompose, through every module's binding."""
     original = hilbert.eigendecompose
     calls = []
 
@@ -231,13 +235,63 @@ def test_verify_scenario_decomposes_each_hamiltonian_once(tmp_path, monkeypatch)
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
+    return calls
 
+
+def test_verify_scenario_decomposes_each_hamiltonian_once(tmp_path, decompositions):
     path = write_json(tmp_path / "scenario.json", BALANCED_QUBIT)
     assert main(["verify", "all", "--scenario", path, "--report", str(tmp_path / "r")]) == 0
     # the scenario's own H once, then H + c*I once per offset
-    assert len(calls) == 1 + len(OFFSET_VALUES)
-    distinct = {m.tobytes() for m in calls}
-    assert len(distinct) == len(calls)
+    assert len(decompositions) == 1 + len(OFFSET_VALUES)
+    distinct = {m.tobytes() for m in decompositions}
+    assert len(distinct) == len(decompositions)
+
+
+@pytest.mark.parametrize("figure,expected", [("fig1", 4), ("fig2", 4), ("fig3", 2)])
+def test_figure_decomposes_once_per_panel(tmp_path, capsys, decompositions, figure, expected):
+    assert main(["figure", figure, "-d", str(tmp_path)]) == EXIT_PASS
+    assert len(decompositions) == expected
+
+
+def test_verify_all_decomposition_count(tmp_path, decompositions):
+    assert main(["verify", "all", "--report", str(tmp_path / "r.json")]) == EXIT_PASS
+    assert len(decompositions) == 69
+    assert len({m.tobytes() for m in decompositions}) == 14
+
+
+def assert_matches_golden(report_path, golden_name):
+    """Same checks and verdicts as a committed report, numerics within 1e-12."""
+    golden = json.loads((DATA / golden_name).read_text(encoding="utf-8"))
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in golden["checks"]]
+    assert [c["verdict"] for c in report["checks"]] == [
+        c["verdict"] for c in golden["checks"]
+    ]
+    for got, want in zip(report["checks"], golden["checks"]):
+        for field in ("lhs", "rhs", "slack"):
+            x, y = got[field], want[field]
+            if isinstance(y, str):
+                assert x == y, (want["name"], field)
+            else:
+                assert not isinstance(x, str), (want["name"], field)
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), (want["name"], field)
+    assert report["counts"] == golden["counts"]
+
+
+def test_verify_all_matches_golden_report(tmp_path):
+    path = tmp_path / "report.json"
+    assert main(["verify", "all", "--seed", "42", "--report", str(path)]) == EXIT_PASS
+    assert_matches_golden(path, "verify_all_seed42.json")
+
+
+def test_verify_scenario_matches_golden_report(tmp_path):
+    """A dim-6 scenario, whose Ehrenfest halving ratios amplify any change in
+    the rounding of the mean by the inverse finite-difference step."""
+    path = tmp_path / "report.json"
+    scenario = str(DATA / "scenario_dim6.json")
+    code = main(["verify", "all", "--scenario", scenario, "--report", str(path)])
+    assert code == EXIT_INCONCLUSIVE
+    assert_matches_golden(path, "verify_all_scenario_dim6.json")
 
 
 def test_figure_fig1_population_panels(tmp_path, capsys):

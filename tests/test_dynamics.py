@@ -105,6 +105,20 @@ def test_scenario_arrays_are_read_only_copies():
             array[0] = 0.0
 
 
+def test_scenario_observables_are_read_only():
+    s = random_scenario(24, 3)
+    with pytest.raises(TypeError):
+        s.observables["extra"] = np.eye(3)
+    assert list(s.observables) == ["probe"]
+    shifted = replace(s, hamiltonian=shift_hamiltonian(s.hamiltonian, 0.5))
+    assert list(shifted.observables) == ["probe"]
+    assert np.array_equal(shifted.observables["probe"], s.observables["probe"])
+    with pytest.raises(TypeError):
+        shifted.observables["extra"] = np.eye(3)
+    trajectory = evolve(shifted)
+    assert list(trajectory.observables) == ["probe"]
+
+
 def test_scenario_spectrum_is_cached():
     s = random_scenario(22, 5)
     assert s.spectrum is s.spectrum

@@ -15,7 +15,6 @@ from quncert import (
     pauli,
     stats,
 )
-from quncert.qstat import clamped_variance
 
 # figure-caption coherences, three decimals
 CAPTION_COHERENCE = {
@@ -134,14 +133,6 @@ def test_l1_coherence_agrees_with_amplitude_route():
     via_amps = coherence_from_amplitudes(spec.eigenvectors.conj().T @ psi)
     assert via_basis.coherence == via_amps.coherence
     assert via_basis.predictability == via_amps.predictability
-
-
-def test_variance_clamp_rules():
-    assert clamped_variance(-5e-13) == 0.0
-    assert clamped_variance(0.0) == 0.0
-    assert clamped_variance(2.5) == 2.5
-    with pytest.raises(ValueError, match="rounding floor"):
-        clamped_variance(-1e-11)
 
 
 def test_input_validation():

@@ -17,6 +17,9 @@ from quncert import (
     FIGURE_PRESETS,
     InconclusiveScanError,
     QubitPreset,
+    Scenario,
+    default_time_grid,
+    ehrenfest_rate,
     eigendecompose,
     energy_amplitudes,
     ml_bounds,
@@ -24,6 +27,7 @@ from quncert import (
     mt_series,
     orthogonalization_time,
     pauli,
+    propagator,
     qsl_tau,
     qubit_scenario,
     robertson_check,
@@ -31,6 +35,7 @@ from quncert import (
     state_overlap,
     stats,
 )
+from quncert.uncertainty import RATE_EPS_FACTOR, _pair_bounds
 
 THREE_LEVEL_MIN_OVERLAP = 0.23385358667337133  # sqrt(7/128)
 
@@ -71,6 +76,57 @@ def test_uncertainty_fuzz(dim):
         assert rob.slack >= -1e-10
         assert sch.slack >= -1e-10
         assert sch.rhs >= rob.rhs
+
+
+def test_stacked_pair_bounds_match_public_checks():
+    rng = np.random.default_rng(2024)
+    for dim in range(2, 7):
+        triples = [
+            (random_hermitian(rng, dim), random_hermitian(rng, dim), random_state(rng, dim))
+            for _ in range(40)
+        ]
+        a, b, psi = (np.stack(column) for column in zip(*triples))
+        product, robertson, schrodinger = _pair_bounds(a, b, psi)
+        for k, triple in enumerate(triples):
+            rob = robertson_check(*triple)
+            sch = schrodinger_check(*triple)
+            assert abs(product[k] - rob.lhs) <= 1e-12 * max(1.0, abs(rob.lhs))
+            assert abs(product[k] - sch.lhs) <= 1e-12 * max(1.0, abs(sch.lhs))
+            assert abs(robertson[k] - rob.rhs) <= 1e-12 * max(1.0, abs(rob.rhs))
+            assert abs(schrodinger[k] - sch.rhs) <= 1e-12 * max(1.0, abs(sch.rhs))
+
+
+@pytest.mark.parametrize("kind", ["generic", "commuting"])
+def test_mt_series_matches_per_sample_oracle(kind):
+    """Batched dim-6 series against U(t) psi0, qstat.stats and ehrenfest_rate."""
+    rng = np.random.default_rng(61)
+    hbar = 0.7
+    h = random_hermitian(rng, 6)
+    a = random_hermitian(rng, 6) if kind == "generic" else h @ h
+    scenario = Scenario(
+        hbar=hbar,
+        hamiltonian=h,
+        initial_state=random_state(rng, 6),
+        time_grid=default_time_grid(h, hbar=hbar, steps=300),
+    )
+    spread = stats(h, scenario.initial_state).stddev
+    rate_eps = RATE_EPS_FACTOR * scenario.spectrum.span * np.linalg.norm(a, 2) / hbar
+    series = mt_series(a, scenario)
+    assert [s.t for s in series] == scenario.time_grid.times().tolist()
+    flags = 0
+    for sample in series:
+        psi = propagator(scenario.spectrum, sample.t, hbar) @ scenario.initial_state
+        delta_a = stats(a, psi).stddev
+        rate = abs(ehrenfest_rate(a, h, psi, hbar))
+        assert math.isinf(sample.delta_t) == math.isinf(sample.product) == (rate <= rate_eps)
+        flags += math.isinf(sample.delta_t)
+        expected = [delta_a, rate]
+        if rate > rate_eps:
+            expected += [delta_a / rate, spread * delta_a / rate]
+        got = [sample.delta_a, sample.rate, sample.delta_t, sample.product]
+        for x, y in zip(expected, got):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x))
+    assert flags == (len(series) if kind == "commuting" else 0)
 
 
 def test_mt_balanced_qubit_constant_timescale():
