@@ -164,6 +164,16 @@ def _probabilities(spec: SpectralDecomposition, amplitudes) -> np.ndarray:
     return probs
 
 
+def _overlap(weights, evals, ts, hbar):
+    """sum_k w_k exp(-i E_k t / hbar) at each of a 1-D array of times.
+
+    ``weights`` is a (d,) vector or a (m, d) stack, giving a (T,) or an
+    (m, T) result; with the energy populations as weights this is the
+    survival amplitude.  Nothing is validated here.
+    """
+    return weights @ np.exp(-1j * np.outer(evals, ts / hbar))
+
+
 def state_overlap(spec: SpectralDecomposition, amplitudes, t, hbar: float = 1.0):
     """Survival amplitude <psi(0)|psi(t)> = sum_k |a_k|^2 exp(-i E_k t / hbar).
 
@@ -171,8 +181,7 @@ def state_overlap(spec: SpectralDecomposition, amplitudes, t, hbar: float = 1.0)
     """
     probs = _probabilities(spec, amplitudes)
     ts = np.asarray(t, dtype=np.float64)
-    values = np.exp(-1j * np.outer(spec.eigenvalues, ts) / hbar)
-    out = probs @ values.reshape(spec.dim, -1)
+    out = _overlap(probs, spec.eigenvalues, ts.reshape(-1), hbar)
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
@@ -208,30 +217,32 @@ class InconclusiveScanError(RuntimeError):
         self.horizon = horizon
 
 
-def _overlap_modulus_and_slope(probs, evals, hbar, t):
-    """|o(t)| and d|o|^2/dt for the bisection refinement."""
-    phases = np.exp(-1j * evals * (t / hbar))
-    o = complex(np.dot(probs, phases))
-    o_dot = complex(np.dot(probs, -1j * evals / hbar * phases))
-    return abs(o), 2.0 * (o.conjugate() * o_dot).real
+def _overlap_modulus_and_slope(probs, evals, hbar, ts):
+    """|o(t)| and d|o|^2/dt at each of a 1-D array of times."""
+    weights = np.stack((probs, probs * (-1j * evals / hbar)))
+    o, o_dot = _overlap(weights, evals, ts, hbar)
+    return np.abs(o), 2.0 * (o.conj() * o_dot).real
 
 
-def _refine_minimum(probs, evals, hbar, lo, hi):
-    """Bisect d|o|^2/dt over [lo, hi] down to the relative time tolerance."""
-    _, slope_lo = _overlap_modulus_and_slope(probs, evals, hbar, lo)
-    _, slope_hi = _overlap_modulus_and_slope(probs, evals, hbar, hi)
-    if slope_lo > 0.0 or slope_hi < 0.0:
-        # not a clean descent/ascent bracket; fall back to the midpoint
-        mid = 0.5 * (lo + hi)
-        return mid, _overlap_modulus_and_slope(probs, evals, hbar, mid)[0]
-    tol = REFINE_REL_TOL * max(1.0, abs(hi))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        _, slope = _overlap_modulus_and_slope(probs, evals, hbar, mid)
-        if slope < 0.0:
-            lo = mid
-        else:
-            hi = mid
+def _refine_minima(probs, evals, hbar, lo, hi):
+    """Bisect d|o|^2/dt over every bracket [lo[j], hi[j]] at once.
+
+    Each bracket stops at its own relative time tolerance, so it visits the
+    same midpoints as a bisection of that bracket alone; one that is not a
+    clean descent/ascent bracket falls back to its midpoint.  ``lo`` and
+    ``hi`` are updated in place.  Returns the refined times and moduli.
+    """
+    n = lo.size
+    _, slopes = _overlap_modulus_and_slope(probs, evals, hbar, np.concatenate((lo, hi)))
+    clean = ~((slopes[:n] > 0.0) | (slopes[n:] < 0.0))
+    tol = REFINE_REL_TOL * np.maximum(1.0, np.abs(hi))
+    active = np.nonzero(clean & (hi - lo > tol))[0]
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        descending = _overlap_modulus_and_slope(probs, evals, hbar, mid)[1] < 0.0
+        lo[active[descending]] = mid[descending]
+        hi[active[~descending]] = mid[~descending]
+        active = active[hi[active] - lo[active] > tol[active]]
     mid = 0.5 * (lo + hi)
     return mid, _overlap_modulus_and_slope(probs, evals, hbar, mid)[0]
 
@@ -248,9 +259,12 @@ def orthogonalization_time(
     A dominant amplitude (max |a_k|^2 > 1/2) certifies analytically that the
     overlap modulus never drops below 2 max|a_k|^2 - 1, so no search runs.
     Otherwise the overlap modulus is scanned on SCAN_POINTS points up to the
-    horizon (default HORIZON_PERIODS slowest beat periods), each sampled local
-    minimum is refined by bisection on the modulus-squared slope, and the
-    earliest refined minimum at or below tol_orth is returned.
+    horizon (default HORIZON_PERIODS slowest beat periods). Every sampled
+    local minimum is refined in one batched bisection on the modulus-squared
+    slope, each bracket to its own relative time tolerance, and the earliest
+    refined minimum at or below tol_orth is returned. min_observed_overlap is
+    the smallest modulus seen: over the scan and the refined minima up to the
+    returned one, or over all of them when the search is inconclusive.
 
     Raises:
         InconclusiveScanError: nothing found and no certificate applies.
@@ -278,20 +292,21 @@ def orthogonalization_time(
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
 
     ts = np.linspace(0.0, horizon, SCAN_POINTS)
-    moduli = np.abs(state_overlap(spec, amplitudes, ts, hbar))
+    moduli = np.abs(_overlap(probs, evals, ts, hbar))
     min_observed = float(moduli.min())
 
     interior = np.nonzero(
         (moduli[1:-1] <= moduli[:-2]) & (moduli[1:-1] <= moduli[2:])
     )[0] + 1
-    for i in interior:
-        t_star, modulus = _refine_minimum(probs, evals, hbar, ts[i - 1], ts[i + 1])
-        min_observed = min(min_observed, modulus)
-        if modulus <= tol_orth:
-            return OrthogonalizationResult(
-                "found", t_star, None, min_observed, float(horizon)
-            )
-    raise InconclusiveScanError(min_observed, float(horizon))
+    t_star, refined = _refine_minima(probs, evals, hbar, ts[interior - 1], ts[interior + 1])
+    hits = np.nonzero(refined <= tol_orth)[0]
+    if hits.size:
+        first = hits[0]
+        min_observed = float(refined[: first + 1].min(initial=min_observed))
+        return OrthogonalizationResult(
+            "found", float(t_star[first]), None, min_observed, float(horizon)
+        )
+    raise InconclusiveScanError(float(refined.min(initial=min_observed)), float(horizon))
 
 
 @dataclass(frozen=True)

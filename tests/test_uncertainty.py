@@ -35,7 +35,15 @@ from quncert import (
     state_overlap,
     stats,
 )
-from quncert.uncertainty import RATE_EPS_FACTOR, _pair_bounds
+from quncert import uncertainty
+from quncert.uncertainty import (
+    DEFAULT_TOL_ORTH,
+    HORIZON_PERIODS,
+    RATE_EPS_FACTOR,
+    REFINE_REL_TOL,
+    SCAN_POINTS,
+    _pair_bounds,
+)
 
 THREE_LEVEL_MIN_OVERLAP = 0.23385358667337133  # sqrt(7/128)
 
@@ -274,6 +282,144 @@ def test_orthogonalization_tol_orth_validation():
     for bad in (0.0, -1e-3, 0.5):
         with pytest.raises(ValueError, match="tol_orth"):
             orthogonalization_time(spec, amps, tol_orth=bad)
+
+
+def _scalar_modulus_and_slope(probs, evals, hbar, t):
+    phases = np.exp(-1j * evals * (t / hbar))
+    o = complex(np.dot(probs, phases))
+    o_dot = complex(np.dot(probs, -1j * evals / hbar * phases))
+    return abs(o), 2.0 * (o.conjugate() * o_dot).real
+
+
+def _refine_minimum(probs, evals, hbar, lo, hi):
+    _, slope_lo = _scalar_modulus_and_slope(probs, evals, hbar, lo)
+    _, slope_hi = _scalar_modulus_and_slope(probs, evals, hbar, hi)
+    if slope_lo > 0.0 or slope_hi < 0.0:
+        mid = 0.5 * (lo + hi)
+        return mid, _scalar_modulus_and_slope(probs, evals, hbar, mid)[0]
+    tol = REFINE_REL_TOL * max(1.0, abs(hi))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        _, slope = _scalar_modulus_and_slope(probs, evals, hbar, mid)
+        if slope < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    return mid, _scalar_modulus_and_slope(probs, evals, hbar, mid)[0]
+
+
+def _scanned_minima(moduli):
+    """Indices of the sampled interior local minima, as the search picks them."""
+    return np.nonzero((moduli[1:-1] <= moduli[:-2]) & (moduli[1:-1] <= moduli[2:]))[0] + 1
+
+
+def _serial_search(spec, amps, hbar):
+    """Reference search: one scalar bisection per scanned minimum, in time order.
+
+    Covers only inputs that reach the scan (no certificate applies).
+    Returns (kind, tau_perp, min_observed_overlap).
+    """
+    probs = np.abs(amps) ** 2
+    evals = spec.eigenvalues
+    gaps = np.diff(evals)
+    min_gap = float(gaps[gaps > 1e-12 * max(1.0, spec.span)].min())
+    ts = np.linspace(0.0, HORIZON_PERIODS * 2.0 * math.pi * hbar / min_gap, SCAN_POINTS)
+    moduli = np.abs(state_overlap(spec, amps, ts, hbar))
+    min_observed = float(moduli.min())
+    for i in _scanned_minima(moduli):
+        t_star, modulus = _refine_minimum(probs, evals, hbar, ts[i - 1], ts[i + 1])
+        min_observed = min(min_observed, modulus)
+        if modulus <= DEFAULT_TOL_ORTH:
+            return "found", t_star, min_observed
+    return "inconclusive", None, min_observed
+
+
+def _search_outcome(spec, amps, hbar):
+    try:
+        result = orthogonalization_time(spec, amps, hbar)
+    except InconclusiveScanError as err:
+        return "inconclusive", None, err.min_observed_overlap
+    return result.kind, result.tau_perp, result.min_observed_overlap
+
+
+def _assert_matches_serial(evals, probs, phases, hbar=1.0):
+    assert max(probs) <= 0.5, "a dominant amplitude skips the search"
+    spec = eigendecompose(np.diag(evals))
+    amps = spec.eigenvectors.conj().T @ (np.sqrt(probs) * phases)
+    expected = _serial_search(spec, amps, hbar)
+    got = _search_outcome(spec, amps, hbar)
+    assert got[0] == expected[0]
+    for x, y in zip(got[1:], expected[1:]):
+        if y is None:
+            assert x is None
+        else:
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+    return got
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_batched_refinement_matches_serial_on_random_spectra(dim):
+    """A generic spectrum with random populations, then an integer ladder
+    with equal populations, whose overlap has zeros."""
+    rng = np.random.default_rng(600 + dim)
+    evals = np.linalg.eigvalsh(random_hermitian(rng, dim))
+    # weights in [1, 2] keep every population at or below 2 / (dim + 1)
+    weights = np.ones(2) if dim == 2 else 1.0 + rng.random(dim)
+    probs = weights / weights.sum()
+    phases = np.exp(2j * math.pi * rng.random(dim))
+    _assert_matches_serial(evals, probs, phases, hbar=0.7)
+    ladder = rng.integers(-3, 4) + rng.integers(1, 4) * np.arange(dim, dtype=float)
+    kind, _, _ = _assert_matches_serial(ladder, np.full(dim, 1.0 / dim), phases)
+    assert kind == "found"
+
+
+@pytest.mark.parametrize("w", [10.0, 30.0])
+def test_batched_refinement_product_family(w):
+    """diag(0, 1, W, W+1), uniform state: o(t) = (1 + e^{-iWt})(1 + e^{-it}) / 4."""
+    kind, tau, _ = _assert_matches_serial(
+        np.array([0.0, 1.0, w, w + 1.0]), np.full(4, 0.25), np.ones(4)
+    )
+    assert kind == "found"
+    assert tau == pytest.approx(math.pi / w, rel=1e-9)
+
+
+def test_batched_refinement_returns_earliest_qualifying_minimum():
+    """Weights (0.3, 0.3, 0.2, 0.2) on diag(0, 1, 10, 11) give
+    o(t) = (1 + e^{-it}) / 2 * (0.6 + 0.4 e^{-10it}): the fast factor's minima
+    come first and stay near 0.2, and every odd multiple of pi is a zero."""
+    evals = np.array([0.0, 1.0, 10.0, 11.0])
+    probs = np.array([0.3, 0.3, 0.2, 0.2])
+    kind, tau, _ = _assert_matches_serial(evals, probs, np.ones(4))
+    assert kind == "found"
+    assert tau == pytest.approx(math.pi, rel=1e-9)
+    spec = eigendecompose(np.diag(evals))
+    ts = np.linspace(0.0, HORIZON_PERIODS * 2.0 * math.pi, SCAN_POINTS)
+    moduli = np.abs(state_overlap(spec, np.sqrt(probs), ts))
+    assert moduli[_scanned_minima(moduli)[0]] > 0.1
+
+
+def test_refinement_is_batched(monkeypatch):
+    """The slope kernel runs once per bisection step for all scanned minima
+    together, not once per minimum and step (over 10,000 calls here)."""
+    rng = np.random.default_rng(24)
+    spec = eigendecompose(np.diag(np.linalg.eigvalsh(random_hermitian(rng, 24))))
+    amps = spec.eigenvectors.conj().T @ random_state(rng, 24)
+    calls = []
+    kernel = uncertainty._overlap_modulus_and_slope
+
+    def counting(*args):
+        calls.append(args[-1].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(uncertainty, "_overlap_modulus_and_slope", counting)
+    try:
+        horizon = orthogonalization_time(spec, amps).horizon
+    except InconclusiveScanError as err:
+        horizon = err.horizon
+    moduli = np.abs(state_overlap(spec, amps, np.linspace(0.0, horizon, SCAN_POINTS)))
+    assert _scanned_minima(moduli).size >= 300
+    assert len(calls) <= 64
 
 
 def test_ml_bounds_balanced_qubit():
