@@ -28,17 +28,6 @@ from .hilbert import ConvergenceError
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "QUNCERT_SEED"
 OFFSET_VALUES = (-5.0, 0.5, 7.3)
-VERIFY_SUITES = (
-    "conservation",
-    "offset",
-    "ehrenfest",
-    "robertson",
-    "schrodinger",
-    "mt",
-    "ml",
-    "qsl",
-    "all",
-)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -156,33 +145,49 @@ def load_scenario(path: str) -> dynamics.Scenario:
 
 def format_value(x: float) -> str:
     """17 significant digits, scientific; infinities as the literal 'inf'."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.16e}"
 
 
-def write_trajectory_csv(trajectory: dynamics.Trajectory, fh) -> None:
-    names = list(trajectory.observables)
-    header = ["t"]
-    for name in names:
-        header += [f"{name}_mean", f"{name}_std"]
-    header += ["energy_mean", "energy_std", "coherence", "predictability"]
+def _open_csv(path: str):
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+# rows formatted per chunk, so the text of a long grid is never held at once
+_ROW_CHUNK = 4096
+
+
+def _write_rows(fh, header: list[str], columns, kinds=None) -> None:
+    """Header line, then one row per index over the stacked float columns.
+
+    Floats render as format_value renders them; ``kinds``, when given, is a
+    trailing text column.
+    """
+    template = ",".join(["%.16e"] * len(columns)) + (
+        "\n" if kinds is None else ",%s\n"
+    )
+    table = np.column_stack(columns)
     fh.write(",".join(header) + "\n")
-    for k, t in enumerate(trajectory.times):
-        row = [format_value(float(t))]
-        for name in names:
-            series = trajectory.observables[name]
-            row += [
-                format_value(float(series.mean[k])),
-                format_value(float(series.stddev[k])),
-            ]
-        row += [
-            format_value(float(trajectory.energy.mean[k])),
-            format_value(float(trajectory.energy.stddev[k])),
-            format_value(float(trajectory.coherence[k])),
-            format_value(float(trajectory.predictability[k])),
-        ]
-        fh.write(",".join(row) + "\n")
+    for start in range(0, len(table), _ROW_CHUNK):
+        rows = table[start : start + _ROW_CHUNK].tolist()
+        if kinds is not None:
+            chunk_kinds = kinds[start : start + _ROW_CHUNK]
+            rows = [row + [kind] for row, kind in zip(rows, chunk_kinds)]
+        fh.writelines(template % tuple(row) for row in rows)
+
+
+def write_trajectory_csv(trajectory: dynamics.Trajectory, fh) -> None:
+    header, columns = ["t"], [trajectory.times]
+    for name, series in trajectory.observables.items():
+        header += [f"{name}_mean", f"{name}_std"]
+        columns += [series.mean, series.stddev]
+    header += ["energy_mean", "energy_std", "coherence", "predictability"]
+    columns += [
+        trajectory.energy.mean,
+        trajectory.energy.stddev,
+        trajectory.coherence,
+        trajectory.predictability,
+    ]
+    _write_rows(fh, header, columns)
 
 
 # ----------------------------------------------------------------- randomness
@@ -256,34 +261,24 @@ def _preset_scenarios(names) -> dict[str, dynamics.Scenario]:
     }
 
 
-def _suite_conservation(scenario, rng) -> list[Check]:
-    checks = []
+def _suite_conservation(scenario, rng) -> dict[str, list[Check]]:
     if scenario is not None:
-        report = dynamics.check_conservation(dynamics.evolve(scenario))
-        checks.append(
-            check_max("conservation.scenario.max_drift", report.max_drift, report.tolerance)
-        )
-        return checks
-    for name, s in _preset_scenarios(qubit.FIGURE_PRESETS).items():
+        targets = {"scenario": scenario}
+    else:
+        targets = _preset_scenarios(qubit.FIGURE_PRESETS)
+        for k in range(10):
+            dim = 2 + k % 5
+            targets[f"random{k}.dim{dim}"] = random_scenario(rng, dim)
+    checks = []
+    for name, s in targets.items():
         report = dynamics.check_conservation(dynamics.evolve(s))
         checks.append(
             check_max(f"conservation.{name}.max_drift", report.max_drift, report.tolerance)
         )
-    for k in range(10):
-        dim = 2 + k % 5
-        s = random_scenario(rng, dim)
-        report = dynamics.check_conservation(dynamics.evolve(s))
-        checks.append(
-            check_max(
-                f"conservation.random{k}.dim{dim}.max_drift",
-                report.max_drift,
-                report.tolerance,
-            )
-        )
-    return checks
+    return {"conservation": checks}
 
 
-def _suite_offset(scenario, rng) -> list[Check]:
+def _suite_offset(scenario, rng) -> dict[str, list[Check]]:
     targets = (
         {"scenario": scenario}
         if scenario is not None
@@ -301,7 +296,7 @@ def _suite_offset(scenario, rng) -> list[Check]:
             checks.append(
                 check_max(f"offset.{name}.E0={offset}", worst, report.tolerance)
             )
-    return checks
+    return {"offset": checks}
 
 
 def _residual_ratio(s, observable, t, fd_step) -> float:
@@ -310,7 +305,7 @@ def _residual_ratio(s, observable, t, fd_step) -> float:
     return coarse / fine if fine > 0 else math.inf
 
 
-def _suite_ehrenfest(scenario, rng) -> list[Check]:
+def _suite_ehrenfest(scenario, rng) -> dict[str, list[Check]]:
     checks = []
     if scenario is None:
         s = qubit.qubit_scenario(qubit.FIGURE_PRESETS["fig2D"])
@@ -326,7 +321,7 @@ def _suite_ehrenfest(scenario, rng) -> list[Check]:
             dynamics.ehrenfest_residual(qubit.pauli("z"), s, 1.3, 1e-4),
         )
         checks.append(check_max("ehrenfest.fig2D.static_observables", static, 1e-10))
-        return checks
+        return {"ehrenfest": checks}
 
     spec = scenario.spectrum
     fd = dynamics.default_fd_step(spec, scenario.hbar)
@@ -350,11 +345,31 @@ def _suite_ehrenfest(scenario, rng) -> list[Check]:
         ratio = _residual_ratio(scenario, matrix, t_star, coarse_step)
         checks.append(check_min(f"ehrenfest.{name}.halving_ratio_low", ratio, 3.5))
         checks.append(check_max(f"ehrenfest.{name}.halving_ratio_high", ratio, 4.5))
-    return checks
+    return {"ehrenfest": checks}
 
 
-def _uncertainty_fuzz(rng, kind: str) -> list[Check]:
-    checks = []
+def _suite_uncertainty(scenario, rng) -> dict[str, list[Check]]:
+    """Robertson and Schrodinger checks from one evaluation of both bounds.
+
+    On a scenario: its observables and H against each other, pairwise.
+    Otherwise: 1000 seeded random (A, B, psi) triples for each dim 2..6.
+    """
+    robertson, schrodinger = [], []
+    floor = -uncertainty.BOUND_SLACK_TOL
+    if scenario is not None:
+        items = list(scenario.observables.items()) + [("energy", scenario.hamiltonian)]
+        for i, (name_a, a) in enumerate(items):
+            for name_b, b in items[i:]:
+                product, rob, sch = uncertainty._validated_pair_bounds(
+                    a, b, scenario.initial_state
+                )
+                pair = f"{name_a}x{name_b}"
+                robertson.append(check_min(f"robertson.{pair}.slack", product - rob, floor))
+                schrodinger.append(
+                    check_min(f"schrodinger.{pair}.slack", product - sch, floor)
+                )
+        return {"robertson": robertson, "schrodinger": schrodinger}
+
     for dim in range(2, 7):
         a = np.empty((1000, dim, dim), dtype=np.complex128)
         b = np.empty_like(a)
@@ -363,55 +378,21 @@ def _uncertainty_fuzz(rng, kind: str) -> list[Check]:
             a[k] = random_hermitian(rng, dim)
             b[k] = random_hermitian(rng, dim)
             psi[k] = random_state(rng, dim)
-        product, robertson, schrodinger = uncertainty._pair_bounds(a, b, psi)
-        rhs = robertson if kind == "robertson" else schrodinger
-        checks.append(
+        product, rob, sch = uncertainty._pair_bounds(a, b, psi)
+        robertson.append(
+            check_min(f"robertson.dim{dim}.min_slack", float(np.min(product - rob)), floor)
+        )
+        schrodinger.append(
+            check_min(f"schrodinger.dim{dim}.min_slack", float(np.min(product - sch)), floor)
+        )
+        schrodinger.append(
             check_min(
-                f"{kind}.dim{dim}.min_slack",
-                float(np.min(product - rhs)),
-                -uncertainty.BOUND_SLACK_TOL,
+                f"schrodinger.dim{dim}.rhs_dominates_robertson",
+                float(np.min(sch - rob)),
+                0.0,
             )
         )
-        if kind == "schrodinger":
-            min_gap = float(np.min(schrodinger - robertson))
-            checks.append(
-                check_min(f"{kind}.dim{dim}.rhs_dominates_robertson", min_gap, 0.0)
-            )
-    return checks
-
-
-def _scenario_pairs(scenario, rng, kind) -> list[Check]:
-    """Bound checks on a user scenario: its own observables vs H and each other."""
-    checks = []
-    items = list(scenario.observables.items()) + [("energy", scenario.hamiltonian)]
-    fn = (
-        uncertainty.robertson_check
-        if kind == "robertson"
-        else uncertainty.schrodinger_check
-    )
-    for i, (name_a, a) in enumerate(items):
-        for name_b, b in items[i:]:
-            result = fn(a, b, scenario.initial_state)
-            checks.append(
-                check_min(
-                    f"{kind}.{name_a}x{name_b}.slack",
-                    result.slack,
-                    -uncertainty.BOUND_SLACK_TOL,
-                )
-            )
-    return checks
-
-
-def _suite_robertson(scenario, rng) -> list[Check]:
-    if scenario is not None:
-        return _scenario_pairs(scenario, rng, "robertson")
-    return _uncertainty_fuzz(rng, "robertson")
-
-
-def _suite_schrodinger(scenario, rng) -> list[Check]:
-    if scenario is not None:
-        return _scenario_pairs(scenario, rng, "schrodinger")
-    return _uncertainty_fuzz(rng, "schrodinger")
+    return {"robertson": robertson, "schrodinger": schrodinger}
 
 
 def _extremum_distance(preset: qubit.QubitPreset, t: float) -> float:
@@ -449,13 +430,12 @@ def _mt_checks_for_preset(name: str, preset: qubit.QubitPreset) -> list[Check]:
     return checks
 
 
-def _suite_mt(scenario, rng) -> list[Check]:
+def _suite_mt(scenario, rng) -> dict[str, list[Check]]:
+    checks = []
     if scenario is None:
-        checks = []
         for name in ("fig2D", "fig3AB", "fig3CD"):
             checks += _mt_checks_for_preset(name, qubit.FIGURE_PRESETS[name])
-        return checks
-    checks = []
+        return {"mt": checks}
     half_hbar = 0.5 * scenario.hbar
     for name, matrix in scenario.observables.items():
         samples = uncertainty.mt_series(matrix, scenario)
@@ -464,168 +444,131 @@ def _suite_mt(scenario, rng) -> list[Check]:
         checks.append(
             check_min(f"mt.{name}.min_product", value, half_hbar - 1e-10)
         )
-    return checks
+    return {"mt": checks}
 
 
-def _ml_certificate_cases() -> dict[str, qubit.QubitPreset]:
-    # strictly dominant amplitude; the balanced presets sit at 1/2 + rounding
-    cases = {
-        name: preset
-        for name, preset in qubit.FIGURE_PRESETS.items()
-        if max(abs(preset.alpha1), abs(preset.alpha2)) ** 2 > 0.5 + 1e-12
+def _preset_speed_limits() -> dict[str, list[Check]]:
+    presets = {
+        **qubit.FIGURE_PRESETS,
+        "dominant95": qubit.QubitPreset(
+            omega=1.0, alpha1=math.sqrt(0.95), alpha2=math.sqrt(0.05)
+        ),
     }
-    cases["dominant95"] = qubit.QubitPreset(
-        omega=1.0, alpha1=math.sqrt(0.95), alpha2=math.sqrt(0.05)
-    )
-    return cases
-
-
-def _suite_ml(scenario, rng) -> list[Check]:
-    checks = []
-    if scenario is None:
-        preset = qubit.FIGURE_PRESETS["fig2D"]
-        s = qubit.qubit_scenario(preset)
-        spec, amps = s.spectrum, s.amplitudes
-        result = uncertainty.orthogonalization_time(spec, amps, s.hbar)
-        bounds = uncertainty.ml_bounds(spec, amps, s.hbar)
-        tau_expect = math.pi / preset.omega
-        checks.append(check_bool("ml.fig2D.found", result.found))
-        checks.append(
-            check_max("ml.fig2D.tau_perp_is_pi/omega", abs(result.tau_perp - tau_expect), 1e-9)
+    scenarios = {name: qubit.qubit_scenario(p) for name, p in presets.items()}
+    preset, s = presets["fig2D"], scenarios["fig2D"]
+    result = uncertainty.orthogonalization_time(s.spectrum, s.amplitudes, s.hbar)
+    bounds = uncertainty.ml_bounds(s.spectrum, s.amplitudes, s.hbar)
+    tau_expect = math.pi / preset.omega
+    ml = [
+        check_bool("ml.fig2D.found", result.found),
+        check_max("ml.fig2D.tau_perp_is_pi/omega", abs(result.tau_perp - tau_expect), 1e-9),
+        check_max(
+            "ml.fig2D.spread_bound_equality",
+            abs(result.tau_perp - bounds.from_energy_spread),
+            1e-9,
+        ),
+        check_min(
+            "ml.fig2D.tau_above_mean_bound", result.tau_perp - bounds.from_mean_energy, -1e-9
+        ),
+        check_bool(
+            "ml.fig2D.unshifted_mean_bound_infinite",
+            math.isinf(bounds.from_mean_energy_unshifted),
+        ),
+    ]
+    for name, p in presets.items():
+        dominant = max(abs(p.alpha1), abs(p.alpha2)) ** 2
+        # strictly dominant amplitude; the balanced presets sit at 1/2 + rounding
+        if dominant <= 0.5 + 1e-12:
+            continue
+        res = uncertainty.orthogonalization_time(
+            scenarios[name].spectrum, scenarios[name].amplitudes, p.hbar
         )
-        checks.append(
-            check_max(
-                "ml.fig2D.spread_bound_equality",
-                abs(result.tau_perp - bounds.from_energy_spread),
-                1e-9,
-            )
-        )
-        checks.append(
-            check_min(
-                "ml.fig2D.tau_above_mean_bound",
-                result.tau_perp - bounds.from_mean_energy,
-                -1e-9,
-            )
-        )
-        checks.append(
-            check_bool(
-                "ml.fig2D.unshifted_mean_bound_infinite",
-                math.isinf(bounds.from_mean_energy_unshifted),
-            )
-        )
-        for name, p in _ml_certificate_cases().items():
-            s = qubit.qubit_scenario(p)
-            res = uncertainty.orthogonalization_time(s.spectrum, s.amplitudes, p.hbar)
-            expected = 2.0 * max(abs(p.alpha1), abs(p.alpha2)) ** 2 - 1.0
-            ok = (not res.found) and res.min_overlap_bound is not None
-            checks.append(check_bool(f"ml.{name}.never_orthogonal", ok))
-            if ok:
-                checks.append(
-                    check_max(
-                        f"ml.{name}.certificate_bound",
-                        abs(res.min_overlap_bound - expected),
-                        1e-12,
-                    )
+        ok = (not res.found) and res.min_overlap_bound is not None
+        ml.append(check_bool(f"ml.{name}.never_orthogonal", ok))
+        if ok:
+            ml.append(
+                check_max(
+                    f"ml.{name}.certificate_bound",
+                    abs(res.min_overlap_bound - (2.0 * dominant - 1.0)),
+                    1e-12,
                 )
-        return checks
-
-    spec, amps = scenario.spectrum, scenario.amplitudes
-    bounds = uncertainty.ml_bounds(spec, amps, scenario.hbar)
-    try:
-        result = uncertainty.orthogonalization_time(spec, amps, scenario.hbar)
-    except uncertainty.InconclusiveScanError as exc:
-        checks.append(
-            check_inconclusive("ml.scenario.search", exc.min_observed_overlap)
-        )
-        return checks
-    if result.found:
-        overlap = abs(
-            uncertainty.state_overlap(spec, amps, result.tau_perp, scenario.hbar)
-        )
-        checks.append(
-            check_max("ml.scenario.overlap_at_tau", overlap, uncertainty.DEFAULT_TOL_ORTH)
-        )
-        checks.append(
-            check_min(
-                "ml.scenario.tau_above_spread_bound",
-                result.tau_perp - bounds.from_energy_spread,
-                -1e-9,
             )
-        )
-        checks.append(
-            check_min(
-                "ml.scenario.tau_above_mean_bound",
-                result.tau_perp - bounds.from_mean_energy,
-                -1e-9,
-            )
-        )
-    else:
-        checks.append(
-            check_min("ml.scenario.certificate_positive", result.min_overlap_bound, 0.0)
-        )
-    return checks
+
+    qsl = []
+    for name, p in qubit.FIGURE_PRESETS.items():
+        if p.coherence == 0.0:
+            continue
+        spec, amps = scenarios[name].spectrum, scenarios[name].amplitudes
+        tau = uncertainty.qsl_tau(spec, amps, p.hbar)
+        b = uncertainty.ml_bounds(spec, amps, p.hbar)
+        qsl.append(check_bool(f"qsl.{name}.finite", math.isfinite(tau)))
+        expected = max(b.from_energy_spread, b.from_mean_energy)
+        qsl.append(check_max(f"qsl.{name}.equals_max_bound", abs(tau - expected), 1e-12))
+    tau = uncertainty.qsl_tau(s.spectrum, s.amplitudes, preset.hbar)
+    qsl.append(check_max("qsl.fig2D.tau_is_pi/omega", abs(tau - tau_expect), 1e-9))
+    qsl.append(check_max("qsl.fig2D.below_tau_perp", tau, result.tau_perp + 1e-9))
+    return {"ml": ml, "qsl": qsl}
 
 
-def _suite_qsl(scenario, rng) -> list[Check]:
-    checks = []
+def _suite_speed_limits(scenario, rng) -> dict[str, list[Check]]:
+    """ML and QSL checks, both reading one orthogonalization search per scenario."""
     if scenario is None:
-        for name, preset in qubit.FIGURE_PRESETS.items():
-            if preset.coherence == 0.0:
-                continue
-            s = qubit.qubit_scenario(preset)
-            spec, amps = s.spectrum, s.amplitudes
-            tau = uncertainty.qsl_tau(spec, amps, preset.hbar)
-            bounds = uncertainty.ml_bounds(spec, amps, preset.hbar)
-            checks.append(check_bool(f"qsl.{name}.finite", math.isfinite(tau)))
-            expected = max(bounds.from_energy_spread, bounds.from_mean_energy)
-            checks.append(
-                check_max(f"qsl.{name}.equals_max_bound", abs(tau - expected), 1e-12)
-            )
-        preset = qubit.FIGURE_PRESETS["fig2D"]
-        s = qubit.qubit_scenario(preset)
-        spec, amps = s.spectrum, s.amplitudes
-        tau = uncertainty.qsl_tau(spec, amps, preset.hbar)
-        result = uncertainty.orthogonalization_time(spec, amps, preset.hbar)
-        checks.append(
-            check_max("qsl.fig2D.tau_is_pi/omega", abs(tau - math.pi / preset.omega), 1e-9)
-        )
-        checks.append(
-            check_max("qsl.fig2D.below_tau_perp", tau, result.tau_perp + 1e-9)
-        )
-        return checks
-
-    spec, amps = scenario.spectrum, scenario.amplitudes
-    tau = uncertainty.qsl_tau(spec, amps, scenario.hbar)
-    bounds = uncertainty.ml_bounds(spec, amps, scenario.hbar)
+        return _preset_speed_limits()
+    spec, amps, hbar = scenario.spectrum, scenario.amplitudes, scenario.hbar
+    bounds = uncertainty.ml_bounds(spec, amps, hbar)
+    tau = uncertainty.qsl_tau(spec, amps, hbar)
     expected = max(bounds.from_energy_spread, bounds.from_mean_energy)
-    if math.isinf(tau):
-        checks.append(check_bool("qsl.scenario.infinite_for_eigenstate", math.isinf(expected)))
-        return checks
-    checks.append(check_max("qsl.scenario.equals_max_bound", abs(tau - expected), 1e-12))
+    # an infinite QSL (eigenstate) has nothing to compare with tau_perp
+    finite_qsl = not math.isinf(tau)
+    qsl = [
+        check_max("qsl.scenario.equals_max_bound", abs(tau - expected), 1e-12)
+        if finite_qsl
+        else check_bool("qsl.scenario.infinite_for_eigenstate", math.isinf(expected))
+    ]
     try:
-        result = uncertainty.orthogonalization_time(spec, amps, scenario.hbar)
+        result = uncertainty.orthogonalization_time(spec, amps, hbar)
     except uncertainty.InconclusiveScanError as exc:
-        checks.append(
-            check_inconclusive("qsl.scenario.tau_perp_search", exc.min_observed_overlap)
-        )
-        return checks
-    if result.found:
-        checks.append(
-            check_max("qsl.scenario.below_tau_perp", tau, result.tau_perp + 1e-9)
-        )
-    return checks
+        ml = [check_inconclusive("ml.scenario.search", exc.min_observed_overlap)]
+        if finite_qsl:
+            qsl.append(
+                check_inconclusive("qsl.scenario.tau_perp_search", exc.min_observed_overlap)
+            )
+        return {"ml": ml, "qsl": qsl}
+    if not result.found:
+        ml = [check_min("ml.scenario.certificate_positive", result.min_overlap_bound, 0.0)]
+        return {"ml": ml, "qsl": qsl}
+    overlap = abs(uncertainty.state_overlap(spec, amps, result.tau_perp, hbar))
+    ml = [
+        check_max("ml.scenario.overlap_at_tau", overlap, uncertainty.DEFAULT_TOL_ORTH),
+        check_min(
+            "ml.scenario.tau_above_spread_bound",
+            result.tau_perp - bounds.from_energy_spread,
+            -1e-9,
+        ),
+        check_min(
+            "ml.scenario.tau_above_mean_bound",
+            result.tau_perp - bounds.from_mean_energy,
+            -1e-9,
+        ),
+    ]
+    if finite_qsl:
+        qsl.append(check_max("qsl.scenario.below_tau_perp", tau, result.tau_perp + 1e-9))
+    return {"ml": ml, "qsl": qsl}
 
 
+# Each suite names the analysis that produces its checks; an analysis returns
+# one check list per suite it covers, so suites sharing one run it once.
 _SUITES = {
     "conservation": _suite_conservation,
     "offset": _suite_offset,
     "ehrenfest": _suite_ehrenfest,
-    "robertson": _suite_robertson,
-    "schrodinger": _suite_schrodinger,
+    "robertson": _suite_uncertainty,
+    "schrodinger": _suite_uncertainty,
     "mt": _suite_mt,
-    "ml": _suite_ml,
-    "qsl": _suite_qsl,
+    "ml": _suite_speed_limits,
+    "qsl": _suite_speed_limits,
 }
+VERIFY_SUITES = (*_SUITES, "all")
 
 
 # -------------------------------------------------------------------- commands
@@ -690,7 +633,7 @@ def cmd_evolve(args) -> int:
     if args.output is None:
         write_trajectory_csv(trajectory, sys.stdout)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        with _open_csv(args.output) as fh:
             write_trajectory_csv(trajectory, fh)
     return EXIT_PASS
 
@@ -704,51 +647,43 @@ _FIGURE_PANELS = {
 
 def _write_figure_panel(figure: str, panel: str, outdir: str) -> list[str]:
     preset = qubit.FIGURE_PRESETS[panel]
-    written = []
+    path = os.path.join(outdir, f"{panel}.csv")
 
+    if figure == "fig3":
+        # Mandelstam-Tamm timescale and product, in 1/omega and hbar/2 units
+        s = qubit.qubit_scenario(preset)
+        samples = uncertainty.mt_series(s.observables["sx"], s)
+        t, delta_t, product = np.array(
+            [(smp.t, smp.delta_t, smp.product) for smp in samples]
+        ).T
+        with _open_csv(path) as fh:
+            _write_rows(
+                fh,
+                ["t", "delta_t", "product"],
+                [t, delta_t * preset.omega, product / (0.5 * preset.hbar)],
+            )
+        return [path]
+
+    observables = None
     if figure == "fig1":
         plus, minus = qubit.spin_projectors("z")
         observables = {"proj_up_z": plus, "proj_down_z": minus}
-        trajectory = dynamics.evolve(
-            qubit.qubit_scenario(preset, observables), store_states=False
-        )
-        path = os.path.join(outdir, f"{panel}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_trajectory_csv(trajectory, fh)
+    trajectory = dynamics.evolve(
+        qubit.qubit_scenario(preset, observables), store_states=False
+    )
+    with _open_csv(path) as fh:
+        write_trajectory_csv(trajectory, fh)
+    if figure == "fig1":
         return [path]
-
-    if figure == "fig2":
-        trajectory = dynamics.evolve(qubit.qubit_scenario(preset), store_states=False)
-        path = os.path.join(outdir, f"{panel}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_trajectory_csv(trajectory, fh)
-        written.append(path)
-        try:
-            report = qubit.tick_tock(trajectory, "sx")
-        except ValueError:
-            return written  # panel without a clock signal gets no annotations
-        ticks_path = os.path.join(outdir, f"{panel}_ticks.csv")
-        with open(ticks_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("time,kind\n")
-            for t, kind in report.extrema:
-                fh.write(f"{format_value(t)},{kind}\n")
-        written.append(ticks_path)
-        return written
-
-    # fig3: Mandelstam-Tamm timescale and product, in 1/omega and hbar/2 units
-    s = qubit.qubit_scenario(preset)
-    samples = uncertainty.mt_series(s.observables["sx"], s)
-    half_hbar = 0.5 * preset.hbar
-    path = os.path.join(outdir, f"{panel}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,delta_t,product\n")
-        for smp in samples:
-            fh.write(
-                f"{format_value(smp.t)},"
-                f"{format_value(smp.delta_t * preset.omega)},"
-                f"{format_value(smp.product / half_hbar)}\n"
-            )
-    return [path]
+    try:
+        report = qubit.tick_tock(trajectory, "sx")
+    except ValueError:
+        return [path]  # panel without a clock signal gets no annotations
+    ticks_path = os.path.join(outdir, f"{panel}_ticks.csv")
+    times, kinds = zip(*report.extrema)
+    with _open_csv(ticks_path) as fh:
+        _write_rows(fh, ["time", "kind"], [times], kinds)
+    return [path, ticks_path]
 
 
 def cmd_figure(args) -> int:
@@ -765,10 +700,11 @@ def cmd_verify(args) -> int:
     digest = _input_digest(args.scenario)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
 
-    checks: list[Check] = []
-    for suite in suites:
-        rng = np.random.default_rng(seed)
-        checks += _SUITES[suite](scenario, rng)
+    # each analysis runs once, on its own fresh rng, for all the suites it covers
+    results: dict[str, list[Check]] = {}
+    for analysis in dict.fromkeys(_SUITES[suite] for suite in suites):
+        results.update(analysis(scenario, np.random.default_rng(seed)))
+    checks = [c for suite in suites for c in results[suite]]
 
     report = build_report(args.suite, checks, seed, digest)
     text = json.dumps(report, indent=2)
@@ -815,10 +751,7 @@ def main(argv=None) -> int:
         if args.command == "figure":
             return cmd_figure(args)
         return cmd_verify(args)
-    except (ScenarioFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

@@ -4,6 +4,7 @@ Runs the entry point in process via main(argv); one subprocess test confirms
 the installed console script is wired up.
 """
 
+import io
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quncert import hilbert
+from quncert import dynamics, hilbert, qubit, uncertainty
 from quncert.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -23,9 +24,11 @@ from quncert.cli import (
     EXIT_NUMERIC,
     EXIT_PASS,
     OFFSET_VALUES,
+    VERIFY_SUITES,
     format_value,
     load_scenario,
     main,
+    write_trajectory_csv,
 )
 
 SQ = math.sqrt(0.5)
@@ -67,9 +70,10 @@ def test_version(capsys):
 
 
 def test_format_value_round_trips():
-    values = [0.0, 1.0, -1.0, math.pi, 1e-300, -7.25e17, 2.0 / 3.0]
+    values = [0.0, 1.0, -1.0, math.pi, 1e-300, -7.25e17, 2.0 / 3.0, -0.0, 5e-324]
     for v in values:
         assert float(format_value(v)) == v
+        assert math.copysign(1.0, float(format_value(v))) == math.copysign(1.0, v)
     assert format_value(math.inf) == "inf"
     assert format_value(-math.inf) == "-inf"
 
@@ -255,8 +259,82 @@ def test_figure_decomposes_once_per_panel(tmp_path, capsys, decompositions, figu
 
 def test_verify_all_decomposition_count(tmp_path, decompositions):
     assert main(["verify", "all", "--report", str(tmp_path / "r.json")]) == EXIT_PASS
-    assert len(decompositions) == 69
+    assert len(decompositions) == 61
     assert len({m.tobytes() for m in decompositions}) == 14
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Install a call-recording wrapper on module.name; returns the call list."""
+
+    def install(module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install
+
+
+@pytest.mark.parametrize("payload", [BALANCED_QUBIT, "scenario_dim6.json"])
+def test_verify_scenario_searches_once(tmp_path, count_calls, payload):
+    """ml and qsl read one orthogonalization search, found or inconclusive."""
+    if isinstance(payload, str):
+        path = str(DATA / payload)
+    else:
+        path = write_json(tmp_path / "scenario.json", payload)
+    searches = count_calls(uncertainty, "orthogonalization_time")
+    report = tmp_path / "r.json"
+    main(["verify", "all", "--scenario", path, "--report", str(report)])
+    assert len(searches) == 1
+    names = [c["name"] for c in json.loads(report.read_text())["checks"]]
+    assert any(n.startswith("ml.") for n in names)
+    assert any(n.startswith("qsl.") for n in names)
+
+
+def test_verify_all_evaluates_pair_bounds_once_per_dimension(tmp_path, count_calls):
+    calls = count_calls(uncertainty, "_pair_bounds")
+    assert main(["verify", "all", "--report", str(tmp_path / "r.json")]) == EXIT_PASS
+    assert [a.shape[-1] for a, _, _ in calls] == [2, 3, 4, 5, 6]
+
+
+def test_verify_scenario_evaluates_pair_bounds_once_per_pair(tmp_path, count_calls):
+    calls = count_calls(uncertainty, "_pair_bounds")
+    report = tmp_path / "r.json"
+    main(["verify", "all", "--scenario", str(DATA / "scenario_dim6.json"),
+          "--report", str(report)])
+    names = [c["name"] for c in json.loads(report.read_text())["checks"]]
+    pairs = [n for n in names if n.startswith("robertson.")]
+    assert len(pairs) == 6  # obs0, obs1 and energy, pairwise with themselves
+    assert len(calls) == len(pairs)
+    assert len([n for n in names if n.startswith("schrodinger.")]) == len(pairs)
+
+
+def _verify_checks(tmp_path, suite, extra):
+    report = tmp_path / f"{suite}.json"
+    main(["verify", suite, *extra, "--report", str(report)])
+    return json.loads(report.read_text(encoding="utf-8"))["checks"]
+
+
+@pytest.mark.parametrize("extra", [["--seed", "42"], ["--scenario", str(DATA / "scenario_dim6.json")]])
+def test_single_suite_matches_slice_of_all(tmp_path, extra):
+    """Suites sharing an analysis keep their own checks, bit for bit."""
+    everything = _verify_checks(tmp_path, "all", extra)
+    suites = [s for s in VERIFY_SUITES if s != "all"]
+    assert len(suites) == 8
+    covered = 0
+    for suite in suites:
+        alone = _verify_checks(tmp_path, suite, extra)
+        assert alone
+        # the JSON floats round-trip, so equality here is bit equality
+        assert alone == [c for c in everything if c["name"].startswith(suite + ".")]
+        covered += len(alone)
+    assert covered == len(everything)
 
 
 def assert_matches_golden(report_path, golden_name):
@@ -328,6 +406,57 @@ def test_figure_fig3_product_floor(tmp_path):
         assert finite
         assert min(finite) >= 1.0 - 1e-9  # product in units of hbar/2
         assert any(math.isinf(p) for p in products)
+        assert "inf" in {row.split(",")[2] for row in lines[1:]}  # the literal token
+
+
+def _format_rows(columns) -> list[str]:
+    """Reference CSV body: every cell through format_value, joined per row."""
+    return [
+        ",".join(format_value(float(column[k])) for column in columns)
+        for k in range(len(columns[0]))
+    ]
+
+
+def _trajectory_columns(trajectory) -> list:
+    columns = [trajectory.times]
+    for series in trajectory.observables.values():
+        columns += [series.mean, series.stddev]
+    return columns + [
+        trajectory.energy.mean,
+        trajectory.energy.stddev,
+        trajectory.coherence,
+        trajectory.predictability,
+    ]
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_figure_rows_match_per_cell_formatting(tmp_path, figure):
+    assert main(["figure", figure, "-d", str(tmp_path)]) == EXIT_PASS
+    plus, minus = qubit.spin_projectors("z")
+    observables = {"proj_up_z": plus, "proj_down_z": minus} if figure == "fig1" else None
+    for panel in [p for p in qubit.FIGURE_PRESETS if p.startswith(figure)]:
+        preset = qubit.FIGURE_PRESETS[panel]
+        trajectory = dynamics.evolve(
+            qubit.qubit_scenario(preset, observables), store_states=False
+        )
+        lines = (tmp_path / f"{panel}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == _format_rows(_trajectory_columns(trajectory))
+        ticks = tmp_path / f"{panel}_ticks.csv"
+        if ticks.exists():
+            report = qubit.tick_tock(trajectory, "sx")
+            expected = [f"{format_value(t)},{kind}" for t, kind in report.extrema]
+            assert ticks.read_text(encoding="utf-8").splitlines()[1:] == expected
+
+
+def test_trajectory_csv_rows_across_chunks():
+    """A grid longer than one formatting chunk keeps every row, in order."""
+    scenario = qubit.qubit_scenario(qubit.FIGURE_PRESETS["fig3CD"], steps=9001)
+    trajectory = dynamics.evolve(scenario, store_states=False)
+    out = io.StringIO()
+    write_trajectory_csv(trajectory, out)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 + 9001
+    assert lines[1:] == _format_rows(_trajectory_columns(trajectory))
 
 
 def test_figure_output_is_deterministic(tmp_path):
