@@ -203,15 +203,11 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_scenario(
-    rng: np.random.Generator, dim: int, steps: int = 1000, n_observables: int = 2
-) -> dynamics.Scenario:
-    """Seeded random Hamiltonian/state scenario on the default two-period grid."""
+def random_scenario(rng: np.random.Generator, dim: int) -> dynamics.Scenario:
+    """Seeded random H, state and two observables on the default grid."""
     h = random_hermitian(rng, dim)
-    grid = dynamics.default_time_grid(h, hbar=1.0, steps=steps)
-    observables = {
-        f"obs{k}": random_hermitian(rng, dim) for k in range(n_observables)
-    }
+    grid = dynamics.default_time_grid(h)
+    observables = {f"obs{k}": random_hermitian(rng, dim) for k in range(2)}
     return dynamics.Scenario(
         hbar=1.0,
         hamiltonian=h,
@@ -299,10 +295,24 @@ def _suite_offset(scenario, rng) -> dict[str, list[Check]]:
     return {"offset": checks}
 
 
-def _residual_ratio(s, observable, t, fd_step) -> float:
-    coarse = dynamics.ehrenfest_residual(observable, s, t, fd_step)
-    fine = dynamics.ehrenfest_residual(observable, s, t, fd_step / 2.0)
-    return coarse / fine if fine > 0 else math.inf
+def _halving_checks(label: str, s, observable, t, step, coarse) -> list[Check]:
+    """Ratio of the residual at ``step`` (``coarse``) to the one at step/2.
+
+    Truncation error puts the ratio near 4.  A halved residual at or below
+    the rounding floor of the centred difference, 1000 d eps ||A||_2 / (step/2),
+    is rounding noise with no ratio to report, so one check records that.
+    """
+    fine_step = step / 2.0
+    fine = dynamics.ehrenfest_residual(observable, s, t, fine_step)
+    eps = np.finfo(np.float64).eps
+    floor = 1000.0 * s.dim * eps * float(np.linalg.norm(observable, 2)) / fine_step
+    if fine <= floor:
+        return [check_max(f"ehrenfest.{label}.residual_at_rounding_floor", fine, floor)]
+    ratio = coarse / fine
+    return [
+        check_min(f"ehrenfest.{label}.halving_ratio_low", ratio, 3.5),
+        check_max(f"ehrenfest.{label}.halving_ratio_high", ratio, 4.5),
+    ]
 
 
 def _suite_ehrenfest(scenario, rng) -> dict[str, list[Check]]:
@@ -313,9 +323,8 @@ def _suite_ehrenfest(scenario, rng) -> dict[str, list[Check]]:
         probes = (0.4, 1.3, 2.9, 4.6)
         worst = max(dynamics.ehrenfest_residual(sx, s, t, 1e-4) for t in probes)
         checks.append(check_max("ehrenfest.fig2D.sx.residual@1e-4", worst, 1e-8))
-        ratio = _residual_ratio(s, sx, 1.3, 1e-3)
-        checks.append(check_min("ehrenfest.fig2D.sx.halving_ratio_low", ratio, 3.5))
-        checks.append(check_max("ehrenfest.fig2D.sx.halving_ratio_high", ratio, 4.5))
+        coarse = dynamics.ehrenfest_residual(sx, s, 1.3, 1e-3)
+        checks += _halving_checks("fig2D.sx", s, sx, 1.3, 1e-3, coarse)
         static = max(
             dynamics.ehrenfest_residual(s.hamiltonian, s, 1.3, 1e-4),
             dynamics.ehrenfest_residual(qubit.pauli("z"), s, 1.3, 1e-4),
@@ -338,13 +347,11 @@ def _suite_ehrenfest(scenario, rng) -> dict[str, list[Check]]:
         name, matrix = next(iter(scenario.observables.items()))
         period = 2.0 * math.pi * scenario.hbar / spec.span if spec.span > 0 else 1.0
         coarse_step = 1e-3 * period
-        t_star = max(
-            probes,
-            key=lambda t: dynamics.ehrenfest_residual(matrix, scenario, t, coarse_step),
-        )
-        ratio = _residual_ratio(scenario, matrix, t_star, coarse_step)
-        checks.append(check_min(f"ehrenfest.{name}.halving_ratio_low", ratio, 3.5))
-        checks.append(check_max(f"ehrenfest.{name}.halving_ratio_high", ratio, 4.5))
+        coarse = {
+            t: dynamics.ehrenfest_residual(matrix, scenario, t, coarse_step) for t in probes
+        }
+        t_star = max(probes, key=coarse.get)
+        checks += _halving_checks(name, scenario, matrix, t_star, coarse_step, coarse[t_star])
     return {"ehrenfest": checks}
 
 
@@ -357,17 +364,19 @@ def _suite_uncertainty(scenario, rng) -> dict[str, list[Check]]:
     robertson, schrodinger = [], []
     floor = -uncertainty.BOUND_SLACK_TOL
     if scenario is not None:
-        items = list(scenario.observables.items()) + [("energy", scenario.hamiltonian)]
-        for i, (name_a, a) in enumerate(items):
-            for name_b, b in items[i:]:
-                product, rob, sch = uncertainty._validated_pair_bounds(
-                    a, b, scenario.initial_state
-                )
-                pair = f"{name_a}x{name_b}"
-                robertson.append(check_min(f"robertson.{pair}.slack", product - rob, floor))
-                schrodinger.append(
-                    check_min(f"schrodinger.{pair}.slack", product - sch, floor)
-                )
+        names = [*scenario.observables, "energy"]
+        matrices = np.stack([*scenario.observables.values(), scenario.hamiltonian])
+        first, second = np.triu_indices(len(names))  # every pair i <= j, row by row
+        product, rob, sch = uncertainty._pair_bounds(
+            matrices[first],
+            matrices[second],
+            np.broadcast_to(scenario.initial_state, (first.size, scenario.dim)),
+        )
+        slacks = zip(first, second, (product - rob).tolist(), (product - sch).tolist())
+        for i, j, rob_slack, sch_slack in slacks:
+            pair = f"{names[i]}x{names[j]}"
+            robertson.append(check_min(f"robertson.{pair}.slack", rob_slack, floor))
+            schrodinger.append(check_min(f"schrodinger.{pair}.slack", sch_slack, floor))
         return {"robertson": robertson, "schrodinger": schrodinger}
 
     for dim in range(2, 7):
@@ -436,6 +445,11 @@ def _suite_mt(scenario, rng) -> dict[str, list[Check]]:
         for name in ("fig2D", "fig3AB", "fig3CD"):
             checks += _mt_checks_for_preset(name, qubit.FIGURE_PRESETS[name])
         return {"mt": checks}
+    spread = uncertainty._energy_spread(scenario)
+    if spread <= uncertainty.ENERGY_SPREAD_MIN:
+        # an energy eigenstate has no Mandelstam-Tamm clock; mt_series refuses it
+        undefined = "mt.scenario.undefined_for_eigenstate"
+        return {"mt": [check_max(undefined, spread, uncertainty.ENERGY_SPREAD_MIN)]}
     half_hbar = 0.5 * scenario.hbar
     for name, matrix in scenario.observables.items():
         samples = uncertainty.mt_series(matrix, scenario)

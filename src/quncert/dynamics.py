@@ -19,8 +19,9 @@ import numpy as np
 from . import qstat
 from .hilbert import (
     SpectralDecomposition,
-    as_complex_matrix,
+    _phases,
     as_state,
+    commutator,
     eigendecompose,
     require_hermitian,
 )
@@ -190,7 +191,7 @@ def _states_at(scenario: Scenario, times) -> np.ndarray:
     initial energy amplitudes, reassembled in the original basis.
     """
     spec = scenario.spectrum
-    phases = np.exp(-1j * np.outer(spec.eigenvalues, times) / scenario.hbar)
+    phases = _phases(spec.eigenvalues, times, scenario.hbar)
     return spec.eigenvectors @ (scenario.amplitudes[:, None] * phases)
 
 
@@ -244,7 +245,7 @@ class ConservationReport:
         return max(self.drifts.values())
 
 
-def check_conservation(trajectory: Trajectory, tol: float = CONSERVATION_TOL) -> ConservationReport:
+def check_conservation(trajectory: Trajectory) -> ConservationReport:
     """Verify that energy statistics and coherence stay constant in time."""
     series = {
         "energy_mean": trajectory.energy.mean,
@@ -257,7 +258,8 @@ def check_conservation(trajectory: Trajectory, tol: float = CONSERVATION_TOL) ->
         name: float(np.max(np.abs(values - values[0])))
         for name, values in series.items()
     }
-    return ConservationReport(drifts, tol, all(d < tol for d in drifts.values()))
+    passed = all(d < CONSERVATION_TOL for d in drifts.values())
+    return ConservationReport(drifts, CONSERVATION_TOL, passed)
 
 
 def shift_hamiltonian(hamiltonian, offset: float) -> np.ndarray:
@@ -280,9 +282,7 @@ class OffsetInvarianceReport:
     passed: bool
 
 
-def offset_invariance_check(
-    scenario: Scenario, offset: float, tol: float = OFFSET_TOL
-) -> OffsetInvarianceReport:
+def offset_invariance_check(scenario: Scenario, offset: float) -> OffsetInvarianceReport:
     """Energy-offset invariance: identical physics, a global phase in the state."""
     base = evolve(scenario, store_states=True)
     shifted_scenario = replace(
@@ -305,9 +305,9 @@ def offset_invariance_check(
     energy_defect = float(
         np.max(np.abs(shifted.energy.mean - base.energy.mean - offset))
     )
-    passed = max_diff < tol and phase_defect < tol and energy_defect < tol
+    passed = all(x < OFFSET_TOL for x in (max_diff, phase_defect, energy_defect))
     return OffsetInvarianceReport(
-        offset, max_diff, phase_defect, energy_defect, tol, passed
+        offset, max_diff, phase_defect, energy_defect, OFFSET_TOL, passed
     )
 
 
@@ -317,10 +317,8 @@ def ehrenfest_rate(observable, hamiltonian, state, hbar: float = 1.0) -> float:
     Works on raw arrays so the imaginary-residue guard can flag non-Hermitian
     inputs that slipped past construction-time validation.
     """
-    a = as_complex_matrix(observable, "observable")
-    h = as_complex_matrix(hamiltonian, "hamiltonian")
     psi = np.asarray(state, dtype=np.complex128)
-    value = complex(np.vdot(psi, (a @ h - h @ a) @ psi)) / (1j * hbar)
+    value = complex(np.vdot(psi, commutator(observable, hamiltonian) @ psi)) / (1j * hbar)
     if abs(value.imag) >= RATE_IMAG_TOL:
         raise ValueError(
             f"commutator rate has imaginary residue {value.imag:.3e}; "

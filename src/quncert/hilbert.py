@@ -227,6 +227,15 @@ def eigendecompose(matrix) -> SpectralDecomposition:
     return SpectralDecomposition(evals, vecs)
 
 
+def _phases(eigenvalues, times, hbar) -> np.ndarray:
+    """exp(-i E_k t / hbar) for eigenvalue rows and time columns, unvalidated.
+
+    The one place the phase is formed, so that trajectories, survival
+    amplitudes and propagators all round its argument as E_k * (t / hbar).
+    """
+    return np.exp(-1j * np.outer(eigenvalues, np.divide(times, hbar)))
+
+
 def propagator(hamiltonian, t: float, hbar: float = 1.0) -> np.ndarray:
     """Unitary time-evolution operator U(t) assembled spectrally.
 
@@ -247,5 +256,5 @@ def propagator(hamiltonian, t: float, hbar: float = 1.0) -> np.ndarray:
         if isinstance(hamiltonian, SpectralDecomposition)
         else eigendecompose(hamiltonian)
     )
-    phases = np.exp(-1j * spec.eigenvalues * (float(t) / float(hbar)))
+    phases = _phases(spec.eigenvalues, [float(t)], float(hbar))[:, 0]
     return (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T

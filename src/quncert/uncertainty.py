@@ -15,7 +15,7 @@ import numpy as np
 
 from . import qstat
 from .dynamics import Scenario, _states_at
-from .hilbert import SpectralDecomposition, as_state, require_hermitian
+from .hilbert import SpectralDecomposition, _phases, as_state, commutator, require_hermitian
 
 BOUND_SLACK_TOL = 1e-10
 # below this the Mandelstam-Tamm clock is undefined (energy eigenstate)
@@ -100,13 +100,20 @@ class MTSample:
     product: float
 
 
+def _energy_spread(scenario: Scenario) -> float:
+    """Delta H on the initial state; at or below ENERGY_SPREAD_MIN it is an
+    energy eigenstate, which has no Mandelstam-Tamm clock."""
+    _, variances, _ = qstat._moments(scenario.hamiltonian, scenario.initial_state[:, None])
+    return math.sqrt(float(variances[0]))
+
+
 def _mt_context(observable, scenario: Scenario):
     a = require_hermitian(observable, "observable")
     if a.shape[0] != scenario.dim:
         raise ValueError(
             f"observable has dimension {a.shape[0]}, expected {scenario.dim}"
         )
-    energy_spread = qstat.stats(scenario.hamiltonian, scenario.initial_state).stddev
+    energy_spread = _energy_spread(scenario)
     if energy_spread <= ENERGY_SPREAD_MIN:
         raise ValueError(
             "Mandelstam-Tamm timescale is undefined for energy eigenstates "
@@ -123,13 +130,11 @@ def _mt_context(observable, scenario: Scenario):
 
 def _mt_samples(observable, scenario: Scenario, times) -> list[MTSample]:
     a, energy_spread, rate_eps = _mt_context(observable, scenario)
-    h = scenario.hamiltonian
     states = _states_at(scenario, times)
     _, variances, _ = qstat._moments(a, states, "observable mean")
     # exact rate d<A>/dt = <[A, H]> / (i hbar): the mean of a Hermitian generator
-    rates, _, _ = qstat._moments(
-        (a @ h - h @ a) / (1j * scenario.hbar), states, "commutator rate"
-    )
+    generator = commutator(a, scenario.hamiltonian) / (1j * scenario.hbar)
+    rates, _, _ = qstat._moments(generator, states, "commutator rate")
     delta_a, rates = np.sqrt(variances), np.abs(rates)
     delta_t = np.divide(
         delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps
@@ -171,7 +176,7 @@ def _overlap(weights, evals, ts, hbar):
     (m, T) result; with the energy populations as weights this is the
     survival amplitude.  Nothing is validated here.
     """
-    return weights @ np.exp(-1j * np.outer(evals, ts / hbar))
+    return weights @ _phases(evals, ts, hbar)
 
 
 def state_overlap(spec: SpectralDecomposition, amplitudes, t, hbar: float = 1.0):
@@ -248,29 +253,25 @@ def _refine_minima(probs, evals, hbar, lo, hi):
 
 
 def orthogonalization_time(
-    spec: SpectralDecomposition,
-    amplitudes,
-    hbar: float = 1.0,
-    tol_orth: float = DEFAULT_TOL_ORTH,
-    horizon: float | None = None,
+    spec: SpectralDecomposition, amplitudes, hbar: float = 1.0
 ) -> OrthogonalizationResult:
     """Earliest time at which the evolved state is orthogonal to the start.
 
     A dominant amplitude (max |a_k|^2 > 1/2) certifies analytically that the
     overlap modulus never drops below 2 max|a_k|^2 - 1, so no search runs.
-    Otherwise the overlap modulus is scanned on SCAN_POINTS points up to the
-    horizon (default HORIZON_PERIODS slowest beat periods). Every sampled
-    local minimum is refined in one batched bisection on the modulus-squared
+    Otherwise the overlap modulus is scanned on SCAN_POINTS points up to a
+    horizon of HORIZON_PERIODS slowest beat periods. Every sampled local
+    minimum is refined in one batched bisection on the modulus-squared
     slope, each bracket to its own relative time tolerance, and the earliest
-    refined minimum at or below tol_orth is returned. min_observed_overlap is
-    the smallest modulus seen: over the scan and the refined minima up to the
-    returned one, or over all of them when the search is inconclusive.
+    refined minimum at or below DEFAULT_TOL_ORTH is returned.
+    min_observed_overlap is the smallest modulus seen: over the scan and the
+    refined minima up to the returned one, or over all of them when the
+    search is inconclusive.
 
     Raises:
+        ValueError: the search is needed and hbar is not positive and finite.
         InconclusiveScanError: nothing found and no certificate applies.
     """
-    if not (0.0 < tol_orth < 0.1):
-        raise ValueError(f"tol_orth must be in (0, 0.1), got {tol_orth!r}")
     probs = _probabilities(spec, amplitudes)
     evals = spec.eigenvalues
 
@@ -283,13 +284,12 @@ def orthogonalization_time(
         return OrthogonalizationResult("never_orthogonal", None, 1.0, 1.0, 0.0)
 
     bound = 2.0 * float(probs.max()) - 1.0
-    if bound > tol_orth:
+    if bound > DEFAULT_TOL_ORTH:
         return OrthogonalizationResult("never_orthogonal", None, bound, 1.0, 0.0)
 
-    if horizon is None:
-        horizon = HORIZON_PERIODS * 2.0 * math.pi * hbar / float(real_gaps.min())
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+    horizon = HORIZON_PERIODS * 2.0 * math.pi * hbar / float(real_gaps.min())
 
     ts = np.linspace(0.0, horizon, SCAN_POINTS)
     moduli = np.abs(_overlap(probs, evals, ts, hbar))
@@ -299,7 +299,7 @@ def orthogonalization_time(
         (moduli[1:-1] <= moduli[:-2]) & (moduli[1:-1] <= moduli[2:])
     )[0] + 1
     t_star, refined = _refine_minima(probs, evals, hbar, ts[interior - 1], ts[interior + 1])
-    hits = np.nonzero(refined <= tol_orth)[0]
+    hits = np.nonzero(refined <= DEFAULT_TOL_ORTH)[0]
     if hits.size:
         first = hits[0]
         min_observed = float(refined[: first + 1].min(initial=min_observed))

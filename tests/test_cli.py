@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
 from quncert import dynamics, hilbert, qubit, uncertainty
 from quncert.cli import (
     EXIT_FAIL,
@@ -211,6 +212,46 @@ def test_verify_inconclusive_exit_code(tmp_path, capsys):
     assert report["counts"]["fail"] == 0
 
 
+def _pairs(array) -> list:
+    return np.stack([array.real, array.imag], axis=-1).tolist()
+
+
+def _eigenstate_scenario(kind: str) -> dict:
+    """A valid scenario whose initial state is an energy eigenstate."""
+    if kind == "diagonal":
+        h, psi = np.diag([0.5, -0.5]), np.array([1.0, 0.0])
+        observables = {"sx": qubit.pauli("x")}
+    else:
+        rng = np.random.default_rng(3)
+        h = random_hermitian(rng, 3)
+        psi = np.linalg.eigh(h)[1][:, 0]
+        observables = {f"obs{k}": random_hermitian(rng, 3) for k in range(2)}
+    return {
+        "hbar": 1.0,
+        "hamiltonian": _pairs(np.asarray(h, dtype=complex)),
+        "initial_state": _pairs(np.asarray(psi, dtype=complex)),
+        "time": {"start": 0.0, "stop": 10.0, "steps": 200},
+        "observables": {k: _pairs(m) for k, m in observables.items()},
+    }
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "seeded"])
+def test_verify_energy_eigenstate_passes_every_suite(tmp_path, kind):
+    """An eigenstate has no Mandelstam-Tamm clock and only rounding noise in
+    its Ehrenfest residuals: both are reported as passing checks."""
+    path = write_json(tmp_path / "scenario.json", _eigenstate_scenario(kind))
+    for suite in VERIFY_SUITES:
+        report = tmp_path / f"{suite}.json"
+        assert main(["verify", suite, "--scenario", path, "--report", str(report)]) == 0
+        checks = json.loads(report.read_text(encoding="utf-8"))["checks"]
+        assert checks and all(c["verdict"] == "pass" for c in checks), suite
+    names = [c["name"] for c in checks]  # "all" runs last
+    assert "mt.scenario.undefined_for_eigenstate" in names
+    first = "sx" if kind == "diagonal" else "obs0"
+    assert f"ehrenfest.{first}.residual_at_rounding_floor" in names
+    assert not any("halving_ratio" in n for n in names)
+
+
 def test_exit_codes_are_distinct():
     codes = [EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE, EXIT_NUMERIC]
     assert sorted(codes) == [0, 1, 2, 3, 4]
@@ -304,6 +345,7 @@ def test_verify_all_evaluates_pair_bounds_once_per_dimension(tmp_path, count_cal
 
 
 def test_verify_scenario_evaluates_pair_bounds_once_per_pair(tmp_path, count_calls):
+    """One stacked call covers every observable pair of the scenario."""
     calls = count_calls(uncertainty, "_pair_bounds")
     report = tmp_path / "r.json"
     main(["verify", "all", "--scenario", str(DATA / "scenario_dim6.json"),
@@ -311,7 +353,9 @@ def test_verify_scenario_evaluates_pair_bounds_once_per_pair(tmp_path, count_cal
     names = [c["name"] for c in json.loads(report.read_text())["checks"]]
     pairs = [n for n in names if n.startswith("robertson.")]
     assert len(pairs) == 6  # obs0, obs1 and energy, pairwise with themselves
-    assert len(calls) == len(pairs)
+    assert [(a.shape, b.shape, psi.shape) for a, b, psi in calls] == [
+        ((6, 6, 6), (6, 6, 6), (6, 6))
+    ]
     assert len([n for n in names if n.startswith("schrodinger.")]) == len(pairs)
 
 

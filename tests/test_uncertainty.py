@@ -35,7 +35,7 @@ from quncert import (
     state_overlap,
     stats,
 )
-from quncert import uncertainty
+from quncert import dynamics, uncertainty
 from quncert.uncertainty import (
     DEFAULT_TOL_ORTH,
     HORIZON_PERIODS,
@@ -276,12 +276,39 @@ def test_orthogonalization_three_level_middle_heavy(gap):
     assert result.tau_perp == pytest.approx(math.pi / gap, abs=1e-9)
 
 
-def test_orthogonalization_tol_orth_validation():
-    spec = eigendecompose(pauli("z"))
-    amps = np.array([math.sqrt(0.5), math.sqrt(0.5)])
-    for bad in (0.0, -1e-3, 0.5):
-        with pytest.raises(ValueError, match="tol_orth"):
-            orthogonalization_time(spec, amps, tol_orth=bad)
+def test_refine_minima_falls_back_to_midpoint_of_unclean_bracket():
+    """|o|^2 = p0^2 + p1^2 + 2 p0 p1 cos(w t): a clean bracket converges to
+    pi/w; one whose left-end slope is positive returns its own midpoint."""
+    probs, evals, hbar = np.array([0.6, 0.4]), np.array([-0.3, 1.1]), 1.0
+    t_min = math.pi * hbar / (evals[1] - evals[0])
+    lo = np.array([0.9, 1.2]) * t_min
+    hi = np.array([1.1, 1.6]) * t_min
+    unclean_mid = 0.5 * (lo[1] + hi[1])
+    t_star, _ = uncertainty._refine_minima(probs, evals, hbar, lo, hi)
+    assert abs(t_star[0] - t_min) <= REFINE_REL_TOL * max(1.0, t_min)
+    assert t_star[1] == unclean_mid
+
+
+def test_one_phase_convention_for_states_overlaps_and_propagators():
+    """<psi0|psi(t)> from the trajectory kernel, the survival amplitude and
+    the propagator agree to rounding at hbar != 1 and long times."""
+    rng = np.random.default_rng(8)
+    h = random_hermitian(rng, 8)
+    scenario = Scenario(
+        hbar=0.7,
+        hamiltonian=h,
+        initial_state=random_state(rng, 8),
+        time_grid=default_time_grid(h, hbar=0.7),
+    )
+    spec, psi0 = scenario.spectrum, scenario.initial_state
+    times = np.linspace(0.0, 2e4, 2001)
+    from_states = psi0.conj() @ dynamics._states_at(scenario, times)
+    from_overlap = state_overlap(spec, scenario.amplitudes, times, hbar=0.7)
+    assert np.max(np.abs(from_states - from_overlap)) <= 1e-14
+    for k in range(0, times.size, 50):
+        from_propagator = np.vdot(psi0, propagator(spec, times[k], 0.7) @ psi0)
+        assert abs(from_propagator - from_states[k]) <= 1e-14
+        assert abs(from_propagator - from_overlap[k]) <= 1e-14
 
 
 def _scalar_modulus_and_slope(probs, evals, hbar, t):
