@@ -19,18 +19,18 @@ import numpy as np
 from . import qstat
 from .hilbert import (
     SpectralDecomposition,
+    _commutator,
     _phases,
     as_state,
-    commutator,
     eigendecompose,
     require_hermitian,
+    require_positive_finite,
 )
 
 CONSERVATION_TOL = 1e-10
 OFFSET_TOL = 1e-10
 # centered-difference step as a fraction of the fastest oscillation period
 FD_STEP_FRACTION = 1e-4
-RATE_IMAG_TOL = 1e-9
 DEFAULT_STEPS = 1000
 
 _NAME_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
@@ -69,13 +69,17 @@ def _validated_observables(observables, dim: int) -> MappingProxyType:
             raise ValueError("'energy' is reserved for the Hamiltonian series")
         if name in out:
             raise ValueError(f"duplicate observable name {name!r}")
-        m = require_hermitian(matrix, f"observable {name!r}")
-        if m.shape[0] != dim:
-            raise ValueError(
-                f"observable {name!r} has dimension {m.shape[0]}, expected {dim}"
-            )
+        m = _require_observable(matrix, dim, f"observable {name!r}")
         out[name] = _frozen_copy(m)
     return MappingProxyType(out)
+
+
+def _require_observable(matrix, dim: int, name: str = "observable") -> np.ndarray:
+    """The one check that a matrix is a Hermitian observable of dimension dim."""
+    m = require_hermitian(matrix, name)
+    if m.shape[0] != dim:
+        raise ValueError(f"{name} has dimension {m.shape[0]}, expected {dim}")
+    return m
 
 
 def _frozen_copy(array: np.ndarray) -> np.ndarray:
@@ -103,8 +107,7 @@ class Scenario:
     observables: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
+        require_positive_finite(self.hbar, "hbar")
         h = require_hermitian(self.hamiltonian, "hamiltonian")
         if h.shape[0] < 2:
             raise ValueError("scenario needs dimension >= 2")
@@ -149,6 +152,7 @@ def default_time_grid(hamiltonian, hbar: float = 1.0, steps: int = DEFAULT_STEPS
         else eigendecompose(hamiltonian)
     )
     span = spec.span
+    hbar = require_positive_finite(hbar, "hbar")
     stop = 4.0 * math.pi * hbar / span if span > 0.0 else 4.0 * math.pi
     return TimeGrid(0.0, stop, steps)
 
@@ -195,8 +199,8 @@ def _states_at(scenario: Scenario, times) -> np.ndarray:
     return spec.eigenvectors @ (scenario.amplitudes[:, None] * phases)
 
 
-def _series_stats(matrix: np.ndarray, states: np.ndarray, what: str) -> SeriesStats:
-    means, variances, _ = qstat._moments(matrix, states, f"{what} series")
+def _series_stats(matrix: np.ndarray, states: np.ndarray) -> SeriesStats:
+    means, variances, _ = qstat._moments(matrix, states)
     return SeriesStats(means, variances, np.sqrt(variances))
 
 
@@ -212,10 +216,10 @@ def evolve(scenario: Scenario, store_states: bool = True) -> Trajectory:
     states = _states_at(scenario, times)
 
     series = {
-        name: _series_stats(matrix, states, f"observable {name!r}")
+        name: _series_stats(matrix, states)
         for name, matrix in scenario.observables.items()
     }
-    energy = _series_stats(scenario.hamiltonian, states, "energy")
+    energy = _series_stats(scenario.hamiltonian, states)
     coherence, predictability = qstat._coherence_columns(
         np.abs(spec.eigenvectors.conj().T @ states)
     )
@@ -312,19 +316,18 @@ def offset_invariance_check(scenario: Scenario, offset: float) -> OffsetInvarian
 
 
 def ehrenfest_rate(observable, hamiltonian, state, hbar: float = 1.0) -> float:
-    """Exact mean-motion rate d<A>/dt = <[A, H]> / (i hbar).
+    """Exact mean-motion rate d<A>/dt = <[A, H]> / (i hbar)."""
+    h = require_hermitian(hamiltonian, "hamiltonian")
+    a = _require_observable(observable, h.shape[0])
+    psi = as_state(state)
+    if psi.shape[0] != h.shape[0]:
+        raise ValueError(f"dimension mismatch: {h.shape[0]} vs {psi.shape[0]}")
+    return _rate(a, h, psi, require_positive_finite(hbar, "hbar"))
 
-    Works on raw arrays so the imaginary-residue guard can flag non-Hermitian
-    inputs that slipped past construction-time validation.
-    """
-    psi = np.asarray(state, dtype=np.complex128)
-    value = complex(np.vdot(psi, commutator(observable, hamiltonian) @ psi)) / (1j * hbar)
-    if abs(value.imag) >= RATE_IMAG_TOL:
-        raise ValueError(
-            f"commutator rate has imaginary residue {value.imag:.3e}; "
-            "inputs are not Hermitian"
-        )
-    return float(value.real)
+
+def _rate(a: np.ndarray, h: np.ndarray, psi: np.ndarray, hbar: float) -> float:
+    """Real part of <psi|[A, H]|psi> / (i hbar); nothing is validated."""
+    return float((complex(np.vdot(psi, _commutator(a, h) @ psi)) / (1j * hbar)).real)
 
 
 def default_fd_step(spec: SpectralDecomposition, hbar: float) -> float:
@@ -343,16 +346,11 @@ def ehrenfest_residual(
     The centered difference uses exact spectral evolution at t +- fd_step, so
     the residual is pure O(fd_step^2) truncation error.
     """
-    a = require_hermitian(observable, "observable")
-    if a.shape[0] != scenario.dim:
-        raise ValueError(
-            f"observable has dimension {a.shape[0]}, expected {scenario.dim}"
-        )
+    a = _require_observable(observable, scenario.dim)
     spec = scenario.spectrum
     if fd_step is None:
         fd_step = default_fd_step(spec, scenario.hbar)
-    if not (math.isfinite(fd_step) and fd_step > 0):
-        raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
+    require_positive_finite(fd_step, "fd_step")
 
     # one single-column evaluation per stencil point, so that the rounding of
     # each mean (which the difference quotient amplifies by 1/fd_step) does
@@ -363,5 +361,5 @@ def ehrenfest_residual(
     )
     fd = (plus - minus) / (2.0 * fd_step)
     psi = _states_at(scenario, [t])[:, 0]
-    exact = ehrenfest_rate(a, scenario.hamiltonian, psi, scenario.hbar)
+    exact = _rate(a, scenario.hamiltonian, psi, scenario.hbar)
     return abs(fd - exact)

@@ -10,6 +10,7 @@ decomposition directly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,13 @@ def as_complex_matrix(matrix, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def require_positive_finite(value, name: str) -> float:
+    """Validate a real scalar such as hbar, a frequency or a step; return it as a float."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def hermitian_defect(matrix) -> float:
@@ -99,7 +107,12 @@ def commutator(a, b) -> np.ndarray:
     bm = as_complex_matrix(b, "second operand")
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return am @ bm - bm @ am
+    return _commutator(am, bm)
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """AB - BA of already validated matrices."""
+    return a @ b - b @ a
 
 
 @dataclass(frozen=True)
@@ -177,7 +190,7 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 def _order_degenerate(evals: np.ndarray, vecs: np.ndarray):
     """Within near-degenerate eigenvalue runs, order columns by anchor index."""
     n = evals.shape[0]
-    tol = PHASE_TIE_TOL * max(1.0, float(np.max(np.abs(evals))))
+    tol = PHASE_TIE_TOL * float(np.max(np.abs(evals)))
     order = list(range(n))
     start = 0
     while start < n:
@@ -247,8 +260,7 @@ def propagator(hamiltonian, t: float, hbar: float = 1.0) -> np.ndarray:
         t: evolution time (finite real).
         hbar: reduced Planck constant, > 0.
     """
-    if not (isinstance(hbar, (int, float)) and math.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be a positive finite real, got {hbar!r}")
+    hbar = require_positive_finite(hbar, "hbar")
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be a finite real, got {t!r}")
     spec = (
@@ -256,5 +268,5 @@ def propagator(hamiltonian, t: float, hbar: float = 1.0) -> np.ndarray:
         if isinstance(hamiltonian, SpectralDecomposition)
         else eigendecompose(hamiltonian)
     )
-    phases = _phases(spec.eigenvalues, [float(t)], float(hbar))[:, 0]
+    phases = _phases(spec.eigenvalues, [float(t)], hbar)[:, 0]
     return (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T

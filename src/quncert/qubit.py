@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Scenario, TimeGrid, Trajectory
-from .hilbert import as_state
+from .hilbert import as_state, require_positive_finite
 
 SIGMA_X = np.asarray([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.asarray([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -52,10 +52,8 @@ class QubitPreset:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
+        require_positive_finite(self.omega, "omega")
+        require_positive_finite(self.hbar, "hbar")
         as_state([self.alpha1, self.alpha2], "preset amplitudes", norm_tol=1e-12)
 
     @property

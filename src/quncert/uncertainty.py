@@ -14,8 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstat
-from .dynamics import Scenario, _states_at
-from .hilbert import SpectralDecomposition, _phases, as_state, commutator, require_hermitian
+from .dynamics import Scenario, _require_observable, _states_at
+from .hilbert import (
+    SpectralDecomposition,
+    _commutator,
+    _phases,
+    as_state,
+    require_positive_finite,
+)
 
 BOUND_SLACK_TOL = 1e-10
 # below this the Mandelstam-Tamm clock is undefined (energy eigenstate)
@@ -54,8 +60,8 @@ def _pair_bounds(a, b, states):
     right-hand side, each of shape (...).
     """
     columns = states[..., None]
-    mean_a, var_a, a_psi = qstat._moments(a, columns, "first observable mean")
-    mean_b, var_b, b_psi = qstat._moments(b, columns, "second observable mean")
+    mean_a, var_a, a_psi = qstat._moments(a, columns)
+    mean_b, var_b, b_psi = qstat._moments(b, columns)
     # <AB> = <A psi | B psi> for Hermitian A
     ab = np.vecdot(a_psi, b_psi, axis=-2)[..., 0]
     product = np.sqrt(var_a[..., 0]) * np.sqrt(var_b[..., 0])
@@ -65,11 +71,9 @@ def _pair_bounds(a, b, states):
 
 
 def _validated_pair_bounds(a, b, state):
-    a = require_hermitian(a, "first observable")
-    b = require_hermitian(b, "second observable")
-    psi = as_state(state, norm_tol=qstat.STATE_NORM_TOL)
-    if a.shape[0] != psi.shape[0] or b.shape[0] != psi.shape[0]:
-        raise ValueError("observable/state dimension mismatch")
+    psi = as_state(state)
+    a = _require_observable(a, psi.shape[0], "first observable")
+    b = _require_observable(b, psi.shape[0], "second observable")
     return [float(x) for x in _pair_bounds(a, b, psi)]
 
 
@@ -108,11 +112,7 @@ def _energy_spread(scenario: Scenario) -> float:
 
 
 def _mt_context(observable, scenario: Scenario):
-    a = require_hermitian(observable, "observable")
-    if a.shape[0] != scenario.dim:
-        raise ValueError(
-            f"observable has dimension {a.shape[0]}, expected {scenario.dim}"
-        )
+    a = _require_observable(observable, scenario.dim)
     energy_spread = _energy_spread(scenario)
     if energy_spread <= ENERGY_SPREAD_MIN:
         raise ValueError(
@@ -131,10 +131,10 @@ def _mt_context(observable, scenario: Scenario):
 def _mt_samples(observable, scenario: Scenario, times) -> list[MTSample]:
     a, energy_spread, rate_eps = _mt_context(observable, scenario)
     states = _states_at(scenario, times)
-    _, variances, _ = qstat._moments(a, states, "observable mean")
+    _, variances, _ = qstat._moments(a, states)
     # exact rate d<A>/dt = <[A, H]> / (i hbar): the mean of a Hermitian generator
-    generator = commutator(a, scenario.hamiltonian) / (1j * scenario.hbar)
-    rates, _, _ = qstat._moments(generator, states, "commutator rate")
+    generator = _commutator(a, scenario.hamiltonian) / (1j * scenario.hbar)
+    rates, _, _ = qstat._moments(generator, states)
     delta_a, rates = np.sqrt(variances), np.abs(rates)
     delta_t = np.divide(
         delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps
@@ -161,12 +161,7 @@ def _probabilities(spec: SpectralDecomposition, amplitudes) -> np.ndarray:
         raise ValueError(
             f"amplitudes must match the decomposition dimension {spec.dim}"
         )
-    probs = np.abs(amps) ** 2
-    if abs(float(probs.sum()) - 1.0) > 1e-10:
-        raise ValueError(
-            f"amplitudes are not normalized: sum of squared moduli is {probs.sum()!r}"
-        )
-    return probs
+    return np.abs(as_state(amps, "amplitude vector", norm_tol=1e-10)) ** 2
 
 
 def _overlap(weights, evals, ts, hbar):
@@ -185,6 +180,7 @@ def state_overlap(spec: SpectralDecomposition, amplitudes, t, hbar: float = 1.0)
     Scalar t gives a complex scalar; an array of times gives a complex array.
     """
     probs = _probabilities(spec, amplitudes)
+    hbar = require_positive_finite(hbar, "hbar")
     ts = np.asarray(t, dtype=np.float64)
     out = _overlap(probs, spec.eigenvalues, ts.reshape(-1), hbar)
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
@@ -269,10 +265,11 @@ def orthogonalization_time(
     search is inconclusive.
 
     Raises:
-        ValueError: the search is needed and hbar is not positive and finite.
+        ValueError: invalid amplitudes, or hbar not positive and finite.
         InconclusiveScanError: nothing found and no certificate applies.
     """
     probs = _probabilities(spec, amplitudes)
+    hbar = require_positive_finite(hbar, "hbar")
     evals = spec.eigenvalues
 
     span = spec.span
@@ -287,8 +284,6 @@ def orthogonalization_time(
     if bound > DEFAULT_TOL_ORTH:
         return OrthogonalizationResult("never_orthogonal", None, bound, 1.0, 0.0)
 
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
     horizon = HORIZON_PERIODS * 2.0 * math.pi * hbar / float(real_gaps.min())
 
     ts = np.linspace(0.0, horizon, SCAN_POINTS)
@@ -339,8 +334,8 @@ def _energy_moments(spec: SpectralDecomposition, probs: np.ndarray):
 def ml_bounds(spec: SpectralDecomposition, amplitudes, hbar: float = 1.0) -> SpeedLimitBounds:
     """Margolus-Levitin style lower bounds on the orthogonalization time."""
     probs = _probabilities(spec, amplitudes)
+    half_pi_hbar = 0.5 * math.pi * require_positive_finite(hbar, "hbar")
     mean, spread, shifted_mean = _energy_moments(spec, probs)
-    half_pi_hbar = 0.5 * math.pi * hbar
     from_spread = half_pi_hbar / spread if spread >= MEAN_ENERGY_MIN else math.inf
     from_mean = (
         half_pi_hbar / shifted_mean if shifted_mean >= MEAN_ENERGY_MIN else math.inf
@@ -356,6 +351,7 @@ def qsl_tau(spec: SpectralDecomposition, amplitudes, hbar: float = 1.0) -> float
     reach an orthogonal state under closed evolution.
     """
     probs = _probabilities(spec, amplitudes)
+    hbar = require_positive_finite(hbar, "hbar")
     _, spread, shifted_mean = _energy_moments(spec, probs)
     denom = min(spread, shifted_mean)
     if denom < MEAN_ENERGY_MIN:

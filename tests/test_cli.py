@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_state
 from quncert import dynamics, hilbert, qubit, uncertainty
 from quncert.cli import (
     EXIT_FAIL,
@@ -250,6 +250,46 @@ def test_verify_energy_eigenstate_passes_every_suite(tmp_path, kind):
     first = "sx" if kind == "diagonal" else "obs0"
     assert f"ehrenfest.{first}.residual_at_rounding_floor" in names
     assert not any("halving_ratio" in n for n in names)
+
+
+def _default_grid_payload(hbar, h, psi, observable) -> dict:
+    grid = dynamics.default_time_grid(h, hbar)
+    return {
+        "hbar": hbar,
+        "hamiltonian": _pairs(np.asarray(h, dtype=complex)),
+        "initial_state": _pairs(np.asarray(psi, dtype=complex)),
+        "time": {"start": grid.start, "stop": grid.stop, "steps": grid.steps},
+        "observables": {"obs": _pairs(np.asarray(observable, dtype=complex))},
+    }
+
+
+def _large_scale_scenarios() -> dict:
+    """Valid scenarios far from unit scale: dim-6 observables of norm ~1e6 and
+    ~1e8, drawn in turn from one stream, and a qubit in SI units."""
+    rng = np.random.default_rng(5)
+    out = {}
+    for scale in (1e6, 1e8):
+        h = random_hermitian(rng, 6)
+        psi = random_state(rng, 6)
+        out[f"observable_scale_{scale:.0e}"] = _default_grid_payload(
+            1.0, h, psi, scale * random_hermitian(rng, 6)
+        )
+    hbar, omega = 1.054571817e-34, 2.0 * math.pi * 5e9
+    h = 0.5 * hbar * omega * qubit.pauli("z")
+    out["si_qubit"] = _default_grid_payload(hbar, h, [SQ, SQ], qubit.pauli("x"))
+    return out
+
+
+@pytest.mark.parametrize("name", ["observable_scale_1e+06", "observable_scale_1e+08", "si_qubit"])
+def test_loaded_scenario_never_exits_as_input_error(tmp_path, name):
+    """Exit 2 is for inputs the loader rejects; a scenario it accepts gets a
+    report, whatever its scale."""
+    path = write_json(tmp_path / "scenario.json", _large_scale_scenarios()[name])
+    load_scenario(path)
+    report = tmp_path / "report.json"
+    assert main(["verify", "all", "--scenario", path, "--report", str(report)]) != EXIT_INPUT
+    assert json.loads(report.read_text(encoding="utf-8"))["checks"]
+    assert main(["evolve", path, "-o", str(tmp_path / "out.csv")]) == EXIT_PASS
 
 
 def test_exit_codes_are_distinct():

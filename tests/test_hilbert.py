@@ -106,6 +106,24 @@ def test_degenerate_group_ordering():
     np.testing.assert_allclose(spec.eigenvectors, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20])
+def test_eigenvalues_ascend_at_any_energy_scale(scale):
+    """The degenerate-group tie tolerance is relative to max|E|, so a narrow
+    spectrum is not mistaken for one degenerate group and reordered."""
+    a = scale * random_hermitian(np.random.default_rng(0), 4)
+    spec = eigendecompose(a)
+    assert np.all(np.diff(spec.eigenvalues) > 0.0)
+    oracle = np.linalg.eigvalsh(a)
+    np.testing.assert_allclose(spec.eigenvalues, oracle, rtol=0, atol=1e-13 * scale)
+
+
+def test_degenerate_group_ordering_is_scale_free():
+    small = eigendecompose(1e-20 * np.diag([2.0, 2.0, 1.0]))
+    unit = eigendecompose(np.diag([2.0, 2.0, 1.0]))
+    np.testing.assert_array_equal(small.eigenvectors, unit.eigenvectors)
+    np.testing.assert_array_equal(small.eigenvalues, 1e-20 * unit.eigenvalues)
+
+
 def test_results_are_read_only():
     spec = eigendecompose([[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(ValueError):
