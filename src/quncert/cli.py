@@ -206,15 +206,8 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_scenario(rng: np.random.Generator, dim: int) -> dynamics.Scenario:
     """Seeded random H, state and two observables on the default grid."""
     h = random_hermitian(rng, dim)
-    grid = dynamics.default_time_grid(h)
     observables = {f"obs{k}": random_hermitian(rng, dim) for k in range(2)}
-    return dynamics.Scenario(
-        hbar=1.0,
-        hamiltonian=h,
-        initial_state=random_state(rng, dim),
-        time_grid=grid,
-        observables=observables,
-    )
+    return dynamics._on_default_grid(1.0, h, random_state(rng, dim), observables)
 
 
 # -------------------------------------------------------------- verify checks
@@ -445,11 +438,11 @@ def _suite_mt(scenario, rng) -> dict[str, list[Check]]:
         for name in ("fig2D", "fig3AB", "fig3CD"):
             checks += _mt_checks_for_preset(name, qubit.FIGURE_PRESETS[name])
         return {"mt": checks}
-    spread = uncertainty._energy_spread(scenario)
-    if spread <= uncertainty.ENERGY_SPREAD_MIN:
+    spread, floor = uncertainty._energy_spread(scenario)
+    if spread <= floor:
         # an energy eigenstate has no Mandelstam-Tamm clock; mt_series refuses it
         undefined = "mt.scenario.undefined_for_eigenstate"
-        return {"mt": [check_max(undefined, spread, uncertainty.ENERGY_SPREAD_MIN)]}
+        return {"mt": [check_max(undefined, spread, floor)]}
     half_hbar = 0.5 * scenario.hbar
     for name, matrix in scenario.observables.items():
         samples = uncertainty.mt_series(matrix, scenario)

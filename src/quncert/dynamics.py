@@ -140,6 +140,19 @@ class Scenario:
         return alpha0
 
 
+def _on_default_grid(hbar, hamiltonian, initial_state, observables) -> Scenario:
+    """Scenario on default_time_grid, with its Hamiltonian decomposed once.
+
+    The grid depends on the spectrum, which the Scenario computes and caches
+    only after it exists: it is built on a placeholder grid, which is then
+    replaced by the grid read from its own cached spectrum.
+    """
+    scenario = Scenario(hbar, hamiltonian, initial_state, TimeGrid(0.0, 1.0, 2), observables)
+    grid = default_time_grid(scenario.spectrum, hbar)
+    object.__setattr__(scenario, "time_grid", grid)
+    return scenario
+
+
 def default_time_grid(hamiltonian, hbar: float = 1.0, steps: int = DEFAULT_STEPS) -> TimeGrid:
     """Two characteristic periods: [0, 4*pi*hbar/(E_max - E_min)].
 

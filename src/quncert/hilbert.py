@@ -1,9 +1,13 @@
 """Dense complex linear algebra for finite-dimensional quantum systems.
 
 States are complex vectors, observables are Hermitian matrices, and every
-spectral quantity is obtained from a cyclic Jacobi eigensolver so that two
-decompositions of the same matrix agree bit-for-bit.  Matrix exponentials are
-never formed from power series; the propagator is assembled from the spectral
+spectral quantity is obtained from a Jacobi eigensolver so that two
+decompositions of the same matrix agree bit-for-bit.  Each sweep visits the
+index pairs in round-robin (Brent-Luk) order: a round is a set of disjoint
+pairs, so its rotations are applied together as elementwise array operations.
+The schedule depends only on the dimension and no step sums through BLAS, so
+the result does not depend on the run.  Matrix exponentials are never formed
+from power series; the propagator is assembled from the spectral
 decomposition directly.
 """
 
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,10 +122,17 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns.
+
+    ``sweeps`` is the number of Jacobi sweeps the solver ran (0 for a
+    diagonal input) and ``offdiag_residual`` the off-diagonal Frobenius norm
+    it stopped at, at most JACOBI_TOL_FACTOR * ||A||_F.
+    """
 
     eigenvalues: np.ndarray   # (n,) float64, ascending
     eigenvectors: np.ndarray  # (n, n) complex128, column k pairs with eigenvalue k
+    sweeps: int
+    offdiag_residual: float
 
     @property
     def dim(self) -> int:
@@ -138,33 +150,58 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a[mask]) ** 2)))
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p,q] (and a[q,p]) with a complex Givens rotation, in place."""
+@lru_cache(maxsize=16)
+def _round_robin(n: int) -> tuple:
+    """The rounds of one Brent-Luk sweep over an n x n matrix.
+
+    Circle method with N = n rounded up to even: index N - 1 stays put while
+    the others turn one place per round, so the N - 1 rounds of N / 2
+    disjoint pairs meet every pair once.  For odd n the extra index n is a
+    dummy, and the pair holding it is skipped.  Each round is four read-only
+    index arrays: the pivots p < q, then the concatenations (p, q) and (q, p).
+    """
+    size = n + n % 2
+    turn = size - 1
+    rounds = []
+    for r in range(turn):
+        pairs = [(r, turn)] + [((r + k) % turn, (r - k) % turn) for k in range(1, size // 2)]
+        pairs = sorted((min(pair), max(pair)) for pair in pairs if max(pair) < n)
+        p = np.array([i for i, _ in pairs], dtype=np.intp)
+        q = np.array([j for _, j in pairs], dtype=np.intp)
+        arrays = (p, q, np.concatenate((p, q)), np.concatenate((q, p)))
+        for x in arrays:
+            x.setflags(write=False)
+        rounds.append(arrays)
+    return tuple(rounds)
+
+
+def _jacobi_round(av: np.ndarray, p, q, pq, qp) -> None:
+    """Zero a[p_j, q_j] for every disjoint pair j of one round, in place.
+
+    ``av`` stacks A (top n rows) over V (bottom n rows), so one column
+    update serves both A <- A G and V <- V G; the row update A <- G† A
+    follows.  Each pair gets the complex Givens rotation of the scalar
+    method; an exact zero pivot is the identity and its pair is left out.
+    """
+    n = av.shape[1]
+    a = av[:n]
     apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    w = apq / r  # unit phase of the pivot
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.hypot(1.0, t)
+    r = np.abs(apq)
+    if not r.all():
+        keep = r > 0.0
+        p, q, apq, r = p[keep], q[keep], apq[keep], r[keep]
+        pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+    w = apq / r  # unit phase of each pivot
+    diag = a.diagonal().real
+    tau = (diag[q] - diag[p]) / (2.0 * r)
+    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+    c = 1.0 / np.hypot(1.0, t)
     s = t * c
-    cw = c * w
-    sw = s * w
-    # A <- G† A G where G hits columns p, q only
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = cw * col_p - s * col_q
-    a[:, q] = sw * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = np.conj(cw) * row_p - s * row_q
-    a[q, :] = np.conj(sw) * row_p + c * row_q
-    # accumulate eigenvectors: V <- V G
-    col_p = v[:, p].copy()
-    col_q = v[:, q].copy()
-    v[:, p] = cw * col_p - s * col_q
-    v[:, q] = sw * col_p + c * col_q
+    # new column p = c w col_p - s col_q; new column q = c col_q + s w col_p
+    alpha = np.concatenate((c * w, c))
+    beta = np.concatenate((-s, s * w))
+    av[:, pq] = av[:, pq] * alpha + av[:, qp] * beta
+    a[pq] = alpha.conj()[:, None] * a[pq] + beta.conj()[:, None] * a[qp]
 
 
 def _anchor_index(column: np.ndarray) -> int:
@@ -206,38 +243,49 @@ def _order_degenerate(evals: np.ndarray, vecs: np.ndarray):
 
 
 def eigendecompose(matrix) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix via cyclic Jacobi sweeps.
+    """Spectral decomposition of a Hermitian matrix via Jacobi sweeps.
+
+    Each sweep runs the rounds of _round_robin: every pair (p, q) once, in
+    rounds of disjoint pairs whose rotations are applied together
+    (_jacobi_round).  Sweeps stop once the off-diagonal Frobenius norm is at
+    most JACOBI_TOL_FACTOR * ||A||_F.  The order depends only on the
+    dimension and every step is elementwise, so decompositions of the same
+    matrix agree bit-for-bit.
 
     Eigenvalues come out ascending; each eigenvector column carries the
     deterministic phase convention of _fix_column_phases, and degenerate
     groups are ordered by the index of their largest-modulus component.
+    The result also records the sweep count and the final residual.
 
     Raises:
         ValueError: non-Hermitian input.
         ConvergenceError: sweep cap reached before the residual target.
     """
     m = require_hermitian(matrix)
+    n = m.shape[0]
+    av = np.empty((2 * n, n), dtype=np.complex128)
+    a, v = av[:n], av[n:]
     # symmetrize the sub-tolerance defect so rotations see an exact Hermitian
-    a = 0.5 * (m + m.conj().T)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
+    a[:] = 0.5 * (m + m.conj().T)
+    v[:] = np.eye(n)
     target = JACOBI_TOL_FACTOR * float(np.linalg.norm(a))
+    residual = _offdiag_norm(a)
     sweeps = 0
-    while _offdiag_norm(a) > target:
+    while residual > target:
         if sweeps >= JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(_offdiag_norm(a), sweeps)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q)
+            raise ConvergenceError(residual, sweeps)
+        for round_ in _round_robin(n):
+            _jacobi_round(av, *round_)
         sweeps += 1
-    evals = np.diag(a).real.copy()
+        residual = _offdiag_norm(a)
+    evals = a.diagonal().real.copy()
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
     vecs = _fix_column_phases(v[:, order])
     evals, vecs = _order_degenerate(evals, vecs)
     evals.setflags(write=False)
     vecs.setflags(write=False)
-    return SpectralDecomposition(evals, vecs)
+    return SpectralDecomposition(evals, vecs, sweeps, residual)
 
 
 def _phases(eigenvalues, times, hbar) -> np.ndarray:

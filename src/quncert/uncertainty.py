@@ -24,12 +24,16 @@ from .hilbert import (
 )
 
 BOUND_SLACK_TOL = 1e-10
-# below this the Mandelstam-Tamm clock is undefined (energy eigenstate)
+# The energy thresholds are relative to ||H||_2 = max|E_k| (_energy_scale), so
+# they hold in any unit; H = 0 meets each of them with equality.
+# an energy spread at or below this is an eigenstate: no Mandelstam-Tamm clock
 ENERGY_SPREAD_MIN = 1e-12
 # scale factor for the rate threshold that flags a sample as infinite
 RATE_EPS_FACTOR = 1e-12
-# mean shifted energies below this flag the bound as infinite
+# a spread or shifted mean energy at or below this makes the bound infinite
 MEAN_ENERGY_MIN = 1e-14
+# level gaps at or below this are degeneracies for the orthogonalization search
+GAP_TOL_FACTOR = 1e-12
 DEFAULT_TOL_ORTH = 1e-9
 SCAN_POINTS = 10_000
 HORIZON_PERIODS = 20
@@ -104,17 +108,24 @@ class MTSample:
     product: float
 
 
-def _energy_spread(scenario: Scenario) -> float:
-    """Delta H on the initial state; at or below ENERGY_SPREAD_MIN it is an
-    energy eigenstate, which has no Mandelstam-Tamm clock."""
+def _energy_scale(spec: SpectralDecomposition) -> float:
+    """||H||_2 = max|E_k|, the unit of the energy thresholds."""
+    return float(max(-spec.eigenvalues[0], spec.eigenvalues[-1]))
+
+
+def _energy_spread(scenario: Scenario) -> tuple[float, float]:
+    """Delta H on the initial state and the eigenstate threshold
+    ENERGY_SPREAD_MIN * ||H||_2; a spread at or below it is an energy
+    eigenstate, which has no Mandelstam-Tamm clock."""
     _, variances, _ = qstat._moments(scenario.hamiltonian, scenario.initial_state[:, None])
-    return math.sqrt(float(variances[0]))
+    floor = ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum)
+    return math.sqrt(float(variances[0])), floor
 
 
 def _mt_context(observable, scenario: Scenario):
     a = _require_observable(observable, scenario.dim)
-    energy_spread = _energy_spread(scenario)
-    if energy_spread <= ENERGY_SPREAD_MIN:
+    energy_spread, floor = _energy_spread(scenario)
+    if energy_spread <= floor:
         raise ValueError(
             "Mandelstam-Tamm timescale is undefined for energy eigenstates "
             f"(energy spread {energy_spread:.3e})"
@@ -272,8 +283,7 @@ def orthogonalization_time(
     hbar = require_positive_finite(hbar, "hbar")
     evals = spec.eigenvalues
 
-    span = spec.span
-    gap_tol = 1e-12 * max(1.0, span)
+    gap_tol = GAP_TOL_FACTOR * max(_energy_scale(spec), spec.span)
     gaps = np.diff(evals)
     real_gaps = gaps[gaps > gap_tol]
     if real_gaps.size == 0:
@@ -313,7 +323,9 @@ class SpeedLimitBounds:
     E_min = 0 (the convention under which the bound is valid).
     from_mean_energy_unshifted: the raw pi*hbar / (2 <H>) with no shift;
     exposed because it fails for spectra whose mean energy is <= 0 (infinite
-    flag when |<H>| < MEAN_ENERGY_MIN, signed and meaningless when negative).
+    when |<H>| <= MEAN_ENERGY_MIN * ||H||_2, signed and meaningless when
+    negative).  Each bound is infinite when its energy is at or below that
+    threshold.
     """
 
     from_energy_spread: float
@@ -322,25 +334,25 @@ class SpeedLimitBounds:
 
 
 def _energy_moments(spec: SpectralDecomposition, probs: np.ndarray):
+    """<H>, dH, <H> - E_min and the infinite-bound threshold
+    MEAN_ENERGY_MIN * ||H||_2."""
     mean = float(probs @ spec.eigenvalues)
     # shifted second moment: exact zero spread for eigenstates instead of
     # sqrt(eps)-sized cancellation residue, which would defeat the
-    # infinite-bound threshold below
+    # infinite-bound threshold
     spread = math.sqrt(float(probs @ (spec.eigenvalues - mean) ** 2))
     shifted_mean = mean - float(spec.eigenvalues[0])
-    return mean, spread, shifted_mean
+    return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec)
 
 
 def ml_bounds(spec: SpectralDecomposition, amplitudes, hbar: float = 1.0) -> SpeedLimitBounds:
     """Margolus-Levitin style lower bounds on the orthogonalization time."""
     probs = _probabilities(spec, amplitudes)
     half_pi_hbar = 0.5 * math.pi * require_positive_finite(hbar, "hbar")
-    mean, spread, shifted_mean = _energy_moments(spec, probs)
-    from_spread = half_pi_hbar / spread if spread >= MEAN_ENERGY_MIN else math.inf
-    from_mean = (
-        half_pi_hbar / shifted_mean if shifted_mean >= MEAN_ENERGY_MIN else math.inf
-    )
-    raw = half_pi_hbar / mean if abs(mean) >= MEAN_ENERGY_MIN else math.inf
+    mean, spread, shifted_mean, floor = _energy_moments(spec, probs)
+    from_spread = half_pi_hbar / spread if spread > floor else math.inf
+    from_mean = half_pi_hbar / shifted_mean if shifted_mean > floor else math.inf
+    raw = half_pi_hbar / mean if abs(mean) > floor else math.inf
     return SpeedLimitBounds(from_spread, from_mean, raw)
 
 
@@ -352,9 +364,9 @@ def qsl_tau(spec: SpectralDecomposition, amplitudes, hbar: float = 1.0) -> float
     """
     probs = _probabilities(spec, amplitudes)
     hbar = require_positive_finite(hbar, "hbar")
-    _, spread, shifted_mean = _energy_moments(spec, probs)
+    _, spread, shifted_mean, floor = _energy_moments(spec, probs)
     denom = min(spread, shifted_mean)
-    if denom < MEAN_ENERGY_MIN:
+    if denom <= floor:
         return math.inf
     # h = 2*pi*hbar, so h/(4x) = pi*hbar/(2x)
     return 0.5 * math.pi * hbar / denom

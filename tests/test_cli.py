@@ -292,6 +292,23 @@ def test_loaded_scenario_never_exits_as_input_error(tmp_path, name):
     assert main(["evolve", path, "-o", str(tmp_path / "out.csv")]) == EXIT_PASS
 
 
+def test_si_qubit_is_not_taken_for_an_eigenstate(tmp_path):
+    """The energy thresholds scale with ||H||, so a balanced qubit in SI units
+    (level spacing ~3e-24 J) keeps its Mandelstam-Tamm clock and its finite
+    speed limit."""
+    path = write_json(tmp_path / "scenario.json", _large_scale_scenarios()["si_qubit"])
+    report = tmp_path / "report.json"
+    main(["verify", "all", "--scenario", path, "--report", str(report)])
+    names = [c["name"] for c in json.loads(report.read_text(encoding="utf-8"))["checks"]]
+    for eigenstate_only in (
+        "mt.scenario.undefined_for_eigenstate",
+        "ml.scenario.certificate_positive",
+        "qsl.scenario.infinite_for_eigenstate",
+    ):
+        assert eigenstate_only not in names
+    assert "mt.obs.min_product" in names
+
+
 def test_exit_codes_are_distinct():
     codes = [EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE, EXIT_NUMERIC]
     assert sorted(codes) == [0, 1, 2, 3, 4]
@@ -340,7 +357,7 @@ def test_figure_decomposes_once_per_panel(tmp_path, capsys, decompositions, figu
 
 def test_verify_all_decomposition_count(tmp_path, decompositions):
     assert main(["verify", "all", "--report", str(tmp_path / "r.json")]) == EXIT_PASS
-    assert len(decompositions) == 61
+    assert len(decompositions) == 51
     assert len({m.tobytes() for m in decompositions}) == 14
 
 

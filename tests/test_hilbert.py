@@ -25,7 +25,8 @@ from quncert import (
 RECON_TOL = 1e-12
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+# 7 and 25 run with a dummy index in each round; 24 is the benchmark dimension
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 24, 25])
 def test_eigendecompose_matches_eigh_oracle(dim):
     rng = np.random.default_rng(dim)
     a = random_hermitian(rng, dim)
@@ -48,7 +49,7 @@ def test_eigendecompose_hundred_seeds():
         assert np.all(np.diff(spec.eigenvalues) >= 0.0)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("dim", [2, 3, 5, 7, 8, 24, 25])
 def test_reconstruction_and_orthonormality(dim):
     rng = np.random.default_rng(100 + dim)
     a = random_hermitian(rng, dim)
@@ -74,6 +75,50 @@ def test_known_spectra():
     np.testing.assert_allclose(
         eigendecompose(stencil).eigenvalues, expected, atol=1e-14
     )
+
+
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_round_robin_rounds_cover_every_pair_once(dim):
+    seen = []
+    for p, q, pq, qp in hilbert._round_robin(dim):
+        assert len(set(pq.tolist())) == pq.size  # disjoint pairs
+        assert np.all(p < q)
+        assert pq.tolist() == p.tolist() + q.tolist()
+        assert qp.tolist() == q.tolist() + p.tolist()
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(dim) for q in range(p + 1, dim)]
+
+
+@pytest.mark.parametrize("kind", ["tridiagonal", "block_diagonal"])
+def test_exact_zero_pivots_are_skipped(kind):
+    """Rounds where some or all pivots are exact zeros still converge to the
+    oracle spectrum, and zero blocks stay exactly zero."""
+    rng = np.random.default_rng(5)
+    a = random_hermitian(rng, 9)
+    if kind == "tridiagonal":
+        a = np.triu(np.tril(a, 1), -1)
+    else:
+        a = np.kron(np.eye(3), a[:3, :3])
+    spec = eigendecompose(a)
+    np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(a), rtol=0, atol=1e-13)
+    if kind == "block_diagonal":
+        v = spec.eigenvectors
+        for k in range(9):
+            assert np.count_nonzero(v[:, k]) <= 3
+
+
+def test_diagonal_input_takes_no_sweep():
+    spec = eigendecompose(np.diag([3.0, -1.0, 2.0, 0.5]))
+    assert spec.sweeps == 0
+    assert spec.offdiag_residual == 0.0
+    np.testing.assert_array_equal(spec.eigenvalues, [-1.0, 0.5, 2.0, 3.0])
+
+
+def test_solver_counters_on_random_matrix():
+    a = random_hermitian(np.random.default_rng(17), 12)
+    spec = eigendecompose(a)
+    assert spec.sweeps >= 1
+    assert spec.offdiag_residual <= hilbert.JACOBI_TOL_FACTOR * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 23])

@@ -494,6 +494,35 @@ def test_eigenstate_bounds_are_infinite():
     assert math.isinf(qsl_tau(spec, amps, p.hbar))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-24])
+def test_speed_limits_are_scale_free(scale):
+    """The energy thresholds are relative to ||H||, so a balanced qubit at
+    any energy scale has finite bounds pi*hbar/(2 dH) and an overlap zero."""
+    spec = eigendecompose(scale * np.diag([-0.5, 0.5]))
+    amps = np.full(2, math.sqrt(0.5))
+    bounds = ml_bounds(spec, amps)
+    assert bounds.from_energy_spread == pytest.approx(math.pi / scale, rel=1e-12)
+    assert qsl_tau(spec, amps) == pytest.approx(math.pi / scale, rel=1e-12)
+    # the level gap is not taken for a degeneracy; the search itself may still
+    # end inconclusive, as its refinement tolerance is absolute in time
+    try:
+        kind = orthogonalization_time(spec, amps).kind
+    except InconclusiveScanError:
+        kind = "inconclusive"
+    assert kind != "never_orthogonal"
+
+
+def test_zero_hamiltonian_is_an_eigenstate_with_infinite_bounds():
+    spec = eigendecompose(np.zeros((2, 2)))
+    amps = np.full(2, math.sqrt(0.5))
+    bounds = ml_bounds(spec, amps)
+    assert math.isinf(bounds.from_energy_spread)
+    assert math.isinf(bounds.from_mean_energy)
+    assert math.isinf(bounds.from_mean_energy_unshifted)
+    assert math.isinf(qsl_tau(spec, amps))
+    assert orthogonalization_time(spec, amps).kind == "never_orthogonal"
+
+
 def test_qsl_is_max_of_ml_bounds():
     """The unified limit picks the tighter (larger) of the two bounds,
     bit for bit."""
