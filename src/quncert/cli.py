@@ -405,6 +405,11 @@ def _extremum_distance(preset: qubit.QubitPreset, t: float) -> float:
     return min(frac, 1.0 - frac) * math.pi / preset.omega
 
 
+def _product_floor(hbar: float) -> float:
+    """Mandelstam-Tamm floor hbar/2, less a rounding margin relative to hbar."""
+    return 0.5 * hbar - 1e-10 * hbar
+
+
 def _mt_checks_for_preset(name: str, preset: qubit.QubitPreset) -> list[Check]:
     s = qubit.qubit_scenario(preset)
     samples = uncertainty.mt_series(s.observables["sx"], s)
@@ -415,7 +420,7 @@ def _mt_checks_for_preset(name: str, preset: qubit.QubitPreset) -> list[Check]:
     checks = [check_bool(f"mt.{name}.has_finite_samples", bool(finite))]
     min_product = min((smp.product for smp in finite), default=math.inf)
     checks.append(
-        check_min(f"mt.{name}.min_product", min_product, half_hbar - 1e-10)
+        check_min(f"mt.{name}.min_product", min_product, _product_floor(preset.hbar))
     )
     worst_flag = max(
         (_extremum_distance(preset, smp.t) for smp in flagged), default=0.0
@@ -443,14 +448,12 @@ def _suite_mt(scenario, rng) -> dict[str, list[Check]]:
         # an energy eigenstate has no Mandelstam-Tamm clock; mt_series refuses it
         undefined = "mt.scenario.undefined_for_eigenstate"
         return {"mt": [check_max(undefined, spread, floor)]}
-    half_hbar = 0.5 * scenario.hbar
+    floor = _product_floor(scenario.hbar)
     for name, matrix in scenario.observables.items():
         samples = uncertainty.mt_series(matrix, scenario)
         finite = [smp.product for smp in samples if math.isfinite(smp.product)]
         value = min(finite) if finite else math.inf
-        checks.append(
-            check_min(f"mt.{name}.min_product", value, half_hbar - 1e-10)
-        )
+        checks.append(check_min(f"mt.{name}.min_product", value, floor))
     return {"mt": checks}
 
 
@@ -463,8 +466,8 @@ def _preset_speed_limits() -> dict[str, list[Check]]:
     }
     scenarios = {name: qubit.qubit_scenario(p) for name, p in presets.items()}
     preset, s = presets["fig2D"], scenarios["fig2D"]
-    result = uncertainty.orthogonalization_time(s.spectrum, s.amplitudes, s.hbar)
-    bounds = uncertainty.ml_bounds(s.spectrum, s.amplitudes, s.hbar)
+    result = uncertainty.orthogonalization_time(s)
+    bounds = uncertainty.ml_bounds(s)
     tau_expect = math.pi / preset.omega
     ml = [
         check_bool("ml.fig2D.found", result.found),
@@ -487,9 +490,7 @@ def _preset_speed_limits() -> dict[str, list[Check]]:
         # strictly dominant amplitude; the balanced presets sit at 1/2 + rounding
         if dominant <= 0.5 + 1e-12:
             continue
-        res = uncertainty.orthogonalization_time(
-            scenarios[name].spectrum, scenarios[name].amplitudes, p.hbar
-        )
+        res = uncertainty.orthogonalization_time(scenarios[name])
         ok = (not res.found) and res.min_overlap_bound is not None
         ml.append(check_bool(f"ml.{name}.never_orthogonal", ok))
         if ok:
@@ -505,13 +506,12 @@ def _preset_speed_limits() -> dict[str, list[Check]]:
     for name, p in qubit.FIGURE_PRESETS.items():
         if p.coherence == 0.0:
             continue
-        spec, amps = scenarios[name].spectrum, scenarios[name].amplitudes
-        tau = uncertainty.qsl_tau(spec, amps, p.hbar)
-        b = uncertainty.ml_bounds(spec, amps, p.hbar)
+        tau = uncertainty.qsl_tau(scenarios[name])
+        b = uncertainty.ml_bounds(scenarios[name])
         qsl.append(check_bool(f"qsl.{name}.finite", math.isfinite(tau)))
         expected = max(b.from_energy_spread, b.from_mean_energy)
         qsl.append(check_max(f"qsl.{name}.equals_max_bound", abs(tau - expected), 1e-12))
-    tau = uncertainty.qsl_tau(s.spectrum, s.amplitudes, preset.hbar)
+    tau = uncertainty.qsl_tau(s)
     qsl.append(check_max("qsl.fig2D.tau_is_pi/omega", abs(tau - tau_expect), 1e-9))
     qsl.append(check_max("qsl.fig2D.below_tau_perp", tau, result.tau_perp + 1e-9))
     return {"ml": ml, "qsl": qsl}
@@ -521,9 +521,8 @@ def _suite_speed_limits(scenario, rng) -> dict[str, list[Check]]:
     """ML and QSL checks, both reading one orthogonalization search per scenario."""
     if scenario is None:
         return _preset_speed_limits()
-    spec, amps, hbar = scenario.spectrum, scenario.amplitudes, scenario.hbar
-    bounds = uncertainty.ml_bounds(spec, amps, hbar)
-    tau = uncertainty.qsl_tau(spec, amps, hbar)
+    bounds = uncertainty.ml_bounds(scenario)
+    tau = uncertainty.qsl_tau(scenario)
     expected = max(bounds.from_energy_spread, bounds.from_mean_energy)
     # an infinite QSL (eigenstate) has nothing to compare with tau_perp
     finite_qsl = not math.isinf(tau)
@@ -533,7 +532,7 @@ def _suite_speed_limits(scenario, rng) -> dict[str, list[Check]]:
         else check_bool("qsl.scenario.infinite_for_eigenstate", math.isinf(expected))
     ]
     try:
-        result = uncertainty.orthogonalization_time(spec, amps, hbar)
+        result = uncertainty.orthogonalization_time(scenario)
     except uncertainty.InconclusiveScanError as exc:
         ml = [check_inconclusive("ml.scenario.search", exc.min_observed_overlap)]
         if finite_qsl:
@@ -544,7 +543,7 @@ def _suite_speed_limits(scenario, rng) -> dict[str, list[Check]]:
     if not result.found:
         ml = [check_min("ml.scenario.certificate_positive", result.min_overlap_bound, 0.0)]
         return {"ml": ml, "qsl": qsl}
-    overlap = abs(uncertainty.state_overlap(spec, amps, result.tau_perp, hbar))
+    overlap = abs(uncertainty.state_overlap(scenario, result.tau_perp))
     ml = [
         check_max("ml.scenario.overlap_at_tau", overlap, uncertainty.DEFAULT_TOL_ORTH),
         check_min(

@@ -107,7 +107,7 @@ class Scenario:
     observables: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        require_positive_finite(self.hbar, "hbar")
+        object.__setattr__(self, "hbar", require_positive_finite(self.hbar, "hbar"))
         h = require_hermitian(self.hamiltonian, "hamiltonian")
         if h.shape[0] < 2:
             raise ValueError("scenario needs dimension >= 2")
@@ -189,16 +189,7 @@ class Trajectory:
     coherence: np.ndarray
     predictability: np.ndarray
     states: np.ndarray | None    # (dim, len(times)) column snapshots, optional
-    hbar: float
     energy_span: float           # E_max - E_min of the generating Hamiltonian
-
-
-def energy_amplitudes(state, spec: SpectralDecomposition) -> np.ndarray:
-    """Expansion coefficients of a state over the eigenbasis, ascending order."""
-    psi = as_state(state)
-    if spec.dim != psi.shape[0]:
-        raise ValueError(f"dimension mismatch: {spec.dim} vs {psi.shape[0]}")
-    return spec.eigenvectors.conj().T @ psi
 
 
 def _states_at(scenario: Scenario, times) -> np.ndarray:
@@ -244,7 +235,6 @@ def evolve(scenario: Scenario, store_states: bool = True) -> Trajectory:
         coherence=coherence,
         predictability=predictability,
         states=states if store_states else None,
-        hbar=scenario.hbar,
         energy_span=spec.span,
     )
 

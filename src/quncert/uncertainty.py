@@ -4,6 +4,12 @@ Robertson and Schrodinger bound checks, Mandelstam-Tamm timescales built from
 the exact commutator rate, survival overlap with the orthogonalization-time
 search, Margolus-Levitin style lower bounds, and the unified quantum speed
 limit.
+
+The time-energy analyzers take a ``Scenario`` and read its cached spectrum,
+energy amplitudes and hbar, which the ``Scenario`` validated when it was
+built; they validate only the arguments that do not come from it (an
+observable, a time).  The Robertson and Schrodinger checks take loose
+matrices and a state, and validate those at entry.
 """
 
 from __future__ import annotations
@@ -15,13 +21,7 @@ import numpy as np
 
 from . import qstat
 from .dynamics import Scenario, _require_observable, _states_at
-from .hilbert import (
-    SpectralDecomposition,
-    _commutator,
-    _phases,
-    as_state,
-    require_positive_finite,
-)
+from .hilbert import SpectralDecomposition, _commutator, _phases, as_state
 
 BOUND_SLACK_TOL = 1e-10
 # The energy thresholds are relative to ||H||_2 = max|E_k| (_energy_scale), so
@@ -166,13 +166,9 @@ def mt_series(observable, scenario: Scenario) -> list[MTSample]:
     return _mt_samples(observable, scenario, scenario.time_grid.times())
 
 
-def _probabilities(spec: SpectralDecomposition, amplitudes) -> np.ndarray:
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.ndim != 1 or amps.size != spec.dim:
-        raise ValueError(
-            f"amplitudes must match the decomposition dimension {spec.dim}"
-        )
-    return np.abs(as_state(amps, "amplitude vector", norm_tol=1e-10)) ** 2
+def _populations(scenario: Scenario) -> np.ndarray:
+    """Energy populations |a_k|^2 of the initial state, ascending energy."""
+    return np.abs(scenario.amplitudes) ** 2
 
 
 def _overlap(weights, evals, ts, hbar):
@@ -185,15 +181,14 @@ def _overlap(weights, evals, ts, hbar):
     return weights @ _phases(evals, ts, hbar)
 
 
-def state_overlap(spec: SpectralDecomposition, amplitudes, t, hbar: float = 1.0):
+def state_overlap(scenario: Scenario, t):
     """Survival amplitude <psi(0)|psi(t)> = sum_k |a_k|^2 exp(-i E_k t / hbar).
 
     Scalar t gives a complex scalar; an array of times gives a complex array.
     """
-    probs = _probabilities(spec, amplitudes)
-    hbar = require_positive_finite(hbar, "hbar")
     ts = np.asarray(t, dtype=np.float64)
-    out = _overlap(probs, spec.eigenvalues, ts.reshape(-1), hbar)
+    evals = scenario.spectrum.eigenvalues
+    out = _overlap(_populations(scenario), evals, ts.reshape(-1), scenario.hbar)
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
@@ -259,9 +254,7 @@ def _refine_minima(probs, evals, hbar, lo, hi):
     return mid, _overlap_modulus_and_slope(probs, evals, hbar, mid)[0]
 
 
-def orthogonalization_time(
-    spec: SpectralDecomposition, amplitudes, hbar: float = 1.0
-) -> OrthogonalizationResult:
+def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     """Earliest time at which the evolved state is orthogonal to the start.
 
     A dominant amplitude (max |a_k|^2 > 1/2) certifies analytically that the
@@ -276,11 +269,10 @@ def orthogonalization_time(
     search is inconclusive.
 
     Raises:
-        ValueError: invalid amplitudes, or hbar not positive and finite.
         InconclusiveScanError: nothing found and no certificate applies.
     """
-    probs = _probabilities(spec, amplitudes)
-    hbar = require_positive_finite(hbar, "hbar")
+    spec, hbar = scenario.spectrum, scenario.hbar
+    probs = _populations(scenario)
     evals = spec.eigenvalues
 
     gap_tol = GAP_TOL_FACTOR * max(_energy_scale(spec), spec.span)
@@ -333,9 +325,10 @@ class SpeedLimitBounds:
     from_mean_energy_unshifted: float
 
 
-def _energy_moments(spec: SpectralDecomposition, probs: np.ndarray):
+def _energy_moments(scenario: Scenario):
     """<H>, dH, <H> - E_min and the infinite-bound threshold
     MEAN_ENERGY_MIN * ||H||_2."""
+    spec, probs = scenario.spectrum, _populations(scenario)
     mean = float(probs @ spec.eigenvalues)
     # shifted second moment: exact zero spread for eigenstates instead of
     # sqrt(eps)-sized cancellation residue, which would defeat the
@@ -345,28 +338,25 @@ def _energy_moments(spec: SpectralDecomposition, probs: np.ndarray):
     return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec)
 
 
-def ml_bounds(spec: SpectralDecomposition, amplitudes, hbar: float = 1.0) -> SpeedLimitBounds:
+def ml_bounds(scenario: Scenario) -> SpeedLimitBounds:
     """Margolus-Levitin style lower bounds on the orthogonalization time."""
-    probs = _probabilities(spec, amplitudes)
-    half_pi_hbar = 0.5 * math.pi * require_positive_finite(hbar, "hbar")
-    mean, spread, shifted_mean, floor = _energy_moments(spec, probs)
+    half_pi_hbar = 0.5 * math.pi * scenario.hbar
+    mean, spread, shifted_mean, floor = _energy_moments(scenario)
     from_spread = half_pi_hbar / spread if spread > floor else math.inf
     from_mean = half_pi_hbar / shifted_mean if shifted_mean > floor else math.inf
     raw = half_pi_hbar / mean if abs(mean) > floor else math.inf
     return SpeedLimitBounds(from_spread, from_mean, raw)
 
 
-def qsl_tau(spec: SpectralDecomposition, amplitudes, hbar: float = 1.0) -> float:
+def qsl_tau(scenario: Scenario) -> float:
     """Unified quantum speed limit h / (4 min(dH, <H'>)), E_min = 0 shift.
 
     Infinite for energy eigenstates (either moment vanishes), which never
     reach an orthogonal state under closed evolution.
     """
-    probs = _probabilities(spec, amplitudes)
-    hbar = require_positive_finite(hbar, "hbar")
-    _, spread, shifted_mean, floor = _energy_moments(spec, probs)
+    _, spread, shifted_mean, floor = _energy_moments(scenario)
     denom = min(spread, shifted_mean)
     if denom <= floor:
         return math.inf
     # h = 2*pi*hbar, so h/(4x) = pi*hbar/(2x)
-    return 0.5 * math.pi * hbar / denom
+    return 0.5 * math.pi * scenario.hbar / denom

@@ -1,10 +1,12 @@
-"""Shared random-input builders for the test suite.
+"""Shared random-input and scenario builders for the test suite.
 
 Everything is seeded through numpy's default_rng so reruns are reproducible;
 individual tests pick their own seeds.
 """
 
 import numpy as np
+
+from quncert import Scenario, TimeGrid
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -16,3 +18,14 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return raw / np.linalg.norm(raw)
+
+
+def scenario_of(hamiltonian, state, hbar: float = 1.0) -> Scenario:
+    """Scenario of H and an initial state, for the analyzers that read only
+    its spectrum, energy amplitudes and hbar (never its time grid).
+
+    For H = np.diag(E) with ascending E the spectrum is E and the energy
+    amplitudes are the state's own entries, so (E_k, a_k, hbar) inputs pass
+    through unchanged.
+    """
+    return Scenario(hbar, hamiltonian, state, TimeGrid(0.0, 1.0, 2))

@@ -20,8 +20,6 @@ from quncert import (
     check_conservation,
     default_time_grid,
     ehrenfest_residual,
-    energy_amplitudes,
-    eigendecompose,
     evolve,
     ml_bounds,
     mt_series,
@@ -158,21 +156,18 @@ def test_criterion_06_mandelstam_tamm():
 
 def test_criterion_07_margolus_levitin():
     preset = FIGURE_PRESETS[BALANCED]
-    spec = eigendecompose(preset.hamiltonian())
-    amps = energy_amplitudes(preset.state(), spec)
-    result = orthogonalization_time(spec, amps, preset.hbar)
+    scenario = qubit_scenario(preset)
+    result = orthogonalization_time(scenario)
     assert result.found
     assert abs(result.tau_perp - math.pi / preset.omega) < 1e-9
-    bounds = ml_bounds(spec, amps, preset.hbar)
+    bounds = ml_bounds(scenario)
     assert abs(result.tau_perp - bounds.from_energy_spread) < 1e-9
 
     for name, p in FIGURE_PRESETS.items():
         top = max(abs(p.alpha1), abs(p.alpha2)) ** 2
         if top <= 0.5 + 1e-12:
             continue  # balanced presets carry no dominant level
-        spec_p = eigendecompose(p.hamiltonian())
-        amps_p = energy_amplitudes(p.state(), spec_p)
-        res = orthogonalization_time(spec_p, amps_p, p.hbar)
+        res = orthogonalization_time(qubit_scenario(p))
         assert not res.found, name
         assert abs(res.min_overlap_bound - (2.0 * top - 1.0)) < 1e-12, name
 
@@ -184,11 +179,10 @@ def test_criterion_08_quantum_speed_limit():
     for name, p in FIGURE_PRESETS.items():
         if p.coherence == 0.0:
             continue
-        spec = eigendecompose(p.hamiltonian())
-        amps = energy_amplitudes(p.state(), spec)
-        tau = qsl_tau(spec, amps, p.hbar)
+        scenario = qubit_scenario(p)
+        tau = qsl_tau(scenario)
         assert math.isfinite(tau), name
-        result = orthogonalization_time(spec, amps, p.hbar)
+        result = orthogonalization_time(scenario)
         if result.found:
             assert tau <= result.tau_perp + 1e-9, name
         if abs(p.coherence - 1.0) < 1e-12:

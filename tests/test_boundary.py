@@ -1,8 +1,9 @@
 """Input validation at the public boundary.
 
-The numerical kernels validate nothing, so every public function that
-reaches them must reject a non-Hermitian matrix, non-finite amplitudes and a
-non-positive or non-finite hbar itself, before any arithmetic runs.
+The numerical kernels validate nothing, so a non-Hermitian matrix,
+non-finite amplitudes and a non-positive or non-finite hbar must be rejected
+before any arithmetic runs: by the public function that takes the argument,
+or by the Scenario it arrives in, when the Scenario is built.
 """
 
 import math
@@ -14,7 +15,6 @@ from quncert import (
     Scenario,
     TimeGrid,
     coherence_from_amplitudes,
-    eigendecompose,
     ehrenfest_rate,
     ehrenfest_residual,
     ml_bounds,
@@ -32,7 +32,6 @@ from quncert.qubit import pauli
 LOPSIDED = np.array([[0.0, 1.0], [0.0, 0.0]])
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 SX, SZ = pauli("x"), pauli("z")
-SPEC = eigendecompose(0.5 * SZ)
 BAD_HBARS = [0.0, -1.0, math.nan, math.inf]
 
 
@@ -87,10 +86,10 @@ def test_non_hermitian_input_is_rejected_at_entry(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda amps: state_overlap(SPEC, amps, 1.0),
-        lambda amps: ml_bounds(SPEC, amps),
-        lambda amps: qsl_tau(SPEC, amps),
-        lambda amps: orthogonalization_time(SPEC, amps),
+        lambda amps: state_overlap(_scenario(initial_state=amps), 1.0),
+        lambda amps: ml_bounds(_scenario(initial_state=amps)),
+        lambda amps: qsl_tau(_scenario(initial_state=amps)),
+        lambda amps: orthogonalization_time(_scenario(initial_state=amps)),
         coherence_from_amplitudes,
     ],
     ids=["state_overlap", "ml_bounds", "qsl_tau", "orthogonalization_time", "coherence"],
@@ -104,12 +103,11 @@ def test_non_finite_amplitudes_are_rejected(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda hbar: ml_bounds(SPEC, PLUS, hbar),
-        lambda hbar: qsl_tau(SPEC, PLUS, hbar),
-        lambda hbar: state_overlap(SPEC, PLUS, 1.0, hbar),
+        lambda hbar: ml_bounds(_scenario(hbar=hbar)),
+        lambda hbar: qsl_tau(_scenario(hbar=hbar)),
+        lambda hbar: state_overlap(_scenario(hbar=hbar), 1.0),
         lambda hbar: ehrenfest_rate(SX, 0.5 * SZ, PLUS, hbar),
-        # a dominant amplitude is decided by its certificate, before any search
-        lambda hbar: orthogonalization_time(SPEC, [math.sqrt(0.9), math.sqrt(0.1)], hbar),
+        lambda hbar: orthogonalization_time(_scenario(hbar=hbar)),
     ],
     ids=["ml_bounds", "qsl_tau", "state_overlap", "ehrenfest_rate", "orthogonalization_time"],
 )

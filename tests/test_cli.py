@@ -309,6 +309,20 @@ def test_si_qubit_is_not_taken_for_an_eigenstate(tmp_path):
     assert "mt.obs.min_product" in names
 
 
+def test_si_qubit_product_floor_scales_with_hbar(tmp_path):
+    """The Mandelstam-Tamm floor is hbar/2 less a margin relative to hbar;
+    an absolute margin of 1e-10 would make it negative at hbar ~ 1e-34."""
+    payload = _large_scale_scenarios()["si_qubit"]
+    path = write_json(tmp_path / "scenario.json", payload)
+    report = tmp_path / "report.json"
+    main(["verify", "mt", "--scenario", path, "--report", str(report)])
+    checks = {c["name"]: c for c in json.loads(report.read_text(encoding="utf-8"))["checks"]}
+    half_hbar = 0.5 * payload["hbar"]
+    rhs = checks["mt.obs.min_product"]["rhs"]
+    assert rhs > 0.0
+    assert abs(rhs - half_hbar) <= 1e-9 * half_hbar
+
+
 def test_exit_codes_are_distinct():
     codes = [EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE, EXIT_NUMERIC]
     assert sorted(codes) == [0, 1, 2, 3, 4]
@@ -322,21 +336,28 @@ def test_eigensolver_failure_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.fixture
-def decompositions(monkeypatch):
-    """Matrices passed to eigendecompose, through every module's binding."""
-    original = hilbert.eigendecompose
-    calls = []
+def _record_every_binding(monkeypatch, original, record):
+    """Replace every quncert module binding of original with a wrapper that
+    calls record(*args) first."""
 
-    def counting(matrix):
-        calls.append(np.array(matrix))
-        return original(matrix)
+    def recording(*args, **kwargs):
+        record(*args)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "quncert" or name.startswith("quncert."):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+                    monkeypatch.setattr(module, attr, recording)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Matrices passed to eigendecompose, through every module's binding."""
+    calls = []
+    _record_every_binding(
+        monkeypatch, hilbert.eigendecompose, lambda matrix: calls.append(np.array(matrix))
+    )
     return calls
 
 
@@ -393,6 +414,23 @@ def test_verify_scenario_searches_once(tmp_path, count_calls, payload):
     names = [c["name"] for c in json.loads(report.read_text())["checks"]]
     assert any(n.startswith("ml.") for n in names)
     assert any(n.startswith("qsl.") for n in names)
+
+
+@pytest.mark.parametrize("suite", ["ml", "qsl"])
+def test_speed_limits_validate_the_scenario_once(tmp_path, monkeypatch, suite):
+    """The loaded Scenario checks its state and hbar; the speed-limit
+    analyzers read them from it and check neither again."""
+    calls = {"as_state": [], "require_positive_finite": []}
+    for name, seen in calls.items():
+        _record_every_binding(
+            monkeypatch, getattr(hilbert, name), lambda *args, seen=seen: seen.append(args)
+        )
+    main(["verify", suite, "--scenario", str(DATA / "scenario_dim6.json"),
+          "--report", str(tmp_path / "r.json")])
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "as_state": 1,
+        "require_positive_finite": 1,
+    }
 
 
 def test_verify_all_evaluates_pair_bounds_once_per_dimension(tmp_path, count_calls):

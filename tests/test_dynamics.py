@@ -21,7 +21,6 @@ from quncert import (
     default_time_grid,
     ehrenfest_rate,
     ehrenfest_residual,
-    energy_amplitudes,
     eigendecompose,
     evolve,
     offset_invariance_check,
@@ -126,7 +125,7 @@ def test_scenario_spectrum_is_cached():
     fresh = eigendecompose(s.hamiltonian)
     assert np.array_equal(s.spectrum.eigenvalues, fresh.eigenvalues)
     assert np.array_equal(s.spectrum.eigenvectors, fresh.eigenvectors)
-    assert np.array_equal(s.amplitudes, energy_amplitudes(s.initial_state, fresh))
+    assert np.array_equal(s.amplitudes, fresh.eigenvectors.conj().T @ s.initial_state)
 
 
 def test_replaced_scenario_decomposes_its_own_hamiltonian():
@@ -217,9 +216,7 @@ def test_shift_hamiltonian():
 
 def test_energy_amplitudes_roundtrip():
     scenario = random_scenario(10, 4)
-    spec = eigendecompose(scenario.hamiltonian)
-    amps = energy_amplitudes(scenario.initial_state, spec)
-    rebuilt = spec.eigenvectors @ amps
+    rebuilt = scenario.spectrum.eigenvectors @ scenario.amplitudes
     assert np.abs(rebuilt - scenario.initial_state).max() < 1e-13
 
 
@@ -264,5 +261,5 @@ def test_trajectory_carries_grid_metadata():
     scenario = qubit_scenario(FIGURE_PRESETS["fig2B"], steps=64)
     trajectory = evolve(scenario)
     assert trajectory.times.shape == (64,)
-    assert trajectory.hbar == scenario.hbar
+    assert trajectory.times[-1] == scenario.time_grid.stop
     assert trajectory.energy_span == pytest.approx(1.0)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, scenario_of
 from quncert import (
     FIGURE_PRESETS,
     InconclusiveScanError,
@@ -20,8 +20,6 @@ from quncert import (
     Scenario,
     default_time_grid,
     ehrenfest_rate,
-    eigendecompose,
-    energy_amplitudes,
     ml_bounds,
     mt_sample,
     mt_series,
@@ -198,35 +196,31 @@ def test_state_overlap_dominant_probability_floor():
     """|<psi(0)|psi(t)>| can never drop below 2 max_k p_k - 1."""
     rng = np.random.default_rng(77)
     for dim in (2, 3, 5):
-        h = random_hermitian(rng, dim)
-        spec = eigendecompose(h)
-        amps = energy_amplitudes(random_state(rng, dim), spec)
-        floor = 2.0 * float(np.max(np.abs(amps) ** 2)) - 1.0
+        s = scenario_of(random_hermitian(rng, dim), random_state(rng, dim))
+        floor = 2.0 * float(np.max(np.abs(s.amplitudes) ** 2)) - 1.0
         ts = np.linspace(0.0, 50.0, 2001)
-        moduli = np.abs(state_overlap(spec, amps, ts))
+        moduli = np.abs(state_overlap(s, ts))
         assert float(moduli.min()) >= floor - 1e-12
 
 
 def test_state_overlap_qubit_reaches_predictability():
     p = FIGURE_PRESETS["fig3AB"]
-    spec = eigendecompose(p.hamiltonian())
-    amps = energy_amplitudes(p.state(), spec)
+    s = qubit_scenario(p)
     ts = np.linspace(0.0, 2.0 * math.pi / p.omega, 4001)
-    moduli = np.abs(state_overlap(spec, amps, ts))
+    moduli = np.abs(state_overlap(s, ts))
     floor = abs(abs(p.alpha1) ** 2 - abs(p.alpha2) ** 2)
     assert float(moduli.min()) == pytest.approx(floor, abs=1e-9)
-    assert state_overlap(spec, amps, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
+    assert state_overlap(s, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
 
 def test_orthogonalization_balanced_qubit_found():
     for omega in (1.0, 3.0):
         p = QubitPreset(omega=omega, alpha1=math.sqrt(0.5), alpha2=math.sqrt(0.5))
-        spec = eigendecompose(p.hamiltonian())
-        amps = energy_amplitudes(p.state(), spec)
-        result = orthogonalization_time(spec, amps, p.hbar)
+        s = qubit_scenario(p)
+        result = orthogonalization_time(s)
         assert result.found
         assert result.tau_perp == pytest.approx(math.pi / omega, abs=1e-9)
-        residual = abs(state_overlap(spec, amps, result.tau_perp, p.hbar))
+        residual = abs(state_overlap(s, result.tau_perp))
         assert residual <= 1e-9
 
 
@@ -236,9 +230,7 @@ def test_orthogonalization_balanced_qubit_found():
 def test_orthogonalization_dominant_amplitude_certificate(name):
     """max p > 1/2 short-circuits to the analytic never-orthogonal floor."""
     p = FIGURE_PRESETS[name]
-    spec = eigendecompose(p.hamiltonian())
-    amps = energy_amplitudes(p.state(), spec)
-    result = orthogonalization_time(spec, amps, p.hbar)
+    result = orthogonalization_time(qubit_scenario(p))
     assert not result.found
     assert result.kind == "never_orthogonal"
     assert result.tau_perp is None
@@ -247,19 +239,17 @@ def test_orthogonalization_dominant_amplitude_certificate(name):
 
 
 def test_orthogonalization_degenerate_spectrum():
-    spec = eigendecompose(np.eye(3))
     rng = np.random.default_rng(5)
-    result = orthogonalization_time(spec, random_state(rng, 3))
+    result = orthogonalization_time(scenario_of(np.eye(3), random_state(rng, 3)))
     assert not result.found
     assert result.min_overlap_bound == pytest.approx(1.0)
 
 
 def test_orthogonalization_three_level_inconclusive():
     """Equal gaps, weights (1/2, 1/4, 1/4): no zero, no certificate."""
-    spec = eigendecompose(np.diag([0.0, 1.0, 2.0]))
-    amps = np.array([math.sqrt(0.5), 0.5, 0.5])
+    s = scenario_of(np.diag([0.0, 1.0, 2.0]), np.array([math.sqrt(0.5), 0.5, 0.5]))
     with pytest.raises(InconclusiveScanError) as err:
-        orthogonalization_time(spec, amps)
+        orthogonalization_time(s)
     assert err.value.min_observed_overlap == pytest.approx(
         THREE_LEVEL_MIN_OVERLAP, abs=1e-9
     )
@@ -269,9 +259,8 @@ def test_orthogonalization_three_level_inconclusive():
 @pytest.mark.parametrize("gap", [1.0, 0.7])
 def test_orthogonalization_three_level_middle_heavy(gap):
     """Weights (1/4, 1/2, 1/4) on an equal-gap ladder vanish at pi/gap."""
-    spec = eigendecompose(np.diag([0.0, gap, 2.0 * gap]))
-    amps = np.array([0.5, math.sqrt(0.5), 0.5])
-    result = orthogonalization_time(spec, amps)
+    s = scenario_of(np.diag([0.0, gap, 2.0 * gap]), np.array([0.5, math.sqrt(0.5), 0.5]))
+    result = orthogonalization_time(s)
     assert result.found
     assert result.tau_perp == pytest.approx(math.pi / gap, abs=1e-9)
 
@@ -303,7 +292,7 @@ def test_one_phase_convention_for_states_overlaps_and_propagators():
     spec, psi0 = scenario.spectrum, scenario.initial_state
     times = np.linspace(0.0, 2e4, 2001)
     from_states = psi0.conj() @ dynamics._states_at(scenario, times)
-    from_overlap = state_overlap(spec, scenario.amplitudes, times, hbar=0.7)
+    from_overlap = state_overlap(scenario, times)
     assert np.max(np.abs(from_states - from_overlap)) <= 1e-14
     for k in range(0, times.size, 50):
         from_propagator = np.vdot(psi0, propagator(spec, times[k], 0.7) @ psi0)
@@ -341,18 +330,19 @@ def _scanned_minima(moduli):
     return np.nonzero((moduli[1:-1] <= moduli[:-2]) & (moduli[1:-1] <= moduli[2:]))[0] + 1
 
 
-def _serial_search(spec, amps, hbar):
+def _serial_search(scenario):
     """Reference search: one scalar bisection per scanned minimum, in time order.
 
     Covers only inputs that reach the scan (no certificate applies).
     Returns (kind, tau_perp, min_observed_overlap).
     """
-    probs = np.abs(amps) ** 2
+    spec, hbar = scenario.spectrum, scenario.hbar
+    probs = np.abs(scenario.amplitudes) ** 2
     evals = spec.eigenvalues
     gaps = np.diff(evals)
     min_gap = float(gaps[gaps > 1e-12 * max(1.0, spec.span)].min())
     ts = np.linspace(0.0, HORIZON_PERIODS * 2.0 * math.pi * hbar / min_gap, SCAN_POINTS)
-    moduli = np.abs(state_overlap(spec, amps, ts, hbar))
+    moduli = np.abs(state_overlap(scenario, ts))
     min_observed = float(moduli.min())
     for i in _scanned_minima(moduli):
         t_star, modulus = _refine_minimum(probs, evals, hbar, ts[i - 1], ts[i + 1])
@@ -362,9 +352,9 @@ def _serial_search(spec, amps, hbar):
     return "inconclusive", None, min_observed
 
 
-def _search_outcome(spec, amps, hbar):
+def _search_outcome(scenario):
     try:
-        result = orthogonalization_time(spec, amps, hbar)
+        result = orthogonalization_time(scenario)
     except InconclusiveScanError as err:
         return "inconclusive", None, err.min_observed_overlap
     return result.kind, result.tau_perp, result.min_observed_overlap
@@ -372,10 +362,9 @@ def _search_outcome(spec, amps, hbar):
 
 def _assert_matches_serial(evals, probs, phases, hbar=1.0):
     assert max(probs) <= 0.5, "a dominant amplitude skips the search"
-    spec = eigendecompose(np.diag(evals))
-    amps = spec.eigenvectors.conj().T @ (np.sqrt(probs) * phases)
-    expected = _serial_search(spec, amps, hbar)
-    got = _search_outcome(spec, amps, hbar)
+    scenario = scenario_of(np.diag(evals), np.sqrt(probs) * phases, hbar)
+    expected = _serial_search(scenario)
+    got = _search_outcome(scenario)
     assert got[0] == expected[0]
     for x, y in zip(got[1:], expected[1:]):
         if y is None:
@@ -420,9 +409,8 @@ def test_batched_refinement_returns_earliest_qualifying_minimum():
     kind, tau, _ = _assert_matches_serial(evals, probs, np.ones(4))
     assert kind == "found"
     assert tau == pytest.approx(math.pi, rel=1e-9)
-    spec = eigendecompose(np.diag(evals))
     ts = np.linspace(0.0, HORIZON_PERIODS * 2.0 * math.pi, SCAN_POINTS)
-    moduli = np.abs(state_overlap(spec, np.sqrt(probs), ts))
+    moduli = np.abs(state_overlap(scenario_of(np.diag(evals), np.sqrt(probs)), ts))
     assert moduli[_scanned_minima(moduli)[0]] > 0.1
 
 
@@ -430,8 +418,8 @@ def test_refinement_is_batched(monkeypatch):
     """The slope kernel runs once per bisection step for all scanned minima
     together, not once per minimum and step (over 10,000 calls here)."""
     rng = np.random.default_rng(24)
-    spec = eigendecompose(np.diag(np.linalg.eigvalsh(random_hermitian(rng, 24))))
-    amps = spec.eigenvectors.conj().T @ random_state(rng, 24)
+    h = np.diag(np.linalg.eigvalsh(random_hermitian(rng, 24)))
+    s = scenario_of(h, random_state(rng, 24))
     calls = []
     kernel = uncertainty._overlap_modulus_and_slope
 
@@ -441,10 +429,10 @@ def test_refinement_is_batched(monkeypatch):
 
     monkeypatch.setattr(uncertainty, "_overlap_modulus_and_slope", counting)
     try:
-        horizon = orthogonalization_time(spec, amps).horizon
+        horizon = orthogonalization_time(s).horizon
     except InconclusiveScanError as err:
         horizon = err.horizon
-    moduli = np.abs(state_overlap(spec, amps, np.linspace(0.0, horizon, SCAN_POINTS)))
+    moduli = np.abs(state_overlap(s, np.linspace(0.0, horizon, SCAN_POINTS)))
     assert _scanned_minima(moduli).size >= 300
     assert len(calls) <= 64
 
@@ -452,10 +440,7 @@ def test_refinement_is_batched(monkeypatch):
 def test_ml_bounds_balanced_qubit():
     """Both shifted bounds equal pi/w for C = 1; the unshifted one diverges
     because the spectrum is symmetric about zero."""
-    p = FIGURE_PRESETS["fig2D"]
-    spec = eigendecompose(p.hamiltonian())
-    amps = energy_amplitudes(p.state(), spec)
-    bounds = ml_bounds(spec, amps, p.hbar)
+    bounds = ml_bounds(qubit_scenario(FIGURE_PRESETS["fig2D"]))
     assert bounds.from_energy_spread == pytest.approx(math.pi, abs=1e-12)
     assert bounds.from_mean_energy == pytest.approx(math.pi, abs=1e-12)
     assert math.isinf(bounds.from_mean_energy_unshifted)
@@ -463,9 +448,7 @@ def test_ml_bounds_balanced_qubit():
 
 def test_ml_unshifted_bound_is_signed_off_symmetry():
     p = FIGURE_PRESETS["fig2C"]
-    spec = eigendecompose(p.hamiltonian())
-    amps = energy_amplitudes(p.state(), spec)
-    bounds = ml_bounds(spec, amps, p.hbar)
+    bounds = ml_bounds(qubit_scenario(p))
     mean = stats(p.hamiltonian(), p.state()).mean
     assert bounds.from_mean_energy_unshifted == pytest.approx(
         0.5 * math.pi * p.hbar / mean, abs=1e-12
@@ -476,8 +459,7 @@ def test_ml_spread_bound_matches_energy_spread():
     rng = np.random.default_rng(31)
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
-    spec = eigendecompose(h)
-    bounds = ml_bounds(spec, energy_amplitudes(psi, spec))
+    bounds = ml_bounds(scenario_of(h, psi))
     spread = stats(h, psi).stddev
     assert bounds.from_energy_spread == pytest.approx(
         0.5 * math.pi / spread, rel=1e-12
@@ -485,42 +467,38 @@ def test_ml_spread_bound_matches_energy_spread():
 
 
 def test_eigenstate_bounds_are_infinite():
-    p = FIGURE_PRESETS["fig2A"]
-    spec = eigendecompose(p.hamiltonian())
-    amps = energy_amplitudes(p.state(), spec)
-    bounds = ml_bounds(spec, amps, p.hbar)
+    s = qubit_scenario(FIGURE_PRESETS["fig2A"])
+    bounds = ml_bounds(s)
     assert math.isinf(bounds.from_energy_spread)
     assert math.isfinite(bounds.from_mean_energy)  # excited level sits above 0
-    assert math.isinf(qsl_tau(spec, amps, p.hbar))
+    assert math.isinf(qsl_tau(s))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-24])
 def test_speed_limits_are_scale_free(scale):
     """The energy thresholds are relative to ||H||, so a balanced qubit at
     any energy scale has finite bounds pi*hbar/(2 dH) and an overlap zero."""
-    spec = eigendecompose(scale * np.diag([-0.5, 0.5]))
-    amps = np.full(2, math.sqrt(0.5))
-    bounds = ml_bounds(spec, amps)
+    s = scenario_of(scale * np.diag([-0.5, 0.5]), np.full(2, math.sqrt(0.5)))
+    bounds = ml_bounds(s)
     assert bounds.from_energy_spread == pytest.approx(math.pi / scale, rel=1e-12)
-    assert qsl_tau(spec, amps) == pytest.approx(math.pi / scale, rel=1e-12)
+    assert qsl_tau(s) == pytest.approx(math.pi / scale, rel=1e-12)
     # the level gap is not taken for a degeneracy; the search itself may still
     # end inconclusive, as its refinement tolerance is absolute in time
     try:
-        kind = orthogonalization_time(spec, amps).kind
+        kind = orthogonalization_time(s).kind
     except InconclusiveScanError:
         kind = "inconclusive"
     assert kind != "never_orthogonal"
 
 
 def test_zero_hamiltonian_is_an_eigenstate_with_infinite_bounds():
-    spec = eigendecompose(np.zeros((2, 2)))
-    amps = np.full(2, math.sqrt(0.5))
-    bounds = ml_bounds(spec, amps)
+    s = scenario_of(np.zeros((2, 2)), np.full(2, math.sqrt(0.5)))
+    bounds = ml_bounds(s)
     assert math.isinf(bounds.from_energy_spread)
     assert math.isinf(bounds.from_mean_energy)
     assert math.isinf(bounds.from_mean_energy_unshifted)
-    assert math.isinf(qsl_tau(spec, amps))
-    assert orthogonalization_time(spec, amps).kind == "never_orthogonal"
+    assert math.isinf(qsl_tau(s))
+    assert orthogonalization_time(s).kind == "never_orthogonal"
 
 
 def test_qsl_is_max_of_ml_bounds():
@@ -529,19 +507,17 @@ def test_qsl_is_max_of_ml_bounds():
     rng = np.random.default_rng(99)
     for dim in (2, 3, 5):
         for _ in range(25):
-            spec = eigendecompose(random_hermitian(rng, dim))
-            amps = energy_amplitudes(random_state(rng, dim), spec)
-            bounds = ml_bounds(spec, amps)
-            assert qsl_tau(spec, amps) == max(
+            s = scenario_of(random_hermitian(rng, dim), random_state(rng, dim))
+            bounds = ml_bounds(s)
+            assert qsl_tau(s) == max(
                 bounds.from_energy_spread, bounds.from_mean_energy
             )
 
 
 def test_qsl_balanced_qubit_and_found_ordering():
     p = FIGURE_PRESETS["fig2D"]
-    spec = eigendecompose(p.hamiltonian())
-    amps = energy_amplitudes(p.state(), spec)
-    tau = qsl_tau(spec, amps, p.hbar)
+    s = qubit_scenario(p)
+    tau = qsl_tau(s)
     assert tau == pytest.approx(math.pi / p.omega, abs=1e-9)
-    result = orthogonalization_time(spec, amps, p.hbar)
+    result = orthogonalization_time(s)
     assert tau <= result.tau_perp + 1e-9
