@@ -192,15 +192,35 @@ def write_trajectory_csv(trajectory: dynamics.Trajectory, fh) -> None:
 
 # ----------------------------------------------------------------- randomness
 
+# Triples the fuzz draws per standard_normal call (a divisor of 1000). Drawing
+# all 1000 at once raises the fuzz's tracemalloc peak from ~2 MB to ~6 MB.
+_FUZZ_BLOCK = 100
+
+
+def _gaussian_hermitian(normals: np.ndarray) -> np.ndarray:
+    """0.5 (m + m^H) / sqrt(d) for m = re + i im, re and im on axis -3 of
+    a (..., 2, d, d) stack of standard normals."""
+    m = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    return 0.5 * (m + np.swapaxes(m.conj(), -1, -2)) / math.sqrt(m.shape[-1])
+
+
+def _gaussian_state(normals: np.ndarray) -> np.ndarray:
+    """v / ||v|| for v = re + i im, re and im on axis -2 of a (..., 2, d)
+    stack of standard normals."""
+    v = normals[..., 0, :] + 1j * normals[..., 1, :]
+    # the dot products run on the strided .real/.imag views, as in
+    # np.linalg.norm; on contiguous copies they can round differently
+    norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return v / norm[..., np.newaxis]
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Gaussian Hermitian matrix with entries of order one."""
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (m + m.conj().T) / math.sqrt(dim)
+    return _gaussian_hermitian(rng.standard_normal((2, dim, dim)))
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return _gaussian_state(rng.standard_normal((2, dim)))
 
 
 def random_scenario(rng: np.random.Generator, dim: int) -> dynamics.Scenario:
@@ -208,6 +228,22 @@ def random_scenario(rng: np.random.Generator, dim: int) -> dynamics.Scenario:
     h = random_hermitian(rng, dim)
     observables = {f"obs{k}": random_hermitian(rng, dim) for k in range(2)}
     return dynamics._on_default_grid(1.0, h, random_state(rng, dim), observables)
+
+
+def _fuzz_triples(rng: np.random.Generator, dim: int):
+    """1000 (A, B, psi) triples, the same arrays and stream as 1000 rounds of
+    random_hermitian, random_hermitian, random_state."""
+    a = np.empty((1000, dim, dim), dtype=np.complex128)
+    b = np.empty_like(a)
+    psi = np.empty((1000, dim), dtype=np.complex128)
+    split = 4 * dim * dim  # each triple draws Re A, Im A, Re B, Im B, Re psi, Im psi
+    for start in range(0, 1000, _FUZZ_BLOCK):
+        rows = slice(start, start + _FUZZ_BLOCK)
+        normals = rng.standard_normal((_FUZZ_BLOCK, split + 2 * dim))
+        pair = _gaussian_hermitian(normals[:, :split].reshape(_FUZZ_BLOCK, 2, 2, dim, dim))
+        a[rows], b[rows] = pair[:, 0], pair[:, 1]
+        psi[rows] = _gaussian_state(normals[:, split:].reshape(_FUZZ_BLOCK, 2, dim))
+    return a, b, psi
 
 
 # -------------------------------------------------------------- verify checks
@@ -373,14 +409,7 @@ def _suite_uncertainty(scenario, rng) -> dict[str, list[Check]]:
         return {"robertson": robertson, "schrodinger": schrodinger}
 
     for dim in range(2, 7):
-        a = np.empty((1000, dim, dim), dtype=np.complex128)
-        b = np.empty_like(a)
-        psi = np.empty((1000, dim), dtype=np.complex128)
-        for k in range(1000):
-            a[k] = random_hermitian(rng, dim)
-            b[k] = random_hermitian(rng, dim)
-            psi[k] = random_state(rng, dim)
-        product, rob, sch = uncertainty._pair_bounds(a, b, psi)
+        product, rob, sch = uncertainty._pair_bounds(*_fuzz_triples(rng, dim))
         robertson.append(
             check_min(f"robertson.dim{dim}.min_slack", float(np.min(product - rob)), floor)
         )

@@ -11,13 +11,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_state
-from quncert import dynamics, hilbert, qubit, uncertainty
+from quncert import cli, dynamics, hilbert, qubit, uncertainty
 from quncert.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -452,6 +453,54 @@ def test_verify_scenario_evaluates_pair_bounds_once_per_pair(tmp_path, count_cal
         ((6, 6, 6), (6, 6, 6), (6, 6))
     ]
     assert len([n for n in names if n.startswith("schrodinger.")]) == len(pairs)
+
+
+@pytest.mark.parametrize("seed", [42, 1, 97])
+def test_random_draws_keep_their_formulas(seed):
+    """random_hermitian and random_state stay bit-equal to their formulas on
+    one pair of standard_normal draws each, and leave the same stream."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for dim in range(1, 9):
+        m = ref.standard_normal((dim, dim)) + 1j * ref.standard_normal((dim, dim))
+        want = 0.5 * (m + m.conj().T) / math.sqrt(dim)
+        assert np.array_equal(cli.random_hermitian(rng, dim), want)
+        v = ref.standard_normal(dim) + 1j * ref.standard_normal(dim)
+        assert np.array_equal(cli.random_state(rng, dim), v / np.linalg.norm(v))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [42, 1, 97])
+def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
+    """The fuzz's block draws give the arrays, bit for bit, and the generator
+    state of one random_hermitian, random_hermitian, random_state round per
+    triple."""
+    calls = count_calls(uncertainty, "_pair_bounds")
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    cli._suite_uncertainty(None, rng)
+    assert [a.shape[-1] for a, _, _ in calls] == [2, 3, 4, 5, 6]
+    for a, b, psi in calls:
+        dim = a.shape[-1]
+        rounds = [
+            (cli.random_hermitian(ref, dim), cli.random_hermitian(ref, dim),
+             cli.random_state(ref, dim))
+            for _ in range(1000)
+        ]
+        for got, want in zip((a, b, psi), zip(*rounds)):
+            assert np.array_equal(got, np.stack(want))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_uncertainty_fuzz_memory_is_bounded():
+    """The fuzz draws its triples in blocks: drawing a whole dimension at
+    once peaks above 6 MB."""
+    cli._suite_uncertainty(None, np.random.default_rng(42))  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        cli._suite_uncertainty(None, np.random.default_rng(42))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def _verify_checks(tmp_path, suite, extra):
