@@ -35,9 +35,11 @@ MEAN_ENERGY_MIN = 1e-14
 # level gaps at or below this are degeneracies for the orthogonalization search
 GAP_TOL_FACTOR = 1e-12
 DEFAULT_TOL_ORTH = 1e-9
-SCAN_POINTS = 10_000
 HORIZON_PERIODS = 20
 REFINE_REL_TOL = 1e-12
+# lanes per march window, and the overlap evaluations one search may spend
+MARCH_LANES = 128
+MARCH_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,10 @@ class OrthogonalizationResult:
 
     kind is "found" (tau_perp set) or "never_orthogonal" (min_overlap_bound
     set: the analytic floor below which the overlap modulus cannot drop).
+    evaluations counts the overlap evaluations the search spent, windows the
+    march windows it ran, and decided_by names what settled the outcome:
+    "degenerate" (the populated levels share one energy), "certificate" (a
+    dominant amplitude) or "march".
     """
 
     kind: str
@@ -205,6 +211,9 @@ class OrthogonalizationResult:
     min_overlap_bound: float | None
     min_observed_overlap: float
     horizon: float
+    evaluations: int
+    windows: int
+    decided_by: str
 
     @property
     def found(self) -> bool:
@@ -214,7 +223,12 @@ class OrthogonalizationResult:
 class InconclusiveScanError(RuntimeError):
     """No orthogonal state found, but no analytic certificate excludes one."""
 
-    def __init__(self, min_observed_overlap: float, horizon: float):
+    # only the march ends a search inconclusive
+    decided_by = "march"
+
+    def __init__(
+        self, min_observed_overlap: float, horizon: float, evaluations: int, windows: int
+    ):
         super().__init__(
             "orthogonalization search is inconclusive: no overlap zero within "
             f"horizon {horizon:.6g} (smallest observed modulus "
@@ -222,54 +236,219 @@ class InconclusiveScanError(RuntimeError):
         )
         self.min_observed_overlap = min_observed_overlap
         self.horizon = horizon
+        self.evaluations = evaluations
+        self.windows = windows
 
 
-def _overlap_modulus_and_slope(probs, evals, hbar, ts):
-    """|o(t)| and d|o|^2/dt at each of a 1-D array of times."""
-    weights = np.stack((probs, probs * (-1j * evals / hbar)))
-    o, o_dot = _overlap(weights, evals, ts, hbar)
-    return np.abs(o), 2.0 * (o.conj() * o_dot).real
+def _overlap_modulus_and_slope(weights, rates, ts):
+    """|o(t)| and Re(conj(o) o'(t)), half the slope of |o|^2, at each of a
+    1-D array of times.
 
-
-def _refine_minima(probs, evals, hbar, lo, hi):
-    """Bisect d|o|^2/dt over every bracket [lo[j], hi[j]] at once.
-
-    Each bracket stops at its own relative time tolerance, so it visits the
-    same midpoints as a bisection of that bracket alone; one that is not a
-    clean descent/ascent bracket falls back to its midpoint.  ``lo`` and
-    ``hi`` are updated in place.  Returns the refined times and moduli.
+    ``rates`` are the centred energies (E_k - <H>) / hbar and ``weights``
+    stacks the populations p_k over -i rates_k p_k, so one product gives the
+    centred overlap and its derivative.
     """
-    n = lo.size
-    _, slopes = _overlap_modulus_and_slope(probs, evals, hbar, np.concatenate((lo, hi)))
-    clean = ~((slopes[:n] > 0.0) | (slopes[n:] < 0.0))
-    tol = REFINE_REL_TOL * np.maximum(1.0, np.abs(hi))
-    active = np.nonzero(clean & (hi - lo > tol))[0]
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        descending = _overlap_modulus_and_slope(probs, evals, hbar, mid)[1] < 0.0
-        lo[active[descending]] = mid[descending]
-        hi[active[~descending]] = mid[~descending]
-        active = active[hi[active] - lo[active] > tol[active]]
-    mid = 0.5 * (lo + hi)
-    return mid, _overlap_modulus_and_slope(probs, evals, hbar, mid)[0]
+    o, o_dot = _overlap(weights, rates, ts, 1.0)
+    return np.abs(o), (o.conj() * o_dot).real
+
+
+class _March:
+    """One orthogonalization search: the centred overlap o_c(t) =
+    sum_k p_k exp(-i e_k t), e_k = (E_k - <H>) / hbar, whose modulus is |o|,
+    its curvature bound M = sum_k p_k e_k^2 >= |o_c''|, and every point
+    evaluated so far, as (time, modulus, half slope of |o|^2).
+    """
+
+    def __init__(self, probs, evals, hbar, horizon):
+        rates = (evals - float(probs @ evals)) / hbar
+        self.rates = rates
+        self.weights = np.stack((probs, -1j * rates * probs))
+        self.curvature = float(probs @ rates**2)
+        self.horizon = horizon
+        # rounding of o_c(t): d terms, each phase argument e_k t off by eps|e_k t|
+        self.rounding = probs.size * np.finfo(np.float64).eps
+        self.max_rate = float(np.abs(rates).max())
+        self.points = []
+        self.windows = 0
+        self.evaluations = 0
+
+    def evaluate(self, ts):
+        if self.evaluations + ts.size > MARCH_BUDGET:
+            raise self.inconclusive(self.smallest_evaluated())
+        self.evaluations += ts.size
+        moduli, half_slopes = _overlap_modulus_and_slope(self.weights, self.rates, ts)
+        self.points.append((ts, moduli, half_slopes))
+        return moduli, half_slopes
+
+    def smallest_evaluated(self):
+        return min((float(p[1].min()) for p in self.points), default=1.0)
+
+    def inconclusive(self, min_observed):
+        return InconclusiveScanError(
+            float(min_observed), float(self.horizon), self.evaluations, self.windows
+        )
+
+    def refine_minima(self, lo, hi):
+        """Bisect the |o|^2 slope over every bracket [lo[j], hi[j]] at once.
+
+        Each bracket stops at REFINE_REL_TOL times the larger of |hi| and the
+        search's time scale hbar / dH, so it visits the same midpoints as a
+        bisection of that bracket alone, and returns the root of the secant
+        of the slope across its last bracket; one that is not a clean
+        descent/ascent bracket falls back to its midpoint.  ``lo`` and ``hi``
+        are updated in place.  Returns the refined times and moduli.
+        """
+        n = lo.size
+        _, slopes = self.evaluate(np.concatenate((lo, hi)))
+        down, up = slopes[:n].copy(), slopes[n:].copy()
+        clean = (down <= 0.0) & (up >= 0.0)
+        tol = REFINE_REL_TOL * np.maximum(np.abs(hi), 1.0 / math.sqrt(self.curvature))
+        active = np.nonzero(clean & (hi - lo > tol))[0]
+        while active.size:
+            mid = 0.5 * (lo[active] + hi[active])
+            slope = self.evaluate(mid)[1]
+            descending = slope < 0.0
+            lo[active[descending]], down[active[descending]] = mid[descending], slope[descending]
+            hi[active[~descending]], up[active[~descending]] = mid[~descending], slope[~descending]
+            active = active[hi[active] - lo[active] > tol[active]]
+        # across a converged bracket the slope is linear in t
+        secant = clean & (up > down)
+        frac = np.divide(-down, up - down, out=np.zeros(n), where=secant)
+        t = np.where(secant, lo + frac * (hi - lo), 0.5 * (lo + hi))
+        return t, self.evaluate(t)[0]
+
+    def window(self, start, end):
+        """March MARCH_LANES lanes over [start, end] at once.
+
+        From a lane point with a = |o| and radial slope r = d|o|/dt, the
+        second-order bound |o(t + s)| >= a + r s - M s^2 / 2 certifies no
+        modulus at or below tol + margin up to the positive root s of
+        a + r s - M s^2 / 2 = tol + margin.  A lane that reaches a point with
+        |o| <= 2 tol on a descent, or whose step no longer moves it, stops as
+        a candidate; the candidates' brackets are refined together.  A
+        refined minimum above tol sends its lane on from the bracket's far
+        end.  Returns (time, modulus) of the earliest zero, or None when the
+        whole window is certified.
+        """
+        self.windows += 1
+        tol, m = DEFAULT_TOL_ORTH, self.curvature
+        margin = self.rounding * (1.0 + self.max_rate * end)
+        edges = np.linspace(start, end, MARCH_LANES + 1)
+        t, ends = edges[:-1].copy(), edges[1:]
+        open_ = np.ones(MARCH_LANES, dtype=bool)  # not yet certified to its end
+        zeros = np.full(MARCH_LANES, math.nan)
+        zero_moduli = np.full(MARCH_LANES, math.nan)
+        stuck = np.zeros(MARCH_LANES, dtype=bool)
+        marching = np.arange(MARCH_LANES)
+        while True:
+            stops, moduli, half_slopes, stalls = [], [], [], []
+            while marching.size:
+                ts = t[marching]
+                a, q = self.evaluate(ts)
+                r = np.divide(q, a, out=np.zeros_like(q), where=a > 0.0)
+                gap = np.maximum(a - tol - margin, 0.0)
+                root = np.sqrt(r * r + 2.0 * m * gap)
+                rising = r > 0.0
+                step = np.zeros_like(a)
+                step[rising] = (r[rising] + root[rising]) / m
+                falling = ~rising & (gap > 0.0)
+                step[falling] = 2.0 * gap[falling] / (root[falling] - r[falling])
+                nxt = ts + step
+                near = (a <= 2.0 * tol) & (q < 0.0)
+                stalled = ~near & (nxt <= ts)
+                candidate = near | stalled
+                t[marching[~candidate]] = nxt[~candidate]
+                passed = ~candidate & (nxt >= ends[marching])
+                open_[marching[passed]] = False
+                stops.append(marching[candidate])
+                moduli.append(a[candidate])
+                half_slopes.append(q[candidate])
+                stalls.append(stalled[candidate])
+                marching = marching[~candidate & ~passed]
+            lanes = np.concatenate(stops)
+            if lanes.size:
+                a, q, stalled = map(np.concatenate, (moduli, half_slopes, stalls))
+                lo = t[lanes]
+                # the linear model o + s o' has its smallest modulus within 2 a/|r|
+                width = np.divide(2.0 * a * a, -q, out=np.zeros_like(a), where=q < 0.0)
+                far = lo + width
+                t_star, refined = self.refine_minima(lo.copy(), far.copy())
+                hit = refined <= tol
+                zeros[lanes[hit]], zero_moduli[lanes[hit]] = t_star[hit], refined[hit]
+                resume = ~hit & ~stalled & (far > lo)
+                stuck[lanes[~hit & ~resume]] = True
+                t[lanes[resume]] = far[resume]
+                marching = np.sort(lanes[resume])
+            pending = np.nonzero(open_)[0]
+            if pending.size == 0:
+                return None
+            first = pending[0]
+            if not math.isnan(zeros[first]):
+                return float(zeros[first]), float(zero_moduli[first])
+            if stuck[first]:
+                raise self.inconclusive(self.smallest_evaluated())
+
+    def smallest_minimum(self):
+        """min |o| over every point evaluated, lowered by refining each gap
+        between consecutive points whose end slopes straddle zero and whose
+        two-sided second-order lower bound falls below the smallest sample.
+        """
+        ts, moduli, half_slopes = map(np.concatenate, zip(*self.points))
+        ts, first = np.unique(ts, return_index=True)
+        a, q = moduli[first], half_slopes[first]
+        r = np.divide(q, a, out=np.zeros_like(q), where=a > 0.0)
+        smallest = float(a.min())
+        h = np.diff(ts)
+        # f(s) = a_i + r_i s - M s^2/2 from the left end meets the bound from
+        # the right end at s*; the lower bound on the gap is f(s*)
+        m = self.curvature
+        num = a[:-1] - a[1:] + r[1:] * h + 0.5 * m * h * h
+        den = r[1:] - r[:-1] + m * h
+        s = np.divide(num, den, out=np.full_like(h, -1.0), where=den != 0.0)
+        inside = (s > 0.0) & (s < h)
+        floor = a[:-1] + r[:-1] * s - 0.5 * m * s * s
+        brackets = np.nonzero(inside & (floor < smallest) & (q[:-1] <= 0.0) & (q[1:] >= 0.0))[0]
+        if brackets.size:
+            _, refined = self.refine_minima(ts[brackets], ts[brackets + 1])
+            smallest = min(smallest, float(refined.min()))
+        return smallest
 
 
 def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     """Earliest time at which the evolved state is orthogonal to the start.
 
     A dominant amplitude (max |a_k|^2 > 1/2) certifies analytically that the
-    overlap modulus never drops below 2 max|a_k|^2 - 1, so no search runs.
-    Otherwise the overlap modulus is scanned on SCAN_POINTS points up to a
-    horizon of HORIZON_PERIODS slowest beat periods. Every sampled local
-    minimum is refined in one batched bisection on the modulus-squared
-    slope, each bracket to its own relative time tolerance, and the earliest
-    refined minimum at or below DEFAULT_TOL_ORTH is returned.
-    min_observed_overlap is the smallest modulus seen: over the scan and the
-    refined minima up to the returned one, or over all of them when the
-    search is inconclusive.
+    overlap modulus never drops below 2 max|a_k|^2 - 1, so no search runs;
+    nor does one when the populated levels share one energy (|o| = 1).
+
+    Otherwise a certified march looks for the first time with |o| at or
+    below DEFAULT_TOL_ORTH, up to a horizon of HORIZON_PERIODS slowest beat
+    periods.  It starts at the Mandelstam-Tamm time hbar arccos(tol) / dH,
+    before which |o| >= cos(dH t / hbar) > tol.  From a point with modulus a
+    and radial slope r it steps by the positive root s of
+    a + r s - (dH/hbar)^2 s^2 / 2 = tol + margin, a second-order
+    Piyavskii-Shubert step: no modulus at or below tol lies within it.  The
+    margin d eps (1 + max|E_k - <H>| t / hbar) covers the rounding of the
+    phases up to the window's end.  The windows run in time order, the first
+    8 pi hbar / dH wide and each next one twice as wide; each is split into
+    MARCH_LANES lanes that march together.  A lane that gets within 2 tol on
+    a descent, or whose step stops moving it, is refined by bisecting the
+    |o|^2 slope to REFINE_REL_TOL relative to max(t, hbar / dH); the first
+    window holding a refined minimum at or below tol returns the earliest.
+
+    min_observed_overlap is |o(tau_perp)| when found.  When the march
+    certifies that no zero lies up to the horizon, the span [0, t_MT] is
+    marched too and min_observed_overlap is the minimum of |o| over
+    [0, horizon]: the smallest evaluated modulus, lowered by refining each
+    gap between evaluated points whose end slopes straddle zero and whose
+    second-order lower bound falls below it.  The result and the error carry
+    the evaluations and windows spent and what decided the outcome.
 
     Raises:
-        InconclusiveScanError: nothing found and no certificate applies.
+        InconclusiveScanError: nothing found and no certificate applies, or
+            the march spent MARCH_BUDGET evaluations, or its step stopped
+            moving before a minimum above tol; min_observed_overlap is then
+            the smallest modulus evaluated.
     """
     spec, hbar = scenario.spectrum, scenario.hbar
     probs = _populations(scenario)
@@ -278,32 +457,42 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     gap_tol = GAP_TOL_FACTOR * max(_energy_scale(spec), spec.span)
     gaps = np.diff(evals)
     real_gaps = gaps[gaps > gap_tol]
+    degenerate = OrthogonalizationResult(
+        "never_orthogonal", None, 1.0, 1.0, 0.0, 0, 0, "degenerate"
+    )
     if real_gaps.size == 0:
         # fully degenerate spectrum: overlap modulus is identically 1
-        return OrthogonalizationResult("never_orthogonal", None, 1.0, 1.0, 0.0)
+        return degenerate
 
     bound = 2.0 * float(probs.max()) - 1.0
     if bound > DEFAULT_TOL_ORTH:
-        return OrthogonalizationResult("never_orthogonal", None, bound, 1.0, 0.0)
+        return OrthogonalizationResult(
+            "never_orthogonal", None, bound, 1.0, 0.0, 0, 0, "certificate"
+        )
 
     horizon = HORIZON_PERIODS * 2.0 * math.pi * hbar / float(real_gaps.min())
-
-    ts = np.linspace(0.0, horizon, SCAN_POINTS)
-    moduli = np.abs(_overlap(probs, evals, ts, hbar))
-    min_observed = float(moduli.min())
-
-    interior = np.nonzero(
-        (moduli[1:-1] <= moduli[:-2]) & (moduli[1:-1] <= moduli[2:])
-    )[0] + 1
-    t_star, refined = _refine_minima(probs, evals, hbar, ts[interior - 1], ts[interior + 1])
-    hits = np.nonzero(refined <= DEFAULT_TOL_ORTH)[0]
-    if hits.size:
-        first = hits[0]
-        min_observed = float(refined[: first + 1].min(initial=min_observed))
-        return OrthogonalizationResult(
-            "found", float(t_star[first]), None, min_observed, float(horizon)
-        )
-    raise InconclusiveScanError(float(refined.min(initial=min_observed)), float(horizon))
+    march = _March(probs, evals, hbar, horizon)
+    if march.curvature == 0.0:
+        # the populated levels share one energy
+        return degenerate
+    scale = 1.0 / math.sqrt(march.curvature)
+    start = min(horizon, math.acos(DEFAULT_TOL_ORTH) * scale)
+    spans = [start]
+    width = 8.0 * math.pi * scale
+    while spans[-1] < horizon:
+        spans.append(min(horizon, spans[-1] + width))
+        width *= 2.0
+    # the span before the start is marched only to observe the minimum
+    for lo, hi in [*zip(spans, spans[1:]), (0.0, start)]:
+        zero = march.window(lo, hi)
+        if zero is not None:
+            tau, modulus = zero
+            return OrthogonalizationResult(
+                "found", tau, None, modulus, float(horizon),
+                march.evaluations, march.windows, "march",
+            )
+    march.evaluate(np.array([horizon]))
+    raise march.inconclusive(march.smallest_minimum())
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,20 @@ def test_si_qubit_is_not_taken_for_an_eigenstate(tmp_path):
     assert "mt.obs.min_product" in names
 
 
+def test_si_qubit_orthogonalizes_at_pi_over_omega(tmp_path):
+    """The search's tolerances scale with hbar / dE, so the SI qubit is found
+    at pi / omega, ~1e-10 s, and verify reports the found-branch checks."""
+    payload = _large_scale_scenarios()["si_qubit"]
+    path = write_json(tmp_path / "scenario.json", payload)
+    result = uncertainty.orthogonalization_time(load_scenario(path))
+    assert result.found
+    assert result.tau_perp == pytest.approx(math.pi / (2.0 * math.pi * 5e9), rel=1e-9)
+    report = tmp_path / "report.json"
+    assert main(["verify", "ml", "--scenario", path, "--report", str(report)]) == EXIT_PASS
+    names = [c["name"] for c in json.loads(report.read_text(encoding="utf-8"))["checks"]]
+    assert "ml.scenario.overlap_at_tau" in names
+
+
 def test_si_qubit_product_floor_scales_with_hbar(tmp_path):
     """The Mandelstam-Tamm floor is hbar/2 less a margin relative to hbar;
     an absolute margin of 1e-10 would make it negative at hbar ~ 1e-34."""

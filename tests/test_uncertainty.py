@@ -8,6 +8,7 @@ Frozen oracle values:
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,16 +35,18 @@ from quncert import (
     stats,
 )
 from quncert import dynamics, uncertainty
+from quncert.cli import load_scenario
 from quncert.uncertainty import (
     DEFAULT_TOL_ORTH,
     HORIZON_PERIODS,
     RATE_EPS_FACTOR,
     REFINE_REL_TOL,
-    SCAN_POINTS,
     _pair_bounds,
 )
 
 THREE_LEVEL_MIN_OVERLAP = 0.23385358667337133  # sqrt(7/128)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 UP = np.array([1.0, 0.0])
 
@@ -273,7 +276,8 @@ def test_refine_minima_falls_back_to_midpoint_of_unclean_bracket():
     lo = np.array([0.9, 1.2]) * t_min
     hi = np.array([1.1, 1.6]) * t_min
     unclean_mid = 0.5 * (lo[1] + hi[1])
-    t_star, _ = uncertainty._refine_minima(probs, evals, hbar, lo, hi)
+    march = uncertainty._March(probs, evals, hbar, horizon=0.0)
+    t_star, _ = march.refine_minima(lo, hi)
     assert abs(t_star[0] - t_min) <= REFINE_REL_TOL * max(1.0, t_min)
     assert t_star[1] == unclean_mid
 
@@ -326,51 +330,76 @@ def _refine_minimum(probs, evals, hbar, lo, hi):
 
 
 def _scanned_minima(moduli):
-    """Indices of the sampled interior local minima, as the search picks them."""
+    """Indices of the sampled interior local minima of a grid."""
     return np.nonzero((moduli[1:-1] <= moduli[:-2]) & (moduli[1:-1] <= moduli[2:]))[0] + 1
+
+
+# the fixed scan the search ran before the march: 10,000 points to the horizon
+ORACLE_SCAN_POINTS = 10_000
+# the dense oracle for min_observed_overlap: 20 times as many points
+DENSE_POINTS = 200_000
 
 
 def _serial_search(scenario):
     """Reference search: one scalar bisection per scanned minimum, in time order.
 
-    Covers only inputs that reach the scan (no certificate applies).
-    Returns (kind, tau_perp, min_observed_overlap).
+    Covers only inputs that reach the scan (no certificate applies), and
+    resolves the earliest zero only when the scan step is shorter than the
+    fastest beat.  Returns (kind, tau_perp).
     """
     spec, hbar = scenario.spectrum, scenario.hbar
     probs = np.abs(scenario.amplitudes) ** 2
     evals = spec.eigenvalues
     gaps = np.diff(evals)
     min_gap = float(gaps[gaps > 1e-12 * max(1.0, spec.span)].min())
-    ts = np.linspace(0.0, HORIZON_PERIODS * 2.0 * math.pi * hbar / min_gap, SCAN_POINTS)
+    ts = np.linspace(0.0, HORIZON_PERIODS * 2.0 * math.pi * hbar / min_gap, ORACLE_SCAN_POINTS)
     moduli = np.abs(state_overlap(scenario, ts))
-    min_observed = float(moduli.min())
     for i in _scanned_minima(moduli):
         t_star, modulus = _refine_minimum(probs, evals, hbar, ts[i - 1], ts[i + 1])
-        min_observed = min(min_observed, modulus)
         if modulus <= DEFAULT_TOL_ORTH:
-            return "found", t_star, min_observed
-    return "inconclusive", None, min_observed
+            return "found", t_star
+    return "inconclusive", None
+
+
+def _dense_minimum(scenario, horizon):
+    """min |o| over [0, horizon]: the smallest of DENSE_POINTS evenly spaced
+    samples and of the scalar bisections of the eight smallest sampled
+    local minima."""
+    probs = np.abs(scenario.amplitudes) ** 2
+    evals, hbar = scenario.spectrum.eigenvalues, scenario.hbar
+    ts = np.linspace(0.0, horizon, DENSE_POINTS)
+    moduli = np.concatenate(
+        [np.abs(state_overlap(scenario, chunk)) for chunk in np.array_split(ts, 20)]
+    )
+    minima = _scanned_minima(moduli)
+    smallest = minima[np.argsort(moduli[minima], kind="stable")[:8]]
+    refined = [_refine_minimum(probs, evals, hbar, ts[i - 1], ts[i + 1])[1] for i in smallest]
+    return min([float(moduli.min()), *refined])
 
 
 def _search_outcome(scenario):
     try:
         result = orthogonalization_time(scenario)
     except InconclusiveScanError as err:
-        return "inconclusive", None, err.min_observed_overlap
-    return result.kind, result.tau_perp, result.min_observed_overlap
+        return "inconclusive", None, err.min_observed_overlap, err.horizon
+    return result.kind, result.tau_perp, result.min_observed_overlap, result.horizon
 
 
 def _assert_matches_serial(evals, probs, phases, hbar=1.0):
+    """Kind and tau as the serial scan gives them; min_observed_overlap is
+    |o(tau)| when found, else the dense minimum over [0, horizon]."""
     assert max(probs) <= 0.5, "a dominant amplitude skips the search"
     scenario = scenario_of(np.diag(evals), np.sqrt(probs) * phases, hbar)
     expected = _serial_search(scenario)
-    got = _search_outcome(scenario)
-    assert got[0] == expected[0]
-    for x, y in zip(got[1:], expected[1:]):
-        if y is None:
-            assert x is None
-        else:
-            assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+    kind, tau, min_observed, horizon = got = _search_outcome(scenario)
+    assert kind == expected[0]
+    if expected[1] is None:
+        assert tau is None
+        assert abs(min_observed - _dense_minimum(scenario, horizon)) <= 1e-12
+    else:
+        assert abs(tau - expected[1]) <= 1e-12 * max(1.0, abs(expected[1]))
+        assert min_observed <= DEFAULT_TOL_ORTH
+        assert abs(min_observed - abs(state_overlap(scenario, tau))) <= 1e-12
     return got
 
 
@@ -386,18 +415,58 @@ def test_batched_refinement_matches_serial_on_random_spectra(dim):
     phases = np.exp(2j * math.pi * rng.random(dim))
     _assert_matches_serial(evals, probs, phases, hbar=0.7)
     ladder = rng.integers(-3, 4) + rng.integers(1, 4) * np.arange(dim, dtype=float)
-    kind, _, _ = _assert_matches_serial(ladder, np.full(dim, 1.0 / dim), phases)
+    kind, _, _, _ = _assert_matches_serial(ladder, np.full(dim, 1.0 / dim), phases)
     assert kind == "found"
 
 
 @pytest.mark.parametrize("w", [10.0, 30.0])
 def test_batched_refinement_product_family(w):
     """diag(0, 1, W, W+1), uniform state: o(t) = (1 + e^{-iWt})(1 + e^{-it}) / 4."""
-    kind, tau, _ = _assert_matches_serial(
+    kind, tau, _, _ = _assert_matches_serial(
         np.array([0.0, 1.0, w, w + 1.0]), np.full(4, 0.25), np.ones(4)
     )
     assert kind == "found"
     assert tau == pytest.approx(math.pi / w, rel=1e-9)
+
+
+def _product_family(w):
+    return scenario_of(np.diag([0.0, 1.0, w, w + 1.0]), np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("w", [10.0, 1e3, 1e4, 1e5])
+def test_product_family_finds_the_fast_zero(w):
+    """The first zero is pi/W however far the fast period falls below the
+    slowest beat period, which sets the horizon (a fixed scan of that horizon
+    steps over it from W = 1e3 on)."""
+    s = _product_family(w)
+    result = orthogonalization_time(s)
+    assert result.found
+    assert result.tau_perp == pytest.approx(math.pi / w, rel=1e-9)
+    assert abs(state_overlap(s, result.tau_perp)) <= DEFAULT_TOL_ORTH
+
+
+def test_march_budget_ends_inconclusive(monkeypatch):
+    """A march that runs out of evaluations raises; it never returns a
+    "found" it has not certified."""
+    monkeypatch.setattr(uncertainty, "MARCH_BUDGET", 200)
+    with pytest.raises(InconclusiveScanError) as err:
+        orthogonalization_time(_product_family(1e4))
+    assert 0 < err.value.evaluations <= 200
+    assert err.value.windows == 1
+    assert err.value.decided_by == "march"
+
+
+def test_search_reports_its_work():
+    """evaluations, windows and decided_by of each way a search ends."""
+    result = orthogonalization_time(_product_family(1e3))
+    assert (result.evaluations, result.windows, result.decided_by) == (242, 1, "march")
+    with pytest.raises(InconclusiveScanError) as err:
+        orthogonalization_time(load_scenario(DATA / "scenario_dim6.json"))
+    assert (err.value.evaluations, err.value.windows, err.value.decided_by) == (850, 5, "march")
+    result = orthogonalization_time(qubit_scenario(FIGURE_PRESETS["fig1A"]))
+    assert (result.evaluations, result.windows, result.decided_by) == (0, 0, "certificate")
+    result = orthogonalization_time(scenario_of(np.eye(3), np.full(3, 1.0 / math.sqrt(3.0))))
+    assert (result.evaluations, result.windows, result.decided_by) == (0, 0, "degenerate")
 
 
 def test_batched_refinement_returns_earliest_qualifying_minimum():
@@ -406,17 +475,17 @@ def test_batched_refinement_returns_earliest_qualifying_minimum():
     come first and stay near 0.2, and every odd multiple of pi is a zero."""
     evals = np.array([0.0, 1.0, 10.0, 11.0])
     probs = np.array([0.3, 0.3, 0.2, 0.2])
-    kind, tau, _ = _assert_matches_serial(evals, probs, np.ones(4))
+    kind, tau, _, _ = _assert_matches_serial(evals, probs, np.ones(4))
     assert kind == "found"
     assert tau == pytest.approx(math.pi, rel=1e-9)
-    ts = np.linspace(0.0, HORIZON_PERIODS * 2.0 * math.pi, SCAN_POINTS)
+    ts = np.linspace(0.0, math.pi, 20_001)
     moduli = np.abs(state_overlap(scenario_of(np.diag(evals), np.sqrt(probs)), ts))
     assert moduli[_scanned_minima(moduli)[0]] > 0.1
 
 
 def test_refinement_is_batched(monkeypatch):
-    """The slope kernel runs once per bisection step for all scanned minima
-    together, not once per minimum and step (over 10,000 calls here)."""
+    """The overlap kernel runs once per march step for all lanes of a window
+    together, and once per bisection step for all brackets together."""
     rng = np.random.default_rng(24)
     h = np.diag(np.linalg.eigvalsh(random_hermitian(rng, 24)))
     s = scenario_of(h, random_state(rng, 24))
@@ -429,12 +498,11 @@ def test_refinement_is_batched(monkeypatch):
 
     monkeypatch.setattr(uncertainty, "_overlap_modulus_and_slope", counting)
     try:
-        horizon = orthogonalization_time(s).horizon
+        evaluations = orthogonalization_time(s).evaluations
     except InconclusiveScanError as err:
-        horizon = err.horizon
-    moduli = np.abs(state_overlap(s, np.linspace(0.0, horizon, SCAN_POINTS)))
-    assert _scanned_minima(moduli).size >= 300
-    assert len(calls) <= 64
+        evaluations = err.evaluations
+    assert sum(calls) == evaluations >= 1000
+    assert len(calls) <= evaluations / 20
 
 
 def test_ml_bounds_balanced_qubit():
@@ -474,21 +542,18 @@ def test_eigenstate_bounds_are_infinite():
     assert math.isinf(qsl_tau(s))
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-24])
+@pytest.mark.parametrize("scale", [1.0, 1e-24, 1e24])
 def test_speed_limits_are_scale_free(scale):
     """The energy thresholds are relative to ||H||, so a balanced qubit at
-    any energy scale has finite bounds pi*hbar/(2 dH) and an overlap zero."""
+    any energy scale has finite bounds pi*hbar/(2 dH) and its first overlap
+    zero at pi*hbar/dE, found by a search whose tolerances scale with it."""
     s = scenario_of(scale * np.diag([-0.5, 0.5]), np.full(2, math.sqrt(0.5)))
     bounds = ml_bounds(s)
     assert bounds.from_energy_spread == pytest.approx(math.pi / scale, rel=1e-12)
     assert qsl_tau(s) == pytest.approx(math.pi / scale, rel=1e-12)
-    # the level gap is not taken for a degeneracy; the search itself may still
-    # end inconclusive, as its refinement tolerance is absolute in time
-    try:
-        kind = orthogonalization_time(s).kind
-    except InconclusiveScanError:
-        kind = "inconclusive"
-    assert kind != "never_orthogonal"
+    result = orthogonalization_time(s)
+    assert result.found
+    assert result.tau_perp == pytest.approx(math.pi / scale, rel=1e-9)
 
 
 def test_zero_hamiltonian_is_an_eigenstate_with_infinite_bounds():
