@@ -13,12 +13,11 @@ Exit codes: 0 all checks pass, 1 check failure, 2 input error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,8 +247,7 @@ def _fuzz_triples(rng: np.random.Generator, dim: int):
 
 # -------------------------------------------------------------- verify checks
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified inequality; pass means slack = lhs - rhs >= 0."""
 
     name: str
@@ -625,6 +623,8 @@ def _resolve_seed(cli_seed: int | None) -> int:
 def _input_digest(scenario_path: str | None) -> str:
     if scenario_path is None:
         return "builtin:presets"
+    import hashlib  # loads OpenSSL, which only this branch needs
+
     with open(scenario_path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
@@ -735,10 +735,12 @@ def cmd_verify(args) -> int:
     digest = _input_digest(args.scenario)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
 
-    # each analysis runs once, on its own fresh rng, for all the suites it covers
+    # each analysis runs once, for all the suites it covers; on the presets it
+    # gets a fresh rng of its own, while on a scenario none draws a number
     results: dict[str, list[Check]] = {}
     for analysis in dict.fromkeys(_SUITES[suite] for suite in suites):
-        results.update(analysis(scenario, np.random.default_rng(seed)))
+        rng = None if scenario is not None else np.random.default_rng(seed)
+        results.update(analysis(scenario, rng))
     checks = [c for suite in suites for c in results[suite]]
 
     report = build_report(args.suite, checks, seed, digest)
@@ -786,7 +788,8 @@ def main(argv=None) -> int:
         if args.command == "figure":
             return cmd_figure(args)
         return cmd_verify(args)
-    except (OSError, ValueError) as exc:
+    # MemoryError: an input whose arrays cannot be allocated, such as 1e18 steps
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

@@ -13,6 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,8 +171,7 @@ def default_time_grid(hamiltonian, hbar: float = 1.0, steps: int = DEFAULT_STEPS
     return TimeGrid(0.0, stop, steps)
 
 
-@dataclass(frozen=True)
-class SeriesStats:
+class SeriesStats(NamedTuple):
     """Per-time mean/variance/stddev arrays for one observable."""
 
     mean: np.ndarray
@@ -179,8 +179,7 @@ class SeriesStats:
     stddev: np.ndarray
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled evolution: per-observable statistics plus coherence series."""
 
     times: np.ndarray
@@ -239,8 +238,7 @@ def evolve(scenario: Scenario, store_states: bool = True) -> Trajectory:
     )
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     """Max drift from the initial value for each conserved series."""
 
     drifts: dict            # series name -> max |x(t) - x(0)|
@@ -277,8 +275,7 @@ def shift_hamiltonian(hamiltonian, offset: float) -> np.ndarray:
     return h + float(offset) * np.eye(h.shape[0], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class OffsetInvarianceReport:
+class OffsetInvarianceReport(NamedTuple):
     """Physics comparison between H and H + offset * identity evolutions."""
 
     offset: float

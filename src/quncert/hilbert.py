@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +120,7 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigenvalues (ascending) and orthonormal eigenvector columns.
 
     ``sweeps`` is the number of Jacobi sweeps the solver ran (0 for a

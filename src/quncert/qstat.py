@@ -8,15 +8,14 @@ complement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .hilbert import SpectralDecomposition, as_state, require_hermitian
 
 
-@dataclass(frozen=True)
-class StatSummary:
+class StatSummary(NamedTuple):
     """Mean, variance and standard deviation of one observable on one state."""
 
     mean: float
@@ -24,8 +23,7 @@ class StatSummary:
     stddev: float
 
 
-@dataclass(frozen=True)
-class CoherenceSummary:
+class CoherenceSummary(NamedTuple):
     """l1 coherence over a basis, its predictability complement, and the dim."""
 
     coherence: float

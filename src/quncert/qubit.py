@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,8 +168,7 @@ def analytic_mt_delta_t(preset: QubitPreset, t):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class TickTockReport:
+class TickTockReport(NamedTuple):
     """Alternating extrema of a clock observable and the implied clock rate."""
 
     extrema: list          # [(time, "tick" | "tock"), ...] tick = max, tock = min

@@ -15,7 +15,7 @@ matrices and a state, and validate those at entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ MARCH_LANES = 128
 MARCH_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One inequality instance: lhs >= rhs expected, slack = lhs - rhs."""
 
     lhs: float
@@ -95,8 +94,7 @@ def schrodinger_check(a, b, state) -> BoundCheck:
     return BoundCheck.of(product, rhs)
 
 
-@dataclass(frozen=True)
-class MTSample:
+class MTSample(NamedTuple):
     """Mandelstam-Tamm timescale of one observable at one time.
 
     delta_t and product are math.inf when the rate falls at or below the
@@ -194,8 +192,7 @@ def state_overlap(scenario: Scenario, t):
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
-@dataclass(frozen=True)
-class OrthogonalizationResult:
+class OrthogonalizationResult(NamedTuple):
     """Outcome of the earliest-orthogonal-time search.
 
     kind is "found" (tau_perp set) or "never_orthogonal" (min_overlap_bound
@@ -495,8 +492,7 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     raise march.inconclusive(march.smallest_minimum())
 
 
-@dataclass(frozen=True)
-class SpeedLimitBounds:
+class SpeedLimitBounds(NamedTuple):
     """Lower bounds on the orthogonalization time.
 
     from_energy_spread: pi*hbar / (2 dH).

@@ -351,6 +351,21 @@ def test_eigensolver_failure_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command", [["evolve"], ["verify", "conservation", "--scenario"]], ids=["evolve", "verify"]
+)
+def test_unallocatable_grid_is_an_input_error(tmp_path, capsys, command):
+    # 1e18 float64 times are 8 EiB, more than any address space: numpy raises
+    # MemoryError at the request, before anything is allocated
+    doc = json.loads((DATA / "scenario_dim6.json").read_text())
+    doc["time"]["steps"] = 10**18
+    path = write_json(tmp_path / "huge.json", doc)
+    assert main([*command, path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _record_every_binding(monkeypatch, original, record):
     """Replace every quncert module binding of original with a wrapper that
     calls record(*args) first."""
