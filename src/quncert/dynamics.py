@@ -21,6 +21,7 @@ from . import qstat
 from .hilbert import (
     SpectralDecomposition,
     _commutator,
+    _eigendecompose_stack,
     _phases,
     as_state,
     eigendecompose,
@@ -286,14 +287,42 @@ class OffsetInvarianceReport(NamedTuple):
     passed: bool
 
 
-def offset_invariance_check(scenario: Scenario, offset: float) -> OffsetInvarianceReport:
-    """Energy-offset invariance: identical physics, a global phase in the state."""
-    base = evolve(scenario, store_states=True)
-    shifted_scenario = replace(
-        scenario, hamiltonian=shift_hamiltonian(scenario.hamiltonian, offset)
-    )
-    shifted = evolve(shifted_scenario, store_states=True)
+def _shifted_scenarios(scenario: Scenario, offsets) -> list[Scenario]:
+    """The scenario with H + offset * identity, one per offset.
 
+    Every shifted Hamiltonian is decomposed in one stacked call, and each
+    spectrum is seeded into its Scenario's cache, as _on_default_grid seeds
+    the grid.
+    """
+    shifted = [
+        replace(scenario, hamiltonian=shift_hamiltonian(scenario.hamiltonian, offset))
+        for offset in offsets
+    ]
+    if shifted:
+        spectra = _eigendecompose_stack(np.stack([s.hamiltonian for s in shifted]))
+        for s, spec in zip(shifted, spectra):
+            object.__setattr__(s, "spectrum", spec)
+    return shifted
+
+
+def offset_invariance_check(scenario: Scenario, offsets) -> list[OffsetInvarianceReport]:
+    """Energy-offset invariance: identical physics, a global phase in the state.
+
+    ``offsets`` is a sequence of finite reals E0; the result holds one report
+    per offset, in order.  The base trajectory is evolved once and compared
+    with the evolution under each H + E0 * identity, and the shifted
+    Hamiltonians are decomposed together (_shifted_scenarios).
+    """
+    offsets = list(offsets)
+    base = evolve(scenario, store_states=True)
+    return [
+        _offset_report(base, evolve(shifted, store_states=True), offset)
+        for offset, shifted in zip(offsets, _shifted_scenarios(scenario, offsets))
+    ]
+
+
+def _offset_report(base: Trajectory, shifted: Trajectory, offset) -> OffsetInvarianceReport:
+    """Compare the base trajectory with the one under H + offset * identity."""
     diffs = [0.0]
     for name, ref in base.observables.items():
         other = shifted.observables[name]

@@ -6,7 +6,11 @@ decompositions of the same matrix agree bit-for-bit.  Each sweep visits the
 index pairs in round-robin (Brent-Luk) order: a round is a set of disjoint
 pairs, so its rotations are applied together as elementwise array operations.
 The schedule depends only on the dimension and no step sums through BLAS, so
-the result does not depend on the run.  Matrix exponentials are never formed
+the result does not depend on the run.  Since the schedule depends on nothing
+else, matrices of one dimension share every round: the solver runs a stack of
+them in lock step, each member with its own rotations and its own stopping
+sweep, and each member comes out with the bits it gets alone.  A single
+decomposition is the stack of one.  Matrix exponentials are never formed
 from power series; the propagator is assembled from the spectral
 decomposition directly.
 """
@@ -143,10 +147,21 @@ class SpectralDecomposition(NamedTuple):
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    n = a.shape[0]
+def _offdiag_norms(a: np.ndarray) -> list[float]:
+    """Off-diagonal Frobenius norm of each matrix in a (k, n, n) stack.
+
+    Each member is summed on its own: a sum along an axis of the stack
+    groups the additions differently, and so rounds differently.
+    """
+    mask = _offdiag_mask(a.shape[-1])
+    return [math.sqrt(np.sum(np.abs(a[j][mask]) ** 2)) for j in range(a.shape[0])]
+
+
+@lru_cache(maxsize=16)
+def _offdiag_mask(n: int) -> np.ndarray:
     mask = ~np.eye(n, dtype=bool)
-    return float(np.sqrt(np.sum(np.abs(a[mask]) ** 2)))
+    mask.setflags(write=False)
+    return mask
 
 
 @lru_cache(maxsize=16)
@@ -174,82 +189,182 @@ def _round_robin(n: int) -> tuple:
     return tuple(rounds)
 
 
-def _jacobi_round(av: np.ndarray, p, q, pq, qp) -> None:
-    """Zero a[p_j, q_j] for every disjoint pair j of one round, in place.
+@lru_cache(maxsize=16)
+def _stack_rounds(n: int) -> tuple:
+    """The rounds of _round_robin(n) as _jacobi_stack_round reads them.
 
-    ``av`` stacks A (top n rows) over V (bottom n rows), so one column
-    update serves both A <- A G and V <- V G; the row update A <- G† A
-    follows.  Each pair gets the complex Givens rotation of the scalar
-    method; an exact zero pivot is the identity and its pair is left out.
+    Each round is four read-only index arrays: the flat offsets of a[p, q],
+    a[p, p] and a[q, q] in an n x n matrix; the columns (p, q) followed by
+    the unpaired index of odd n, and the inverse of that order; and (q, p).
     """
-    n = av.shape[1]
-    a = av[:n]
-    apq = a[p, q]
+    rounds = []
+    for p, q, pq, qp in _round_robin(n):
+        order = pq.tolist()
+        order += sorted(set(range(n)) - set(order))
+        inverse = [0] * n
+        for position, index in enumerate(order):
+            inverse[index] = position
+        pivots = np.concatenate((p * n + q, p * (n + 1), q * (n + 1)))
+        arrays = (pivots, np.array(order, dtype=np.intp), np.array(inverse, dtype=np.intp), qp)
+        for x in arrays:
+            x.setflags(write=False)
+        rounds.append(arrays)
+    return tuple(rounds)
+
+
+def _jacobi_stack_round(av: np.ndarray, pivots, order, inverse, qp) -> np.ndarray:
+    """Zero a[p_j, q_j] for every disjoint pair j of one round, in every
+    member of the stack; return the rotated stack.
+
+    ``av`` is a (k, 2n, n) stack of A (top n rows) over V (bottom n rows), so
+    one column update serves both A <- A G and V <- V G; the row update
+    A <- G† A follows.  The index arrays come from _stack_rounds: the columns
+    are rotated in a copy gathered in ``order`` and put back in place by one
+    more gather, which costs less than assigning them.  Each pair gets the
+    complex Givens rotation of the scalar method, elementwise across the
+    stack.  An exact zero pivot is the identity: its rotation is computed
+    from a placeholder modulus and discarded, so its columns and rows keep
+    their bits.
+    """
+    k, n = av.shape[0], av.shape[2]
+    m = qp.shape[0] // 2
+    g = av.reshape(k, -1).take(pivots, axis=1)
+    apq = g[:, :m]
     r = np.abs(apq)
+    skip = None
     if not r.all():
-        keep = r > 0.0
-        p, q, apq, r = p[keep], q[keep], apq[keep], r[keep]
-        pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+        skip = r == 0.0
+        r[skip] = 1.0
+        skip = np.concatenate((skip, skip), axis=1)
     w = apq / r  # unit phase of each pivot
-    diag = a.diagonal().real
-    tau = (diag[q] - diag[p]) / (2.0 * r)
+    tau = (g[:, 2 * m :].real - g[:, m : 2 * m].real) / (2.0 * r)
     t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
     c = 1.0 / np.hypot(1.0, t)
     s = t * c
     # new column p = c w col_p - s col_q; new column q = c col_q + s w col_p
-    alpha = np.concatenate((c * w, c))
-    beta = np.concatenate((-s, s * w))
-    av[:, pq] = av[:, pq] * alpha + av[:, qp] * beta
-    a[pq] = alpha.conj()[:, None] * a[pq] + beta.conj()[:, None] * a[qp]
+    coef = np.concatenate((c * w, c, -s, s * w), axis=1)
+    out = av.take(order, axis=2)
+    cols = out[:, :, : 2 * m]
+    old = None if skip is None else cols.copy()
+    cols *= coef[:, None, : 2 * m]
+    cols += av.take(qp, axis=2) * coef[:, None, 2 * m :]
+    if skip is not None:
+        np.copyto(cols, old, where=skip[:, None])
+    av = out.take(inverse, axis=2)
+    a = av[:, :n]
+    pq = order[: 2 * m]
+    coef = coef.conj()[:, :, None]
+    rows = a.take(pq, axis=1)
+    new = coef[:, : 2 * m] * rows + coef[:, 2 * m :] * a.take(qp, axis=1)
+    if skip is not None:
+        np.copyto(new, rows, where=skip[:, :, None])
+    a[:, pq] = new
+    return av
 
 
-def _anchor_index(column: np.ndarray) -> int:
-    """Index of the largest-modulus component; ties break toward the lowest."""
-    mods = np.abs(column)
-    top = float(mods.max())
-    return int(np.nonzero(top - mods <= PHASE_TIE_TOL)[0][0])
+def _anchor_indices(v: np.ndarray) -> np.ndarray:
+    """Per column, the index of the largest-modulus component; ties (moduli
+    within PHASE_TIE_TOL of the largest) break toward the lowest index."""
+    mods = np.abs(v)
+    near_top = mods.max(axis=0) - mods <= PHASE_TIE_TOL
+    return np.where(near_top, np.arange(v.shape[0])[:, None], v.shape[0]).min(axis=0)
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus component is real >= 0.
+    """Rotate each column so its anchor component (_anchor_indices) is real >= 0.
 
-    Ties (moduli equal within PHASE_TIE_TOL) break toward the lowest index.
+    A zero column has no phase and stays zero.
     """
-    out = v.copy()
-    for k in range(out.shape[1]):
-        z = out[_anchor_index(out[:, k]), k]
-        if abs(z) > 0.0:
-            out[:, k] *= np.conj(z) / abs(z)
-    return out
+    anchors = v[_anchor_indices(v), np.arange(v.shape[1])]
+    # the scalar modulus (libm hypot), which can differ from np.abs in the last bit
+    return v * (anchors.conj() / [abs(z) or 1.0 for z in anchors.tolist()])
 
 
 def _order_degenerate(evals: np.ndarray, vecs: np.ndarray):
     """Within near-degenerate eigenvalue runs, order columns by anchor index."""
     n = evals.shape[0]
     tol = PHASE_TIE_TOL * float(np.max(np.abs(evals)))
+    if (evals[1:] - evals[:-1] > tol).all():
+        return evals, vecs
     order = list(range(n))
+    anchors = None
     start = 0
     while start < n:
         stop = start + 1
         while stop < n and evals[stop] - evals[stop - 1] <= tol:
             stop += 1
         if stop - start > 1:
-            group = sorted(order[start:stop], key=lambda j: _anchor_index(vecs[:, j]))
-            order[start:stop] = group
+            if anchors is None:
+                anchors = _anchor_indices(vecs).tolist()
+            order[start:stop] = sorted(order[start:stop], key=anchors.__getitem__)
         start = stop
     idx = np.asarray(order)
     return evals[idx], vecs[:, idx]
+
+
+def _spectral_decomposition(av: np.ndarray, sweeps: int, residual: float):
+    """The SpectralDecomposition read off one converged A-over-V member."""
+    n = av.shape[1]
+    evals = av[:n].diagonal().real.copy()
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order]
+    vecs = _fix_column_phases(av[n:, order])
+    evals, vecs = _order_degenerate(evals, vecs)
+    evals.setflags(write=False)
+    vecs.setflags(write=False)
+    return SpectralDecomposition(evals, vecs, sweeps, residual)
+
+
+def _eigendecompose_stack(matrices: np.ndarray) -> list[SpectralDecomposition]:
+    """Decompositions of a (k, n, n) stack of validated Hermitian matrices.
+
+    The members run the same rounds of _round_robin in lock step
+    (_jacobi_stack_round), each with its own rotations, so a member's bits do
+    not depend on the rest of the stack.  A member leaves the stack after the
+    sweep that brings its residual within target; later rounds do not touch
+    it.  The first member in stack order still above target at the sweep cap
+    raises ConvergenceError with its own residual.
+    """
+    k, n = matrices.shape[:2]
+    av = np.empty((k, 2 * n, n), dtype=np.complex128)
+    # symmetrize the sub-tolerance defect so rotations see an exact Hermitian
+    av[:, :n] = 0.5 * (matrices + matrices.conj().mT)
+    av[:, n:] = np.eye(n)
+    targets = [JACOBI_TOL_FACTOR * float(np.linalg.norm(av[j, :n])) for j in range(k)]
+    residuals = _offdiag_norms(av[:, :n])
+    members = list(range(k))
+    out = [None] * k
+    sweeps = 0
+    while True:
+        active = [res > target for res, target in zip(residuals, targets)]
+        if not all(active):
+            for j, member in enumerate(members):
+                if not active[j]:
+                    out[member] = _spectral_decomposition(av[j], sweeps, residuals[j])
+            if not any(active):
+                return out
+            av = av[active]
+            members = [x for x, on in zip(members, active) if on]
+            targets = [x for x, on in zip(targets, active) if on]
+        if sweeps >= JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(residuals[active.index(True)], sweeps)
+        for round_ in _stack_rounds(n):
+            av = _jacobi_stack_round(av, *round_)
+        sweeps += 1
+        residuals = _offdiag_norms(av[:, :n])
 
 
 def eigendecompose(matrix) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix via Jacobi sweeps.
 
     Each sweep runs the rounds of _round_robin: every pair (p, q) once, in
-    rounds of disjoint pairs whose rotations are applied together
-    (_jacobi_round).  Sweeps stop once the off-diagonal Frobenius norm is at
-    most JACOBI_TOL_FACTOR * ||A||_F.  The order depends only on the
-    dimension and every step is elementwise, so decompositions of the same
-    matrix agree bit-for-bit.
+    rounds of disjoint pairs whose rotations are applied together.  Sweeps
+    stop once the off-diagonal Frobenius norm is at most
+    JACOBI_TOL_FACTOR * ||A||_F.  The order depends only on the dimension and
+    every step is elementwise, so decompositions of the same matrix agree
+    bit-for-bit.  The matrix runs as a stack of one through the lock-step
+    kernel, _eigendecompose_stack, which gives each member of a stack the
+    bits it would get alone.
 
     Eigenvalues come out ascending; each eigenvector column carries the
     deterministic phase convention of _fix_column_phases, and degenerate
@@ -260,31 +375,7 @@ def eigendecompose(matrix) -> SpectralDecomposition:
         ValueError: non-Hermitian input.
         ConvergenceError: sweep cap reached before the residual target.
     """
-    m = require_hermitian(matrix)
-    n = m.shape[0]
-    av = np.empty((2 * n, n), dtype=np.complex128)
-    a, v = av[:n], av[n:]
-    # symmetrize the sub-tolerance defect so rotations see an exact Hermitian
-    a[:] = 0.5 * (m + m.conj().T)
-    v[:] = np.eye(n)
-    target = JACOBI_TOL_FACTOR * float(np.linalg.norm(a))
-    residual = _offdiag_norm(a)
-    sweeps = 0
-    while residual > target:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(residual, sweeps)
-        for round_ in _round_robin(n):
-            _jacobi_round(av, *round_)
-        sweeps += 1
-        residual = _offdiag_norm(a)
-    evals = a.diagonal().real.copy()
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    vecs = _fix_column_phases(v[:, order])
-    evals, vecs = _order_degenerate(evals, vecs)
-    evals.setflags(write=False)
-    vecs.setflags(write=False)
-    return SpectralDecomposition(evals, vecs, sweeps, residual)
+    return _eigendecompose_stack(require_hermitian(matrix)[None])[0]
 
 
 def _phases(eigenvalues, times, hbar) -> np.ndarray:

@@ -88,10 +88,11 @@ def test_criterion_02_conservation():
 
 
 def test_criterion_03_offset_invariance():
+    offsets = (-5.0, 0.5, 7.3)
     for name in sorted(FIGURE_PRESETS):
         scenario = qubit_scenario(FIGURE_PRESETS[name])
-        for offset in (-5.0, 0.5, 7.3):
-            report = offset_invariance_check(scenario, offset)
+        for offset, report in zip(offsets, offset_invariance_check(scenario, offsets)):
+            assert report.offset == offset
             assert report.max_observable_diff < 1e-10, (name, offset)
             assert report.max_phase_defect < 1e-10, (name, offset)
     _announce(3, "offset invariance at E0 in {-5, 0.5, 7.3}")

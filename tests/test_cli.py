@@ -27,6 +27,7 @@ from quncert.cli import (
     EXIT_PASS,
     OFFSET_VALUES,
     VERIFY_SUITES,
+    ScenarioFormatError,
     format_value,
     load_scenario,
     main,
@@ -141,6 +142,99 @@ def test_evolve_rejects_malformed_scenarios(tmp_path, capsys, mangle, fragment):
     path = write_json(tmp_path / "broken.json", doc)
     assert main(["evolve", path]) == EXIT_INPUT
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mangle,message",
+    [
+        (
+            lambda d: d["hamiltonian"][0].__setitem__(1, [True, 0.0]),
+            "hamiltonian[0][1]: expected a number, got True",
+        ),
+        (
+            lambda d: d["hamiltonian"][1].__setitem__(0, ["0.5", 0.0]),
+            "hamiltonian[1][0]: expected a number, got '0.5'",
+        ),
+        (
+            lambda d: d["hamiltonian"][1].__setitem__(1, 0.5),
+            "hamiltonian[1][1]: expected a [re, im] pair, got 0.5",
+        ),
+        (
+            lambda d: d["hamiltonian"][1].pop(),
+            "hamiltonian[1]: expected a row of 2 entries",
+        ),
+        (
+            # the first fault in reading order is the one named
+            lambda d: (d["hamiltonian"][1].pop(), d["hamiltonian"][0][0].__setitem__(1, False)),
+            "hamiltonian[0][0]: expected a number, got False",
+        ),
+        (
+            # a number out of range in an earlier row is named before a ragged row
+            lambda d: (d["hamiltonian"][1].pop(), d["hamiltonian"][0][1].__setitem__(0, math.nan)),
+            "hamiltonian[0][1]: value must be finite, got nan",
+        ),
+        (
+            lambda d: d["observables"]["sx"][0].__setitem__(0, [math.inf, 0.0]),
+            "observables['sx'][0][0]: value must be finite, got inf",
+        ),
+        (
+            lambda d: d["initial_state"].__setitem__(1, [SQ, None]),
+            "initial_state[1]: expected a number, got None",
+        ),
+        (
+            lambda d: d["initial_state"].__setitem__(0, [SQ]),
+            f"initial_state[0]: expected a [re, im] pair, got [{SQ!r}]",
+        ),
+    ],
+)
+def test_loader_names_the_offending_entry(tmp_path, mangle, message):
+    doc = json.loads(json.dumps(BALANCED_QUBIT))
+    mangle(doc)
+    with pytest.raises(ScenarioFormatError) as err:
+        load_scenario(write_json(tmp_path / "broken.json", doc))
+    assert str(err.value) == message
+
+
+def test_loader_arrays_keep_every_bit(tmp_path):
+    """The arrays equal an entry-by-entry complex(float(re), float(im)),
+    signed zeros, integers and subnormals included."""
+    doc = json.loads(json.dumps(BALANCED_QUBIT))
+    doc["hamiltonian"] = [[[-0.0, 0], [1, -0.0]], [[1, 0.0], [5e-324, -0.0]]]
+    doc["initial_state"] = [[SQ, -0.0], [-0.0, SQ]]
+    doc["observables"]["sx"] = [[[0, -0.0], [1e-300, 2]], [[1e-300, -2], [-0.0, 0]]]
+    scenario = load_scenario(write_json(tmp_path / "bits.json", doc))
+
+    def reference(entries):
+        return np.array(
+            [complex(float(re), float(im)) for re, im in entries], dtype=np.complex128
+        )
+
+    rows = [e for row in doc["hamiltonian"] for e in row]
+    assert scenario.hamiltonian.tobytes() == reference(rows).tobytes()
+    assert scenario.initial_state.tobytes() == reference(doc["initial_state"]).tobytes()
+    rows = [e for row in doc["observables"]["sx"] for e in row]
+    assert scenario.observables["sx"].tobytes() == reference(rows).tobytes()
+
+
+@pytest.mark.parametrize("command", [["evolve"], ["verify", "all", "--scenario"]])
+@pytest.mark.parametrize(
+    "place,name",
+    [
+        (lambda d, x: d.__setitem__("hbar", x), "hbar"),
+        (lambda d, x: d["time"].__setitem__("start", x), "time.start"),
+        (lambda d, x: d["time"].__setitem__("stop", x), "time.stop"),
+        (lambda d, x: d["hamiltonian"][1][0].__setitem__(0, x), "hamiltonian[1][0]"),
+    ],
+    ids=["hbar", "start", "stop", "entry"],
+)
+def test_integer_beyond_float_range_is_an_input_error(tmp_path, capsys, command, place, name):
+    doc = json.loads((DATA / "scenario_dim6.json").read_text())
+    place(doc, int("9" * 401))
+    path = write_json(tmp_path / "huge.json", doc)
+    assert main([*command, path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{name}: value must be finite, got an integer of 401 digits" in err
 
 
 def test_evolve_reports_json_syntax_position(tmp_path, capsys):
@@ -381,14 +475,26 @@ def _record_every_binding(monkeypatch, original, record):
                     monkeypatch.setattr(module, attr, recording)
 
 
+class _Decompositions(list):
+    """Matrices through the stacked eigensolver, in call order; ``stacks``
+    holds the number of matrices in each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.stacks = []
+
+    def record(self, matrices):
+        self.stacks.append(len(matrices))
+        self.extend(np.array(m) for m in matrices)
+
+
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Matrices passed to eigendecompose, through every module's binding."""
-    calls = []
-    _record_every_binding(
-        monkeypatch, hilbert.eigendecompose, lambda matrix: calls.append(np.array(matrix))
-    )
-    return calls
+    """Matrices decomposed by the stacked eigensolver, which eigendecompose
+    and the offset check both call, through every module's binding."""
+    recorded = _Decompositions()
+    _record_every_binding(monkeypatch, hilbert._eigendecompose_stack, recorded.record)
+    return recorded
 
 
 def test_verify_scenario_decomposes_each_hamiltonian_once(tmp_path, decompositions):
@@ -398,6 +504,13 @@ def test_verify_scenario_decomposes_each_hamiltonian_once(tmp_path, decompositio
     assert len(decompositions) == 1 + len(OFFSET_VALUES)
     distinct = {m.tobytes() for m in decompositions}
     assert len(distinct) == len(decompositions)
+
+
+def test_verify_scenario_offsets_share_one_stacked_call(tmp_path, decompositions):
+    path = write_json(tmp_path / "scenario.json", BALANCED_QUBIT)
+    assert main(["verify", "offset", "--scenario", path, "--report", str(tmp_path / "r")]) == 0
+    # the scenario's own H alone, then every H + c*I in one stack
+    assert decompositions.stacks == [1, len(OFFSET_VALUES)]
 
 
 @pytest.mark.parametrize("figure,expected", [("fig1", 4), ("fig2", 4), ("fig3", 2)])

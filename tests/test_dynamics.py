@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_state
+from quncert import dynamics
 from quncert import (
     FIGURE_PRESETS,
     Scenario,
@@ -193,8 +194,8 @@ def test_conservation_on_random_scenarios(seed, dim):
 @pytest.mark.parametrize("offset", OFFSETS)
 def test_offset_invariance_qubit(offset):
     """Shifting H by a multiple of the identity changes nothing observable."""
-    report = offset_invariance_check(
-        qubit_scenario(FIGURE_PRESETS["fig2C"]), offset
+    (report,) = offset_invariance_check(
+        qubit_scenario(FIGURE_PRESETS["fig2C"]), [offset]
     )
     assert report.passed
     assert report.max_observable_diff < 1e-10
@@ -203,8 +204,37 @@ def test_offset_invariance_qubit(offset):
 
 
 def test_offset_invariance_random():
-    report = offset_invariance_check(random_scenario(9, 5), 7.3)
+    (report,) = offset_invariance_check(random_scenario(9, 5), [7.3])
     assert report.passed
+
+
+def test_offset_invariance_evolves_the_base_once(monkeypatch):
+    """One base trajectory, then one trajectory per offset."""
+    calls = []
+
+    def counting(scenario, store_states=True):
+        calls.append(scenario)
+        return evolve(scenario, store_states)
+
+    monkeypatch.setattr(dynamics, "evolve", counting)
+    s = random_scenario(9, 5)
+    reports = offset_invariance_check(s, OFFSETS)
+    assert len(calls) == 1 + len(OFFSETS)
+    assert calls[0] is s
+    assert [r.offset for r in reports] == list(OFFSETS)
+
+
+def test_offset_invariance_stack_matches_single_offsets():
+    """Decomposing the shifted Hamiltonians together changes no bit of any
+    report, and each shifted spectrum is that of its own H + E0 * I."""
+    s = random_scenario(9, 5)
+    together = offset_invariance_check(s, OFFSETS)
+    assert together == [offset_invariance_check(s, [e0])[0] for e0 in OFFSETS]
+    for e0, shifted in zip(OFFSETS, dynamics._shifted_scenarios(s, OFFSETS)):
+        alone = eigendecompose(shift_hamiltonian(s.hamiltonian, e0))
+        assert shifted.spectrum.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert shifted.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+    assert offset_invariance_check(s, []) == []
 
 
 def test_shift_hamiltonian():

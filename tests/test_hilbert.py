@@ -89,6 +89,20 @@ def test_round_robin_rounds_cover_every_pair_once(dim):
     assert sorted(seen) == [(p, q) for p in range(dim) for q in range(p + 1, dim)]
 
 
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_stack_rounds_gather_and_restore_the_columns(dim):
+    for (p, q, pq, qp), (pivots, order, inverse, swapped) in zip(
+        hilbert._round_robin(dim), hilbert._stack_rounds(dim)
+    ):
+        assert pivots.tolist() == (p * dim + q).tolist() + (p * (dim + 1)).tolist() + (
+            q * (dim + 1)
+        ).tolist()
+        assert order[: pq.size].tolist() == pq.tolist()
+        assert sorted(order.tolist()) == list(range(dim))
+        assert order[inverse].tolist() == list(range(dim))
+        assert swapped.tolist() == qp.tolist()
+
+
 @pytest.mark.parametrize("kind", ["tridiagonal", "block_diagonal"])
 def test_exact_zero_pivots_are_skipped(kind):
     """Rounds where some or all pivots are exact zeros still converge to the
@@ -197,6 +211,93 @@ def test_convergence_cap_raises(monkeypatch):
         eigendecompose([[2.0, 1.0], [1.0, 2.0]])
     assert err.value.sweeps == 0
     assert err.value.residual > 0.0
+
+
+def _assert_same_bits(stacked, alone):
+    assert stacked.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+    assert stacked.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+    assert stacked.sweeps == alone.sweeps
+    assert (
+        np.float64(stacked.offdiag_residual).tobytes()
+        == np.float64(alone.offdiag_residual).tobytes()
+    )
+
+
+def _stack_members(rng, dim):
+    """Dense, diagonal, tridiagonal and block-diagonal members (the last
+    three with exact-zero pivots), plus offset and rescaled dense copies."""
+    dense = random_hermitian(rng, dim)
+    other = random_hermitian(rng, dim)
+    block = other.copy()
+    half = dim // 2
+    block[:half, half:] = 0.0
+    block[half:, :half] = 0.0
+    return [
+        dense,
+        np.diag(rng.standard_normal(dim)),
+        np.triu(np.tril(other, 1), -1),
+        block,
+        dense + 7.3 * np.eye(dim),
+        1e-3 * other,
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 24, 25])
+def test_stacked_decomposition_matches_one_at_a_time(dim):
+    """Each member of a lock-step stack gets the bits it gets alone."""
+    rng = np.random.default_rng(300 + dim)
+    members = _stack_members(rng, dim)
+    stacked = hilbert._eigendecompose_stack(np.stack([require_hermitian(m) for m in members]))
+    assert len(stacked) == len(members)
+    for spec, matrix in zip(stacked, members):
+        _assert_same_bits(spec, eigendecompose(matrix))
+    if dim >= 3:
+        # the members leave the stack at different sweeps
+        assert len({spec.sweeps for spec in stacked}) > 1
+
+
+def test_stacked_decomposition_mixed_seeds():
+    """Members that converge at different sweeps, in every order."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 6
+        members = [random_hermitian(rng, dim) * 10.0 ** rng.integers(-3, 4) for _ in range(4)]
+        members[seed % 4] = np.diag(np.diag(members[seed % 4]).real)
+        stacked = hilbert._eigendecompose_stack(np.stack([require_hermitian(m) for m in members]))
+        for spec, matrix in zip(stacked, members):
+            _assert_same_bits(spec, eigendecompose(matrix))
+
+
+def test_all_diagonal_stack_takes_no_sweep():
+    members = np.stack([np.diag([3.0, -1.0, 2.0]), np.diag([0.5, 0.5, -4.0])]).astype(complex)
+    stacked = hilbert._eigendecompose_stack(members)
+    assert [spec.sweeps for spec in stacked] == [0, 0]
+    assert [spec.offdiag_residual for spec in stacked] == [0.0, 0.0]
+    np.testing.assert_array_equal(stacked[0].eigenvalues, [-1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(stacked[1].eigenvalues, [-4.0, 0.5, 0.5])
+
+
+def test_convergence_cap_raises_for_a_stack(monkeypatch):
+    monkeypatch.setattr(hilbert, "JACOBI_MAX_SWEEPS", 0)
+    members = np.stack([np.diag([1.0, 2.0]), [[2.0, 1.0], [1.0, 2.0]]]).astype(complex)
+    with pytest.raises(ConvergenceError) as err:
+        hilbert._eigendecompose_stack(members)
+    assert err.value.sweeps == 0
+    assert err.value.residual == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_convergence_cap_names_the_first_member_in_stack_order(monkeypatch):
+    """The first member still above target at the cap raises, with the
+    residual and sweep count it raises with alone."""
+    rng = np.random.default_rng(41)
+    members = [np.diag([1.0, 2.0, 3.0, 4.0])] + [random_hermitian(rng, 4) for _ in range(2)]
+    monkeypatch.setattr(hilbert, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as alone:
+        eigendecompose(members[1])
+    with pytest.raises(ConvergenceError) as err:
+        hilbert._eigendecompose_stack(np.stack([require_hermitian(m) for m in members]))
+    assert err.value.sweeps == alone.value.sweeps == 1
+    assert err.value.residual == alone.value.residual
 
 
 def test_inner_and_commutator():
