@@ -124,6 +124,13 @@ def load_scenario(path: str) -> dynamics.Scenario:
         raise ScenarioFormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except ValueError as exc:
+        # int() refuses a literal of more digits than sys.get_int_max_str_digits()
+        raise ScenarioFormatError(
+            f"{path}: an integer literal has more digits than the parser accepts"
+        ) from exc
 
     if not isinstance(raw, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")

@@ -25,6 +25,7 @@ from .hilbert import (
     _phases,
     as_state,
     eigendecompose,
+    require_finite_real,
     require_hermitian,
     require_positive_finite,
 )
@@ -271,9 +272,8 @@ def check_conservation(trajectory: Trajectory) -> ConservationReport:
 def shift_hamiltonian(hamiltonian, offset: float) -> np.ndarray:
     """H + offset * identity."""
     h = require_hermitian(hamiltonian, "hamiltonian")
-    if not (isinstance(offset, (int, float)) and math.isfinite(offset)):
-        raise ValueError(f"offset must be a finite real, got {offset!r}")
-    return h + float(offset) * np.eye(h.shape[0], dtype=np.complex128)
+    offset = require_finite_real(offset, "offset")
+    return h + offset * np.eye(h.shape[0], dtype=np.complex128)
 
 
 class OffsetInvarianceReport(NamedTuple):
@@ -376,6 +376,7 @@ def ehrenfest_residual(
     the residual is pure O(fd_step^2) truncation error.
     """
     a = _require_observable(observable, scenario.dim)
+    t = require_finite_real(t, "t")
     spec = scenario.spectrum
     if fd_step is None:
         fd_step = default_fd_step(spec, scenario.hbar)

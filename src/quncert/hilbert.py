@@ -64,6 +64,13 @@ def require_positive_finite(value, name: str) -> float:
     return float(value)
 
 
+def require_finite_real(value, name: str) -> float:
+    """Validate a real scalar such as a time or an energy offset; return it as a float."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
+
+
 def hermitian_defect(matrix) -> float:
     """Largest elementwise deviation of M from its conjugate transpose."""
     m = np.asarray(matrix, dtype=np.complex128)
@@ -71,10 +78,15 @@ def hermitian_defect(matrix) -> float:
 
 
 def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within the relative tolerance; return the array."""
+    """Validate a finite Frobenius norm and Hermiticity within the relative
+    tolerance; return the array."""
     m = as_complex_matrix(matrix, name)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if not math.isfinite(norm):
+        raise ValueError(f"{name} is too large: its Frobenius norm overflows")
     defect = hermitian_defect(m)
-    tol = HERMITICITY_TOL_FACTOR * float(np.linalg.norm(m))
+    tol = HERMITICITY_TOL_FACTOR * norm
     if defect > tol:
         i, j = np.unravel_index(np.argmax(np.abs(m - m.conj().T)), m.shape)
         raise ValueError(
@@ -171,8 +183,11 @@ def _round_robin(n: int) -> tuple:
     Circle method with N = n rounded up to even: index N - 1 stays put while
     the others turn one place per round, so the N - 1 rounds of N / 2
     disjoint pairs meet every pair once.  For odd n the extra index n is a
-    dummy, and the pair holding it is skipped.  Each round is four read-only
-    index arrays: the pivots p < q, then the concatenations (p, q) and (q, p).
+    dummy, and the pair holding it is skipped.  Each round is the four
+    read-only index arrays that _jacobi_stack_round reads, for its pivots
+    p < q: the flat offsets of a[p, q], a[p, p] and a[q, q] in an n x n
+    matrix; the columns (p, q) followed by the unpaired index of odd n, and
+    the inverse of that order; and (q, p).
     """
     size = n + n % 2
     turn = size - 1
@@ -182,30 +197,10 @@ def _round_robin(n: int) -> tuple:
         pairs = sorted((min(pair), max(pair)) for pair in pairs if max(pair) < n)
         p = np.array([i for i, _ in pairs], dtype=np.intp)
         q = np.array([j for _, j in pairs], dtype=np.intp)
-        arrays = (p, q, np.concatenate((p, q)), np.concatenate((q, p)))
-        for x in arrays:
-            x.setflags(write=False)
-        rounds.append(arrays)
-    return tuple(rounds)
-
-
-@lru_cache(maxsize=16)
-def _stack_rounds(n: int) -> tuple:
-    """The rounds of _round_robin(n) as _jacobi_stack_round reads them.
-
-    Each round is four read-only index arrays: the flat offsets of a[p, q],
-    a[p, p] and a[q, q] in an n x n matrix; the columns (p, q) followed by
-    the unpaired index of odd n, and the inverse of that order; and (q, p).
-    """
-    rounds = []
-    for p, q, pq, qp in _round_robin(n):
-        order = pq.tolist()
-        order += sorted(set(range(n)) - set(order))
-        inverse = [0] * n
-        for position, index in enumerate(order):
-            inverse[index] = position
+        # for odd n, index r is the one paired with the dummy
+        order = np.concatenate((p, q, np.arange(r, r + n % 2)))
         pivots = np.concatenate((p * n + q, p * (n + 1), q * (n + 1)))
-        arrays = (pivots, np.array(order, dtype=np.intp), np.array(inverse, dtype=np.intp), qp)
+        arrays = (pivots, order, np.argsort(order, kind="stable"), np.concatenate((q, p)))
         for x in arrays:
             x.setflags(write=False)
         rounds.append(arrays)
@@ -218,7 +213,7 @@ def _jacobi_stack_round(av: np.ndarray, pivots, order, inverse, qp) -> np.ndarra
 
     ``av`` is a (k, 2n, n) stack of A (top n rows) over V (bottom n rows), so
     one column update serves both A <- A G and V <- V G; the row update
-    A <- G† A follows.  The index arrays come from _stack_rounds: the columns
+    A <- G† A follows.  The index arrays are a round of _round_robin: the columns
     are rotated in a copy gathered in ``order`` and put back in place by one
     more gather, which costs less than assigning them.  Each pair gets the
     complex Givens rotation of the scalar method, elementwise across the
@@ -282,23 +277,14 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 def _order_degenerate(evals: np.ndarray, vecs: np.ndarray):
     """Within near-degenerate eigenvalue runs, order columns by anchor index."""
-    n = evals.shape[0]
     tol = PHASE_TIE_TOL * float(np.max(np.abs(evals)))
-    if (evals[1:] - evals[:-1] > tol).all():
+    gaps = evals[1:] - evals[:-1] > tol
+    if gaps.all():
         return evals, vecs
-    order = list(range(n))
-    anchors = None
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and evals[stop] - evals[stop - 1] <= tol:
-            stop += 1
-        if stop - start > 1:
-            if anchors is None:
-                anchors = _anchor_indices(vecs).tolist()
-            order[start:stop] = sorted(order[start:stop], key=anchors.__getitem__)
-        start = stop
-    idx = np.asarray(order)
+    # each gap above tolerance starts a new run; lexsort is stable, so columns
+    # with equal anchors keep their order
+    runs = np.concatenate(([0], np.cumsum(gaps)))
+    idx = np.lexsort((_anchor_indices(vecs), runs))
     return evals[idx], vecs[:, idx]
 
 
@@ -348,7 +334,7 @@ def _eigendecompose_stack(matrices: np.ndarray) -> list[SpectralDecomposition]:
             targets = [x for x, on in zip(targets, active) if on]
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise ConvergenceError(residuals[active.index(True)], sweeps)
-        for round_ in _stack_rounds(n):
+        for round_ in _round_robin(n):
             av = _jacobi_stack_round(av, *round_)
         sweeps += 1
         residuals = _offdiag_norms(av[:, :n])
@@ -399,12 +385,11 @@ def propagator(hamiltonian, t: float, hbar: float = 1.0) -> np.ndarray:
         hbar: reduced Planck constant, > 0.
     """
     hbar = require_positive_finite(hbar, "hbar")
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise ValueError(f"t must be a finite real, got {t!r}")
+    t = require_finite_real(t, "t")
     spec = (
         hamiltonian
         if isinstance(hamiltonian, SpectralDecomposition)
         else eigendecompose(hamiltonian)
     )
-    phases = _phases(spec.eigenvalues, [float(t)], hbar)[:, 0]
+    phases = _phases(spec.eigenvalues, [t], hbar)[:, 0]
     return (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T

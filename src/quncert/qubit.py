@@ -205,12 +205,9 @@ def tick_tock(trajectory: Trajectory, observable_name: str) -> TickTockReport:
         if s == 0.0:
             continue
         if prev >= 0 and signs[prev] * s < 0:
-            # the vertex sits between the opposing slopes; pick the extreme
-            # sample of the (usually single-point) plateau they bracket
-            seg = y[prev + 1 : i + 1]
-            j = prev + 1 + (
-                int(np.argmax(seg)) if signs[prev] > 0 else int(np.argmin(seg))
-            )
+            # the vertex sits between the opposing slopes; the samples they
+            # bracket differ by exact zeros, so the first of them stands for all
+            j = prev + 1
             denom = y[j - 1] - 2.0 * y[j] + y[j + 1]
             offset = 0.0 if denom == 0.0 else 0.5 * step * (y[j - 1] - y[j + 1]) / denom
             kind = "tick" if signs[prev] > 0 else "tock"

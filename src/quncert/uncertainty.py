@@ -21,7 +21,7 @@ import numpy as np
 
 from . import qstat
 from .dynamics import Scenario, _require_observable, _states_at
-from .hilbert import SpectralDecomposition, _commutator, _phases, as_state
+from .hilbert import SpectralDecomposition, _commutator, _phases, as_state, require_finite_real
 
 BOUND_SLACK_TOL = 1e-10
 # The energy thresholds are relative to ||H||_2 = max|E_k| (_energy_scale), so
@@ -113,13 +113,26 @@ def _energy_scale(spec: SpectralDecomposition) -> float:
     return float(max(-spec.eigenvalues[0], spec.eigenvalues[-1]))
 
 
+def _energy_moments(scenario: Scenario):
+    """<H>, dH, <H> - E_min and the infinite-bound threshold
+    MEAN_ENERGY_MIN * ||H||_2, from the energy populations over the cached
+    spectrum."""
+    spec, probs = scenario.spectrum, _populations(scenario)
+    mean = float(probs @ spec.eigenvalues)
+    # shifted second moment: exact zero spread for eigenstates instead of
+    # sqrt(eps)-sized cancellation residue, which would defeat the
+    # infinite-bound threshold
+    spread = math.sqrt(float(probs @ (spec.eigenvalues - mean) ** 2))
+    shifted_mean = mean - float(spec.eigenvalues[0])
+    return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec)
+
+
 def _energy_spread(scenario: Scenario) -> tuple[float, float]:
-    """Delta H on the initial state and the eigenstate threshold
-    ENERGY_SPREAD_MIN * ||H||_2; a spread at or below it is an energy
-    eigenstate, which has no Mandelstam-Tamm clock."""
-    _, variances, _ = qstat._moments(scenario.hamiltonian, scenario.initial_state[:, None])
-    floor = ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum)
-    return math.sqrt(float(variances[0])), floor
+    """Delta H on the initial state (_energy_moments) and the eigenstate
+    threshold ENERGY_SPREAD_MIN * ||H||_2; a spread at or below it is an
+    energy eigenstate, which has no Mandelstam-Tamm clock."""
+    spread = _energy_moments(scenario)[1]
+    return spread, ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum)
 
 
 def _mt_context(observable, scenario: Scenario):
@@ -156,9 +169,7 @@ def _mt_samples(observable, scenario: Scenario, times) -> list[MTSample]:
 
 def mt_sample(observable, scenario: Scenario, t: float) -> MTSample:
     """Mandelstam-Tamm sample dT = dA / |d<A>/dt| with the exact rate."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise ValueError(f"t must be a finite real, got {t!r}")
-    return _mt_samples(observable, scenario, np.array([float(t)]))[0]
+    return _mt_samples(observable, scenario, np.array([require_finite_real(t, "t")]))[0]
 
 
 def mt_series(observable, scenario: Scenario) -> list[MTSample]:
@@ -257,10 +268,13 @@ class _March:
     """
 
     def __init__(self, probs, evals, hbar, horizon):
-        rates = (evals - float(probs @ evals)) / hbar
+        # a dH / hbar beyond the float range leaves the curvature inf or NaN,
+        # which orthogonalization_time refuses to march with
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = (evals - float(probs @ evals)) / hbar
+            self.weights = np.stack((probs, -1j * rates * probs))
+            self.curvature = float(probs @ rates**2)
         self.rates = rates
-        self.weights = np.stack((probs, -1j * rates * probs))
-        self.curvature = float(probs @ rates**2)
         self.horizon = horizon
         # rounding of o_c(t): d terms, each phase argument e_k t off by eps|e_k t|
         self.rounding = probs.size * np.finfo(np.float64).eps
@@ -444,8 +458,8 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     Raises:
         InconclusiveScanError: nothing found and no certificate applies, or
             the march spent MARCH_BUDGET evaluations, or its step stopped
-            moving before a minimum above tol; min_observed_overlap is then
-            the smallest modulus evaluated.
+            moving before a minimum above tol, or (dH / hbar)^2 overflows;
+            min_observed_overlap is then the smallest modulus evaluated.
     """
     spec, hbar = scenario.spectrum, scenario.hbar
     probs = _populations(scenario)
@@ -472,6 +486,9 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     if march.curvature == 0.0:
         # the populated levels share one energy
         return degenerate
+    if not math.isfinite(march.curvature):
+        # no step is certified when (dH / hbar)^2 overflows
+        raise march.inconclusive(march.smallest_evaluated())
     scale = 1.0 / math.sqrt(march.curvature)
     start = min(horizon, math.acos(DEFAULT_TOL_ORTH) * scale)
     spans = [start]
@@ -508,19 +525,6 @@ class SpeedLimitBounds(NamedTuple):
     from_energy_spread: float
     from_mean_energy: float
     from_mean_energy_unshifted: float
-
-
-def _energy_moments(scenario: Scenario):
-    """<H>, dH, <H> - E_min and the infinite-bound threshold
-    MEAN_ENERGY_MIN * ||H||_2."""
-    spec, probs = scenario.spectrum, _populations(scenario)
-    mean = float(probs @ spec.eigenvalues)
-    # shifted second moment: exact zero spread for eigenstates instead of
-    # sqrt(eps)-sized cancellation residue, which would defeat the
-    # infinite-bound threshold
-    spread = math.sqrt(float(probs @ (spec.eigenvalues - mean) ** 2))
-    shifted_mean = mean - float(spec.eigenvalues[0])
-    return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec)
 
 
 def ml_bounds(scenario: Scenario) -> SpeedLimitBounds:

@@ -1,7 +1,8 @@
 """End-to-end CLI tests: scenario parsing, CSV emission, verify reports.
 
-Runs the entry point in process via main(argv); one subprocess test confirms
-the installed console script is wired up.
+Runs the entry point in process via main(argv). Child processes run the
+inputs that once hung, under ``-W error`` and a timeout, and one confirms the
+installed console script is wired up.
 """
 
 import io
@@ -36,6 +37,7 @@ from quncert.cli import (
 
 SQ = math.sqrt(0.5)
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BALANCED_QUBIT = {
     "hbar": 1.0,
@@ -235,6 +237,59 @@ def test_integer_beyond_float_range_is_an_input_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{name}: value must be finite, got an integer of 401 digits" in err
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (
+            b'{"hbar": ' + b"1" * 5000 + b"}",
+            "an integer literal has more digits than the parser accepts",
+        ),
+        (b'{"hbar": "\xff"}', "not UTF-8 text (byte 10)"),
+    ],
+    ids=["digits", "utf8"],
+)
+def test_unparsable_file_is_an_input_error_that_names_it(tmp_path, capsys, raw, message):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    assert main(["evolve", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def run_cli_strict(*args):
+    """The CLI in a child process that turns every warning into an error; a
+    hang fails the test at the timeout instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "quncert.cli", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def test_overflowing_curvature_makes_the_search_inconclusive(tmp_path):
+    """With hbar = 1e-160, (dH / hbar)^2 overflows: no step can be certified."""
+    doc = json.loads((DATA / "scenario_dim6.json").read_text())
+    doc["hbar"] = 1e-160
+    report = tmp_path / "r.json"
+    result = run_cli_strict(
+        "verify", "ml", "--scenario", write_json(tmp_path / "tiny.json", doc),
+        "--report", str(report),
+    )
+    assert (result.returncode, result.stderr) == (EXIT_INCONCLUSIVE, "")
+    checks = {c["name"]: c["verdict"] for c in json.loads(report.read_text())["checks"]}
+    assert checks == {"ml.scenario.search": "inconclusive"}
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_matrix_whose_norm_overflows_is_an_input_error(tmp_path, scale):
+    doc = json.loads((DATA / "scenario_dim6.json").read_text())
+    doc["hamiltonian"] = [[[scale * x for x in e] for e in row] for row in doc["hamiltonian"]]
+    path = write_json(tmp_path / "huge.json", doc)
+    result = run_cli_strict("verify", "all", "--scenario", path)
+    assert result.returncode == EXIT_INPUT
+    message = "hamiltonian is too large: its Frobenius norm overflows"
+    assert result.stderr == f"error: {path}: {message}\n"
 
 
 def test_evolve_reports_json_syntax_position(tmp_path, capsys):

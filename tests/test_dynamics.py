@@ -287,6 +287,13 @@ def test_ehrenfest_residual_default_step_commuting_observable():
         ehrenfest_residual(pauli("z"), scenario, 1.0, fd_step=0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, "1.0"])
+def test_ehrenfest_residual_rejects_a_time_that_is_not_a_finite_real(t):
+    scenario = qubit_scenario(FIGURE_PRESETS["fig2D"])
+    with pytest.raises(ValueError, match="finite real"):
+        ehrenfest_residual(pauli("x"), scenario, t, 1e-4)
+
+
 def test_trajectory_carries_grid_metadata():
     scenario = qubit_scenario(FIGURE_PRESETS["fig2B"], steps=64)
     trajectory = evolve(scenario)

@@ -80,27 +80,28 @@ def test_known_spectra():
 @pytest.mark.parametrize("dim", range(2, 10))
 def test_round_robin_rounds_cover_every_pair_once(dim):
     seen = []
-    for p, q, pq, qp in hilbert._round_robin(dim):
-        assert len(set(pq.tolist())) == pq.size  # disjoint pairs
+    for pivots, order, inverse, qp in hilbert._round_robin(dim):
+        m = qp.size // 2
+        p, q = order[:m], order[m : 2 * m]
+        assert len(set(order[: 2 * m].tolist())) == 2 * m  # disjoint pairs
         assert np.all(p < q)
-        assert pq.tolist() == p.tolist() + q.tolist()
-        assert qp.tolist() == q.tolist() + p.tolist()
         seen += list(zip(p.tolist(), q.tolist()))
     assert sorted(seen) == [(p, q) for p in range(dim) for q in range(p + 1, dim)]
 
 
 @pytest.mark.parametrize("dim", range(2, 10))
 def test_stack_rounds_gather_and_restore_the_columns(dim):
-    for (p, q, pq, qp), (pivots, order, inverse, swapped) in zip(
-        hilbert._round_robin(dim), hilbert._stack_rounds(dim)
-    ):
+    """The index arrays the stacked round reads: pivot offsets, column order
+    and its inverse, and (q, p)."""
+    for pivots, order, inverse, qp in hilbert._round_robin(dim):
+        m = qp.size // 2
+        p, q = order[:m], order[m : 2 * m]
         assert pivots.tolist() == (p * dim + q).tolist() + (p * (dim + 1)).tolist() + (
             q * (dim + 1)
         ).tolist()
-        assert order[: pq.size].tolist() == pq.tolist()
         assert sorted(order.tolist()) == list(range(dim))
         assert order[inverse].tolist() == list(range(dim))
-        assert swapped.tolist() == qp.tolist()
+        assert qp.tolist() == q.tolist() + p.tolist()
 
 
 @pytest.mark.parametrize("kind", ["tridiagonal", "block_diagonal"])
@@ -163,6 +164,29 @@ def test_degenerate_group_ordering():
     expected = np.zeros((3, 3))
     expected[2, 0] = expected[0, 1] = expected[1, 2] = 1.0
     np.testing.assert_allclose(spec.eigenvectors, expected, atol=1e-14)
+
+
+def test_degenerate_runs_at_both_ends_are_ordered_by_anchor():
+    """Each run of eigenvalues within tolerance is ordered by anchor row, the
+    runs at both ends of the spectrum alike; lone eigenvalues keep their place."""
+    # -2 + 1e-12 is within the tolerance 1e-12 * max|E| of -2
+    evals = np.array([-2.0, -2.0, -2.0 + 1e-12, 0.5, 1.0, 3.0, 3.0])
+    perm = [5, 1, 3, 6, 0, 4, 2]  # the anchor row of each column
+    out_evals, out_vecs = hilbert._order_degenerate(evals, np.eye(7)[:, perm])
+    expected = [1, 3, 5, 6, 0, 2, 4]
+    np.testing.assert_array_equal(out_vecs, np.eye(7)[:, expected])
+    np.testing.assert_array_equal(out_evals, evals[[perm.index(k) for k in expected]])
+
+
+def test_degenerate_runs_of_a_rotated_matrix_are_ordered_by_anchor():
+    # with this seed the sweeps leave both runs out of anchor order
+    rng = np.random.default_rng(13)
+    basis = np.linalg.qr(random_hermitian(rng, 7))[0]
+    evals = np.array([-2.0, -2.0, -2.0, 0.5, 1.0, 3.0, 3.0])
+    spec = eigendecompose((basis * evals) @ basis.conj().T)
+    anchors = hilbert._anchor_indices(spec.eigenvectors)
+    for run in (slice(0, 3), slice(5, 7)):
+        assert np.all(np.diff(anchors[run]) >= 0)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20])

@@ -9,7 +9,9 @@ import pytest
 from quncert import (
     FIGURE_PRESETS,
     QubitPreset,
+    SeriesStats,
     TimeGrid,
+    Trajectory,
     analytic_energy_spread,
     analytic_mt_delta_t,
     analytic_sx_mean,
@@ -160,6 +162,20 @@ def test_tick_tock_twisted_phase_offset():
         distance = abs(t * TWISTED.omega - phase) % math.pi
         assert min(distance, math.pi - distance) < 1e-6
     assert report.delta_t == pytest.approx(math.pi / TWISTED.omega, rel=1e-6)
+
+
+def test_tick_tock_two_sample_plateaus_give_their_midpoints():
+    """A vertex midway between two grid points leaves two equal samples; the
+    extremum lands midway between them, at a maximum and at a minimum."""
+    y = np.array([0.0, 1.0, 2.0, 2.0, 1.0, 0.0, -1.0, -1.0, 0.0, 1.0, 2.0, 1.0, 0.0])
+    times = 0.5 * np.arange(y.size)
+    flat = np.zeros_like(y)
+    trajectory = Trajectory(
+        times, {"sx": SeriesStats(y, flat, flat)}, SeriesStats(flat, flat, flat),
+        flat, flat, None, 1.0,
+    )
+    report = tick_tock(trajectory, "sx")
+    assert report.extrema == [(1.25, "tick"), (3.25, "tock"), (5.0, "tick")]
 
 
 def test_tick_tock_errors():
