@@ -323,41 +323,41 @@ def _preset_scenarios(names) -> dict[str, dynamics.Scenario]:
     }
 
 
-def _suite_conservation(scenario, rng) -> dict[str, list[Check]]:
+def _suite_evolution(scenario, rng) -> dict[str, list[Check]]:
+    """Conservation and offset checks from one evolution of each target.
+
+    On a scenario: the scenario, for both.  Otherwise: conservation on every
+    figure preset and 10 seeded random scenarios, and offsets on fig2A-D,
+    whose conservation drift reads the base trajectory of the offset check.
+    """
     if scenario is not None:
         targets = {"scenario": scenario}
+        offset_targets = {"scenario"}
     else:
         targets = _preset_scenarios(qubit.FIGURE_PRESETS)
         for k in range(10):
             dim = 2 + k % 5
             targets[f"random{k}.dim{dim}"] = random_scenario(rng, dim)
-    checks = []
+        offset_targets = {"fig2A", "fig2B", "fig2C", "fig2D"}
+    conservation, offset = [], []
     for name, s in targets.items():
-        report = dynamics.check_conservation(dynamics.evolve(s))
-        checks.append(
-            check_max(f"conservation.{name}.max_drift", report.max_drift, report.tolerance)
+        offsets = OFFSET_VALUES if name in offset_targets else ()
+        trajectory, reports = dynamics._offset_comparison(s, offsets)
+        drift = dynamics.check_conservation(trajectory)
+        del trajectory  # freed before the next target evolves, which lowers the peak RSS
+        conservation.append(
+            check_max(f"conservation.{name}.max_drift", drift.max_drift, drift.tolerance)
         )
-    return {"conservation": checks}
-
-
-def _suite_offset(scenario, rng) -> dict[str, list[Check]]:
-    targets = (
-        {"scenario": scenario}
-        if scenario is not None
-        else _preset_scenarios(["fig2A", "fig2B", "fig2C", "fig2D"])
-    )
-    checks = []
-    for name, s in targets.items():
-        for report in dynamics.offset_invariance_check(s, OFFSET_VALUES):
+        for report in reports:
             worst = max(
                 report.max_observable_diff,
                 report.max_phase_defect,
                 report.max_energy_shift_defect,
             )
-            checks.append(
+            offset.append(
                 check_max(f"offset.{name}.E0={report.offset}", worst, report.tolerance)
             )
-    return {"offset": checks}
+    return {"conservation": conservation, "offset": offset}
 
 
 def _halving_checks(label: str, s, observable, t, step, coarse) -> list[Check]:
@@ -628,10 +628,12 @@ def _suite_speed_limits(scenario, rng) -> dict[str, list[Check]]:
 
 
 # Each suite names the analysis that produces its checks; an analysis returns
-# one check list per suite it covers, so suites sharing one run it once.
+# one check list per suite it covers, so suites sharing one run it once, and a
+# suite run alone runs the whole analysis it shares (conservation and offset
+# read one evolution of each target, ml and qsl one orthogonalization search).
 _SUITES = {
-    "conservation": _suite_conservation,
-    "offset": _suite_offset,
+    "conservation": _suite_evolution,
+    "offset": _suite_evolution,
     "ehrenfest": _suite_ehrenfest,
     "robertson": _suite_uncertainty,
     "schrodinger": _suite_uncertainty,

@@ -290,17 +290,20 @@ class OffsetInvarianceReport(NamedTuple):
 def _shifted_scenarios(scenario: Scenario, offsets) -> list[Scenario]:
     """The scenario with H + offset * identity, one per offset.
 
-    Every shifted Hamiltonian is decomposed in one stacked call, and each
+    Every shifted Hamiltonian is decomposed in one stacked call, led by the
+    base Hamiltonian when the base has no cached spectrum yet, and each
     spectrum is seeded into its Scenario's cache, as _on_default_grid seeds
-    the grid.
+    the grid.  A member of a stack gets the bits it gets alone, so the seeded
+    spectra are those each Scenario would compute for itself.
     """
     shifted = [
         replace(scenario, hamiltonian=shift_hamiltonian(scenario.hamiltonian, offset))
         for offset in offsets
     ]
     if shifted:
-        spectra = _eigendecompose_stack(np.stack([s.hamiltonian for s in shifted]))
-        for s, spec in zip(shifted, spectra):
+        members = shifted if "spectrum" in vars(scenario) else [scenario, *shifted]
+        spectra = _eigendecompose_stack(np.stack([s.hamiltonian for s in members]))
+        for s, spec in zip(members, spectra):
             object.__setattr__(s, "spectrum", spec)
     return shifted
 
@@ -310,14 +313,29 @@ def offset_invariance_check(scenario: Scenario, offsets) -> list[OffsetInvarianc
 
     ``offsets`` is a sequence of finite reals E0; the result holds one report
     per offset, in order.  The base trajectory is evolved once and compared
-    with the evolution under each H + E0 * identity, and the shifted
-    Hamiltonians are decomposed together (_shifted_scenarios).
+    with the evolution under each H + E0 * identity, one shifted trajectory
+    at a time; the base and shifted Hamiltonians are decomposed together
+    (_offset_comparison).
+    """
+    return _offset_comparison(scenario, offsets)[1]
+
+
+def _offset_comparison(
+    scenario: Scenario, offsets
+) -> tuple[Trajectory, list[OffsetInvarianceReport]]:
+    """The base trajectory and one OffsetInvarianceReport per offset.
+
+    The shifted scenarios are built before the base is evolved, so that an
+    undecomposed base joins their stacked decomposition (_shifted_scenarios);
+    each shifted trajectory is then evolved and compared in turn.  The
+    verify suites read the base trajectory for the conservation check too.
     """
     offsets = list(offsets)
+    shifted = _shifted_scenarios(scenario, offsets)
     base = evolve(scenario, store_states=True)
-    return [
-        _offset_report(base, evolve(shifted, store_states=True), offset)
-        for offset, shifted in zip(offsets, _shifted_scenarios(scenario, offsets))
+    return base, [
+        _offset_report(base, evolve(s, store_states=True), offset)
+        for offset, s in zip(offsets, shifted)
     ]
 
 

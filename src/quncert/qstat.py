@@ -31,15 +31,20 @@ class CoherenceSummary(NamedTuple):
     basis_dim: int
 
 
-def _moments(matrix: np.ndarray, states: np.ndarray):
-    """Means, shifted variances and A psi of matrices on columns of states.
+def _means(matrix: np.ndarray, states: np.ndarray):
+    """Means and A psi of matrices on columns of states.
 
     ``matrix`` is (..., d, d) and ``states`` (..., d, T), leading axes
     broadcasting.  Nothing is validated: the callers pass Hermitian
     matrices, so the imaginary part of each mean is rounding and is dropped.
     """
     a_states = matrix @ states
-    means = np.vecdot(states, a_states, axis=-2).real
+    return np.vecdot(states, a_states, axis=-2).real, a_states
+
+
+def _moments(matrix: np.ndarray, states: np.ndarray):
+    """Means, shifted variances and A psi, with the means of _means."""
+    means, a_states = _means(matrix, states)
     residuals = a_states - states * means[..., None, :]
     variances = np.vecdot(residuals, residuals, axis=-2).real
     return means, variances, a_states

@@ -158,7 +158,7 @@ def _mt_samples(observable, scenario: Scenario, times) -> list[MTSample]:
     _, variances, _ = qstat._moments(a, states)
     # exact rate d<A>/dt = <[A, H]> / (i hbar): the mean of a Hermitian generator
     generator = _commutator(a, scenario.hamiltonian) / (1j * scenario.hbar)
-    rates, _, _ = qstat._moments(generator, states)
+    rates = qstat._means(generator, states)[0]
     delta_a, rates = np.sqrt(variances), np.abs(rates)
     delta_t = np.divide(
         delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps

@@ -281,6 +281,18 @@ def test_overflowing_curvature_makes_the_search_inconclusive(tmp_path):
     assert checks == {"ml.scenario.search": "inconclusive"}
 
 
+def test_mt_rate_on_a_tiny_hbar_does_not_overflow(tmp_path):
+    """The MT series reads only the mean of the rate generator [A, H]/(i hbar),
+    whose variance would overflow at hbar = 1e-160."""
+    doc = json.loads((DATA / "scenario_dim6.json").read_text())
+    doc["hbar"] = 1e-160
+    result = run_cli_strict(
+        "verify", "mt", "--scenario", write_json(tmp_path / "tiny.json", doc),
+        "--report", str(tmp_path / "r.json"),
+    )
+    assert (result.returncode, result.stderr) == (EXIT_PASS, "")
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 def test_matrix_whose_norm_overflows_is_an_input_error(tmp_path, scale):
     doc = json.loads((DATA / "scenario_dim6.json").read_text())
@@ -564,8 +576,8 @@ def test_verify_scenario_decomposes_each_hamiltonian_once(tmp_path, decompositio
 def test_verify_scenario_offsets_share_one_stacked_call(tmp_path, decompositions):
     path = write_json(tmp_path / "scenario.json", BALANCED_QUBIT)
     assert main(["verify", "offset", "--scenario", path, "--report", str(tmp_path / "r")]) == 0
-    # the scenario's own H alone, then every H + c*I in one stack
-    assert decompositions.stacks == [1, len(OFFSET_VALUES)]
+    # the scenario's own H leads every H + c*I in one stack
+    assert decompositions.stacks == [1 + len(OFFSET_VALUES)]
 
 
 @pytest.mark.parametrize("figure,expected", [("fig1", 4), ("fig2", 4), ("fig3", 2)])
@@ -576,7 +588,7 @@ def test_figure_decomposes_once_per_panel(tmp_path, capsys, decompositions, figu
 
 def test_verify_all_decomposition_count(tmp_path, decompositions):
     assert main(["verify", "all", "--report", str(tmp_path / "r.json")]) == EXIT_PASS
-    assert len(decompositions) == 51
+    assert len(decompositions) == 47
     assert len({m.tobytes() for m in decompositions}) == 14
 
 
@@ -612,6 +624,15 @@ def test_verify_scenario_searches_once(tmp_path, count_calls, payload):
     names = [c["name"] for c in json.loads(report.read_text())["checks"]]
     assert any(n.startswith("ml.") for n in names)
     assert any(n.startswith("qsl.") for n in names)
+
+
+def test_verify_scenario_evolves_each_trajectory_once(tmp_path, count_calls):
+    """Conservation reads the base trajectory of the offset check: the
+    scenario evolves once, and each H + c*I once."""
+    evolves = count_calls(dynamics, "evolve")
+    main(["verify", "all", "--scenario", str(DATA / "scenario_dim6.json"),
+          "--report", str(tmp_path / "r.json")])
+    assert len(evolves) == 1 + len(OFFSET_VALUES)
 
 
 @pytest.mark.parametrize("suite", ["ml", "qsl"])

@@ -224,11 +224,17 @@ def test_offset_invariance_evolves_the_base_once(monkeypatch):
     assert [r.offset for r in reports] == list(OFFSETS)
 
 
-def test_offset_invariance_stack_matches_single_offsets():
-    """Decomposing the shifted Hamiltonians together changes no bit of any
-    report, and each shifted spectrum is that of its own H + E0 * I."""
+def test_offset_invariance_stack_matches_single_offsets(monkeypatch):
+    """Decomposing the base and shifted Hamiltonians together changes no bit
+    of any report, and each spectrum is that of its own H or H + E0 * I."""
     s = random_scenario(9, 5)
-    together = offset_invariance_check(s, OFFSETS)
+    alone = eigendecompose(s.hamiltonian)
+    with monkeypatch.context() as m:
+        # the undecomposed base joins the stack instead of decomposing alone
+        m.setattr(dynamics, "eigendecompose", None)
+        together = offset_invariance_check(s, OFFSETS)
+    assert s.spectrum.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+    assert s.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
     assert together == [offset_invariance_check(s, [e0])[0] for e0 in OFFSETS]
     for e0, shifted in zip(OFFSETS, dynamics._shifted_scenarios(s, OFFSETS)):
         alone = eigendecompose(shift_hamiltonian(s.hamiltonian, e0))
