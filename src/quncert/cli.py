@@ -13,6 +13,7 @@ Exit codes: 0 all checks pass, 1 check failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -115,9 +116,16 @@ def _as_complex_vector(value, where: str) -> np.ndarray:
 
 def load_scenario(path: str) -> dynamics.Scenario:
     """Parse and validate a scenario file (JSON with [re, im] complex pairs)."""
+    return _load_scenario(path)[1]
+
+
+def _load_scenario(path: str) -> tuple[bytes, dynamics.Scenario]:
+    """The file's bytes, read once, and the Scenario parsed from them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # decoded as a text-mode read decodes, universal newlines included
+        raw = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -168,7 +176,7 @@ def load_scenario(path: str) -> dynamics.Scenario:
             _as_number(time["stop"], "time.stop"),
             steps,
         )
-        return dynamics.Scenario(
+        return data, dynamics.Scenario(
             hbar=hbar,
             hamiltonian=hamiltonian,
             initial_state=state,
@@ -317,33 +325,39 @@ def check_inconclusive(name: str, min_observed: float) -> Check:
     return Check(name, min_observed, 0.0, 0.0, "inconclusive")
 
 
-def _preset_scenarios(names) -> dict[str, dynamics.Scenario]:
-    return {
-        name: qubit.qubit_scenario(qubit.FIGURE_PRESETS[name]) for name in names
-    }
+# the figure presets, and a qubit whose upper level strictly dominates
+_PRESETS = {
+    **qubit.FIGURE_PRESETS,
+    "dominant95": qubit.QubitPreset(omega=1.0, alpha1=math.sqrt(0.95), alpha2=math.sqrt(0.05)),
+}
 
 
-def _suite_evolution(scenario, rng) -> dict[str, list[Check]]:
-    """Conservation and offset checks from one evolution of each target.
+def _suite_evolution(scenario, rng, presets) -> dict[str, list[Check]]:
+    """Conservation, offset and Mandelstam-Tamm checks from one evolution of each target.
 
-    On a scenario: the scenario, for both.  Otherwise: conservation on every
-    figure preset and 10 seeded random scenarios, and offsets on fig2A-D,
-    whose conservation drift reads the base trajectory of the offset check.
+    On a scenario: the scenario, for all three.  Otherwise: conservation on
+    every figure preset and 10 seeded random scenarios, offsets on fig2A-D,
+    whose conservation drift reads the base trajectory of the offset check,
+    and Mandelstam-Tamm on fig2D, fig3AB and fig3CD, which read it too.
     """
     if scenario is not None:
         targets = {"scenario": scenario}
         offset_targets = {"scenario"}
+        mt_checks = {"scenario": _mt_scenario_checks}
     else:
-        targets = _preset_scenarios(qubit.FIGURE_PRESETS)
+        targets = {name: presets[name] for name in qubit.FIGURE_PRESETS}
         for k in range(10):
             dim = 2 + k % 5
             targets[f"random{k}.dim{dim}"] = random_scenario(rng, dim)
         offset_targets = {"fig2A", "fig2B", "fig2C", "fig2D"}
-    conservation, offset = [], []
+        mt_checks = dict.fromkeys(("fig2D", "fig3AB", "fig3CD"), _mt_preset_checks)
+    conservation, offset, mt = [], [], []
     for name, s in targets.items():
         offsets = OFFSET_VALUES if name in offset_targets else ()
         trajectory, reports = dynamics._offset_comparison(s, offsets)
         drift = dynamics.check_conservation(trajectory)
+        if name in mt_checks:
+            mt += mt_checks[name](name, s, trajectory)
         del trajectory  # freed before the next target evolves, which lowers the peak RSS
         conservation.append(
             check_max(f"conservation.{name}.max_drift", drift.max_drift, drift.tolerance)
@@ -357,7 +371,7 @@ def _suite_evolution(scenario, rng) -> dict[str, list[Check]]:
             offset.append(
                 check_max(f"offset.{name}.E0={report.offset}", worst, report.tolerance)
             )
-    return {"conservation": conservation, "offset": offset}
+    return {"conservation": conservation, "offset": offset, "mt": mt}
 
 
 def _halving_checks(label: str, s, observable, t, step, coarse) -> list[Check]:
@@ -368,7 +382,7 @@ def _halving_checks(label: str, s, observable, t, step, coarse) -> list[Check]:
     is rounding noise with no ratio to report, so one check records that.
     """
     fine_step = step / 2.0
-    fine = dynamics.ehrenfest_residual(observable, s, t, fine_step)
+    fine = dynamics._ehrenfest_residual(observable, s, t, fine_step)
     eps = np.finfo(np.float64).eps
     floor = 1000.0 * s.dim * eps * float(np.linalg.norm(observable, 2)) / fine_step
     if fine <= floor:
@@ -380,19 +394,19 @@ def _halving_checks(label: str, s, observable, t, step, coarse) -> list[Check]:
     ]
 
 
-def _suite_ehrenfest(scenario, rng) -> dict[str, list[Check]]:
+def _suite_ehrenfest(scenario, rng, presets) -> dict[str, list[Check]]:
     checks = []
     if scenario is None:
-        s = qubit.qubit_scenario(qubit.FIGURE_PRESETS["fig2D"])
+        s = presets["fig2D"]
         sx = s.observables["sx"]
         probes = (0.4, 1.3, 2.9, 4.6)
-        worst = max(dynamics.ehrenfest_residual(sx, s, t, 1e-4) for t in probes)
+        worst = max(dynamics._ehrenfest_residual(sx, s, t, 1e-4) for t in probes)
         checks.append(check_max("ehrenfest.fig2D.sx.residual@1e-4", worst, 1e-8))
-        coarse = dynamics.ehrenfest_residual(sx, s, 1.3, 1e-3)
+        coarse = dynamics._ehrenfest_residual(sx, s, 1.3, 1e-3)
         checks += _halving_checks("fig2D.sx", s, sx, 1.3, 1e-3, coarse)
         static = max(
-            dynamics.ehrenfest_residual(s.hamiltonian, s, 1.3, 1e-4),
-            dynamics.ehrenfest_residual(qubit.pauli("z"), s, 1.3, 1e-4),
+            dynamics._ehrenfest_residual(s.hamiltonian, s, 1.3, 1e-4),
+            dynamics._ehrenfest_residual(qubit.pauli("z"), s, 1.3, 1e-4),
         )
         checks.append(check_max("ehrenfest.fig2D.static_observables", static, 1e-10))
         return {"ehrenfest": checks}
@@ -405,7 +419,7 @@ def _suite_ehrenfest(scenario, rng) -> dict[str, list[Check]]:
     for name, matrix in scenario.observables.items():
         scale = max(1.0, spec.span / scenario.hbar * float(np.linalg.norm(matrix)))
         worst = max(
-            dynamics.ehrenfest_residual(matrix, scenario, t, fd) for t in probes
+            dynamics._ehrenfest_residual(matrix, scenario, t, fd) for t in probes
         )
         checks.append(check_max(f"ehrenfest.{name}.residual@default", worst, 1e-6 * scale))
     if scenario.observables:
@@ -413,14 +427,14 @@ def _suite_ehrenfest(scenario, rng) -> dict[str, list[Check]]:
         period = 2.0 * math.pi * scenario.hbar / spec.span if spec.span > 0 else 1.0
         coarse_step = 1e-3 * period
         coarse = {
-            t: dynamics.ehrenfest_residual(matrix, scenario, t, coarse_step) for t in probes
+            t: dynamics._ehrenfest_residual(matrix, scenario, t, coarse_step) for t in probes
         }
         t_star = max(probes, key=coarse.get)
         checks += _halving_checks(name, scenario, matrix, t_star, coarse_step, coarse[t_star])
     return {"ehrenfest": checks}
 
 
-def _suite_uncertainty(scenario, rng) -> dict[str, list[Check]]:
+def _suite_uncertainty(scenario, rng, presets) -> dict[str, list[Check]]:
     """Robertson and Schrodinger checks from one evaluation of both bounds.
 
     On a scenario: its observables and H against each other, pairwise.
@@ -464,9 +478,8 @@ def _suite_uncertainty(scenario, rng) -> dict[str, list[Check]]:
 
 def _extremum_distance(preset: qubit.QubitPreset, t: float) -> float:
     """Distance from t to the nearest turning point of <sigma_x>."""
-    cross = preset.alpha1 * np.conj(preset.alpha2)
-    phi = math.atan2(cross.imag, cross.real)
-    frac = ((t * preset.omega - phi) / math.pi) % 1.0
+    re, im = qubit._interference(preset)
+    frac = ((t * preset.omega - math.atan2(im, re)) / math.pi) % 1.0
     return min(frac, 1.0 - frac) * math.pi / preset.omega
 
 
@@ -475,62 +488,47 @@ def _product_floor(hbar: float) -> float:
     return 0.5 * hbar - 1e-10 * hbar
 
 
-def _mt_checks_for_preset(name: str, preset: qubit.QubitPreset) -> list[Check]:
-    s = qubit.qubit_scenario(preset)
-    samples = uncertainty.mt_series(s.observables["sx"], s)
-    grid_step = s.time_grid.step
-    half_hbar = 0.5 * preset.hbar
-    finite = [smp for smp in samples if math.isfinite(smp.delta_t)]
-    flagged = [smp for smp in samples if not math.isfinite(smp.delta_t)]
-    checks = [check_bool(f"mt.{name}.has_finite_samples", bool(finite))]
-    min_product = min((smp.product for smp in finite), default=math.inf)
-    checks.append(
-        check_min(f"mt.{name}.min_product", min_product, _product_floor(preset.hbar))
-    )
-    worst_flag = max(
-        (_extremum_distance(preset, smp.t) for smp in flagged), default=0.0
-    )
-    checks.append(
-        check_max(f"mt.{name}.flags_at_extrema", worst_flag, grid_step)
-    )
+def _trajectory_mt(s, trajectory, name: str):
+    """Mandelstam-Tamm rate, dT and product of ``name`` read off a trajectory of s."""
+    a, delta_a = s.observables[name], trajectory.observables[name].stddev
+    return uncertainty._mt_columns(a, s, trajectory.states, delta_a)
+
+
+def _mt_preset_checks(name: str, s, trajectory) -> list[Check]:
+    preset = _PRESETS[name]
+    _, delta_t, product = _trajectory_mt(s, trajectory, "sx")
+    finite = np.isfinite(delta_t)
+    checks = [check_bool(f"mt.{name}.has_finite_samples", bool(finite.any()))]
+    min_product = float(product[finite].min()) if finite.any() else math.inf
+    checks.append(check_min(f"mt.{name}.min_product", min_product, _product_floor(preset.hbar)))
+    flagged = trajectory.times[~finite].tolist()
+    worst_flag = max((_extremum_distance(preset, t) for t in flagged), default=0.0)
+    checks.append(check_max(f"mt.{name}.flags_at_extrema", worst_flag, s.time_grid.step))
     if abs(preset.coherence - 1.0) < 1e-12:
-        inv_omega = 1.0 / preset.omega
-        worst_dt = max(abs(smp.delta_t - inv_omega) for smp in finite)
-        worst_prod = max(abs(smp.product - half_hbar) for smp in finite)
+        worst_dt = float(np.abs(delta_t[finite] - 1.0 / preset.omega).max())
+        worst_prod = float(np.abs(product[finite] - 0.5 * preset.hbar).max())
         checks.append(check_max(f"mt.{name}.delta_t_is_1/omega", worst_dt, 1e-9))
         checks.append(check_max(f"mt.{name}.product_is_hbar/2", worst_prod, 1e-9))
     return checks
 
 
-def _suite_mt(scenario, rng) -> dict[str, list[Check]]:
-    checks = []
-    if scenario is None:
-        for name in ("fig2D", "fig3AB", "fig3CD"):
-            checks += _mt_checks_for_preset(name, qubit.FIGURE_PRESETS[name])
-        return {"mt": checks}
-    spread, floor = uncertainty._energy_spread(scenario)
+def _mt_scenario_checks(name: str, s, trajectory) -> list[Check]:
+    """The smallest finite product of each observable of a scenario file."""
+    spread, floor = uncertainty._energy_spread(s)
     if spread <= floor:
         # an energy eigenstate has no Mandelstam-Tamm clock; mt_series refuses it
-        undefined = "mt.scenario.undefined_for_eigenstate"
-        return {"mt": [check_max(undefined, spread, floor)]}
-    floor = _product_floor(scenario.hbar)
-    for name, matrix in scenario.observables.items():
-        samples = uncertainty.mt_series(matrix, scenario)
-        finite = [smp.product for smp in samples if math.isfinite(smp.product)]
-        value = min(finite) if finite else math.inf
-        checks.append(check_min(f"mt.{name}.min_product", value, floor))
-    return {"mt": checks}
+        return [check_max(f"mt.{name}.undefined_for_eigenstate", spread, floor)]
+    checks = []
+    for observable in s.observables:
+        product = _trajectory_mt(s, trajectory, observable)[2]
+        finite = product[np.isfinite(product)]
+        value = float(finite.min()) if finite.size else math.inf
+        checks.append(check_min(f"mt.{observable}.min_product", value, _product_floor(s.hbar)))
+    return checks
 
 
-def _preset_speed_limits() -> dict[str, list[Check]]:
-    presets = {
-        **qubit.FIGURE_PRESETS,
-        "dominant95": qubit.QubitPreset(
-            omega=1.0, alpha1=math.sqrt(0.95), alpha2=math.sqrt(0.05)
-        ),
-    }
-    scenarios = {name: qubit.qubit_scenario(p) for name, p in presets.items()}
-    preset, s = presets["fig2D"], scenarios["fig2D"]
+def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
+    preset, s = _PRESETS["fig2D"], scenarios["fig2D"]
     result = uncertainty.orthogonalization_time(s)
     bounds = uncertainty.ml_bounds(s)
     tau_expect = math.pi / preset.omega
@@ -550,7 +548,7 @@ def _preset_speed_limits() -> dict[str, list[Check]]:
             math.isinf(bounds.from_mean_energy_unshifted),
         ),
     ]
-    for name, p in presets.items():
+    for name, p in _PRESETS.items():
         dominant = max(abs(p.alpha1), abs(p.alpha2)) ** 2
         # strictly dominant amplitude; the balanced presets sit at 1/2 + rounding
         if dominant <= 0.5 + 1e-12:
@@ -582,10 +580,10 @@ def _preset_speed_limits() -> dict[str, list[Check]]:
     return {"ml": ml, "qsl": qsl}
 
 
-def _suite_speed_limits(scenario, rng) -> dict[str, list[Check]]:
+def _suite_speed_limits(scenario, rng, presets) -> dict[str, list[Check]]:
     """ML and QSL checks, both reading one orthogonalization search per scenario."""
     if scenario is None:
-        return _preset_speed_limits()
+        return _preset_speed_limits(presets)
     bounds = uncertainty.ml_bounds(scenario)
     tau = uncertainty.qsl_tau(scenario)
     expected = max(bounds.from_energy_spread, bounds.from_mean_energy)
@@ -629,15 +627,16 @@ def _suite_speed_limits(scenario, rng) -> dict[str, list[Check]]:
 
 # Each suite names the analysis that produces its checks; an analysis returns
 # one check list per suite it covers, so suites sharing one run it once, and a
-# suite run alone runs the whole analysis it shares (conservation and offset
-# read one evolution of each target, ml and qsl one orthogonalization search).
+# suite run alone runs the whole analysis it shares (conservation, offset and
+# mt read one evolution of each target, ml and qsl one orthogonalization
+# search).
 _SUITES = {
     "conservation": _suite_evolution,
     "offset": _suite_evolution,
     "ehrenfest": _suite_ehrenfest,
     "robertson": _suite_uncertainty,
     "schrodinger": _suite_uncertainty,
-    "mt": _suite_mt,
+    "mt": _suite_evolution,
     "ml": _suite_speed_limits,
     "qsl": _suite_speed_limits,
 }
@@ -660,13 +659,11 @@ def _resolve_seed(cli_seed: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _input_digest(scenario_path: str | None) -> str:
-    if scenario_path is None:
+def _input_digest(data: bytes | None) -> str:
+    if data is None:
         return "builtin:presets"
     import hashlib  # loads OpenSSL, which only this branch needs
-
-    with open(scenario_path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _json_safe(x: float):
@@ -723,32 +720,21 @@ _FIGURE_PANELS = {
 def _write_figure_panel(figure: str, panel: str, outdir: str) -> list[str]:
     preset = qubit.FIGURE_PRESETS[panel]
     path = os.path.join(outdir, f"{panel}.csv")
-
-    if figure == "fig3":
-        # Mandelstam-Tamm timescale and product, in 1/omega and hbar/2 units
-        s = qubit.qubit_scenario(preset)
-        samples = uncertainty.mt_series(s.observables["sx"], s)
-        t, delta_t, product = np.array(
-            [(smp.t, smp.delta_t, smp.product) for smp in samples]
-        ).T
-        with _open_csv(path) as fh:
-            _write_rows(
-                fh,
-                ["t", "delta_t", "product"],
-                [t, delta_t * preset.omega, product / (0.5 * preset.hbar)],
-            )
-        return [path]
-
     observables = None
     if figure == "fig1":
         plus, minus = qubit.spin_projectors("z")
         observables = {"proj_up_z": plus, "proj_down_z": minus}
-    trajectory = dynamics.evolve(
-        qubit.qubit_scenario(preset, observables), store_states=False
-    )
+    s = qubit.qubit_scenario(preset, observables)
+    trajectory = dynamics.evolve(s, store_states=figure == "fig3")
     with _open_csv(path) as fh:
-        write_trajectory_csv(trajectory, fh)
-    if figure == "fig1":
+        if figure == "fig3":
+            # Mandelstam-Tamm timescale and product, in 1/omega and hbar/2 units
+            _, delta_t, product = _trajectory_mt(s, trajectory, "sx")
+            columns = [trajectory.times, delta_t * preset.omega, product / (0.5 * preset.hbar)]
+            _write_rows(fh, ["t", "delta_t", "product"], columns)
+        else:
+            write_trajectory_csv(trajectory, fh)
+    if figure != "fig2":
         return [path]
     try:
         report = qubit.tick_tock(trajectory, "sx")
@@ -770,17 +756,21 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scenario = load_scenario(args.scenario) if args.scenario else None
+    data, scenario = _load_scenario(args.scenario) if args.scenario else (None, None)
     seed = _resolve_seed(args.seed)
-    digest = _input_digest(args.scenario)
+    digest = _input_digest(data)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    # each preset Scenario, and so its spectrum, is built once for every analysis
+    presets = None if scenario else {n: qubit.qubit_scenario(p) for n, p in _PRESETS.items()}
 
-    # each analysis runs once, for all the suites it covers; on the presets it
-    # gets a fresh rng of its own, while on a scenario none draws a number
+    # each analysis runs once, for all the suites it covers, with a fresh rng of
+    # its own on the presets (none draws on a scenario); uncertainty runs first,
+    # on the smallest heap, since the fuzz's arrays set a preset run's peak RSS
     results: dict[str, list[Check]] = {}
-    for analysis in dict.fromkeys(_SUITES[suite] for suite in suites):
+    analyses = dict.fromkeys(_SUITES[suite] for suite in suites)
+    for analysis in sorted(analyses, key=lambda a: a is not _suite_uncertainty):
         rng = None if scenario is not None else np.random.default_rng(seed)
-        results.update(analysis(scenario, rng))
+        results.update(analysis(scenario, rng, presets))
     checks = [c for suite in suites for c in results[suite]]
 
     report = build_report(args.suite, checks, seed, digest)

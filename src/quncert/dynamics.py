@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
@@ -132,8 +132,8 @@ class Scenario:
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
-        """Spectral decomposition of the Hamiltonian, computed once."""
-        return eigendecompose(self.hamiltonian)
+        """Spectral decomposition of the validated Hamiltonian, computed once."""
+        return _eigendecompose_stack(self.hamiltonian[None])[0]
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -272,7 +272,11 @@ def check_conservation(trajectory: Trajectory) -> ConservationReport:
 def shift_hamiltonian(hamiltonian, offset: float) -> np.ndarray:
     """H + offset * identity."""
     h = require_hermitian(hamiltonian, "hamiltonian")
-    offset = require_finite_real(offset, "offset")
+    return _shift(h, require_finite_real(offset, "offset"))
+
+
+def _shift(h: np.ndarray, offset: float) -> np.ndarray:
+    """H + offset * identity of a validated H and offset."""
     return h + offset * np.eye(h.shape[0], dtype=np.complex128)
 
 
@@ -290,16 +294,20 @@ class OffsetInvarianceReport(NamedTuple):
 def _shifted_scenarios(scenario: Scenario, offsets) -> list[Scenario]:
     """The scenario with H + offset * identity, one per offset.
 
+    Only the shifted Hamiltonian, the one field that changes, is validated.
     Every shifted Hamiltonian is decomposed in one stacked call, led by the
     base Hamiltonian when the base has no cached spectrum yet, and each
     spectrum is seeded into its Scenario's cache, as _on_default_grid seeds
     the grid.  A member of a stack gets the bits it gets alone, so the seeded
     spectra are those each Scenario would compute for itself.
     """
-    shifted = [
-        replace(scenario, hamiltonian=shift_hamiltonian(scenario.hamiltonian, offset))
-        for offset in offsets
-    ]
+    base_fields = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
+    shifted = []
+    for offset in offsets:
+        h = _shift(scenario.hamiltonian, require_finite_real(offset, "offset"))
+        s = object.__new__(type(scenario))  # no __post_init__, and no cached spectrum
+        vars(s).update(base_fields, hamiltonian=_frozen_copy(require_hermitian(h, "hamiltonian")))
+        shifted.append(s)
     if shifted:
         members = shifted if "spectrum" in vars(scenario) else [scenario, *shifted]
         spectra = _eigendecompose_stack(np.stack([s.hamiltonian for s in members]))
@@ -328,7 +336,7 @@ def _offset_comparison(
     The shifted scenarios are built before the base is evolved, so that an
     undecomposed base joins their stacked decomposition (_shifted_scenarios);
     each shifted trajectory is then evolved and compared in turn.  The
-    verify suites read the base trajectory for the conservation check too.
+    conservation and Mandelstam-Tamm checks read the base trajectory too.
     """
     offsets = list(offsets)
     shifted = _shifted_scenarios(scenario, offsets)
@@ -393,7 +401,11 @@ def ehrenfest_residual(
     The centered difference uses exact spectral evolution at t +- fd_step, so
     the residual is pure O(fd_step^2) truncation error.
     """
-    a = _require_observable(observable, scenario.dim)
+    return _ehrenfest_residual(_require_observable(observable, scenario.dim), scenario, t, fd_step)
+
+
+def _ehrenfest_residual(a: np.ndarray, scenario: Scenario, t, fd_step) -> float:
+    """ehrenfest_residual of an observable the caller has validated."""
     t = require_finite_real(t, "t")
     spec = scenario.spectrum
     if fd_step is None:

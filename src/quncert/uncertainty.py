@@ -135,35 +135,31 @@ def _energy_spread(scenario: Scenario) -> tuple[float, float]:
     return spread, ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum)
 
 
-def _mt_context(observable, scenario: Scenario):
-    a = _require_observable(observable, scenario.dim)
+def _mt_columns(a, scenario: Scenario, states, delta_a):
+    """Rates |d<A>/dt|, dT = dA / rate and dH * dT of a validated observable
+    on (d, T) state columns with spreads ``delta_a``; dT and the product are
+    math.inf at rates at or below the scale-aware threshold.  An energy
+    eigenstate, which has no clock, raises ValueError."""
     energy_spread, floor = _energy_spread(scenario)
     if energy_spread <= floor:
         raise ValueError(
             "Mandelstam-Tamm timescale is undefined for energy eigenstates "
             f"(energy spread {energy_spread:.3e})"
         )
-    rate_eps = (
-        RATE_EPS_FACTOR
-        * scenario.spectrum.span
-        * float(np.linalg.norm(a, 2))
-        / scenario.hbar
-    )
-    return a, energy_spread, rate_eps
+    norm = float(np.linalg.norm(a, 2))
+    rate_eps = RATE_EPS_FACTOR * scenario.spectrum.span * norm / scenario.hbar
+    # exact rate d<A>/dt = <[A, H]> / (i hbar): the mean of a Hermitian generator
+    generator = _commutator(a, scenario.hamiltonian) / (1j * scenario.hbar)
+    rates = np.abs(qstat._means(generator, states)[0])
+    delta_t = np.divide(delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps)
+    return rates, delta_t, energy_spread * delta_t
 
 
 def _mt_samples(observable, scenario: Scenario, times) -> list[MTSample]:
-    a, energy_spread, rate_eps = _mt_context(observable, scenario)
+    a = _require_observable(observable, scenario.dim)
     states = _states_at(scenario, times)
-    _, variances, _ = qstat._moments(a, states)
-    # exact rate d<A>/dt = <[A, H]> / (i hbar): the mean of a Hermitian generator
-    generator = _commutator(a, scenario.hamiltonian) / (1j * scenario.hbar)
-    rates = qstat._means(generator, states)[0]
-    delta_a, rates = np.sqrt(variances), np.abs(rates)
-    delta_t = np.divide(
-        delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps
-    )
-    columns = (times, delta_a, rates, delta_t, energy_spread * delta_t)
+    delta_a = np.sqrt(qstat._moments(a, states)[1])
+    columns = (times, delta_a, *_mt_columns(a, scenario, states, delta_a))
     return [MTSample(*row) for row in zip(*(c.tolist() for c in columns))]
 
 

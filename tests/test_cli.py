@@ -5,6 +5,8 @@ inputs that once hung, under ``-W error`` and a timeout, and one confirms the
 installed console script is wired up.
 """
 
+import builtins
+import hashlib
 import io
 import json
 import math
@@ -587,8 +589,10 @@ def test_figure_decomposes_once_per_panel(tmp_path, capsys, decompositions, figu
 
 
 def test_verify_all_decomposition_count(tmp_path, decompositions):
+    """Each preset Scenario is built once per run, so the analyses that read
+    one preset share its cached spectrum."""
     assert main(["verify", "all", "--report", str(tmp_path / "r.json")]) == EXIT_PASS
-    assert len(decompositions) == 47
+    assert len(decompositions) == 33
     assert len({m.tobytes() for m in decompositions}) == 14
 
 
@@ -633,6 +637,89 @@ def test_verify_scenario_evolves_each_trajectory_once(tmp_path, count_calls):
     main(["verify", "all", "--scenario", str(DATA / "scenario_dim6.json"),
           "--report", str(tmp_path / "r.json")])
     assert len(evolves) == 1 + len(OFFSET_VALUES)
+
+
+def test_verify_scenario_evolves_the_grid_once_per_trajectory(tmp_path, monkeypatch):
+    """Mandelstam-Tamm reads the base trajectory too: the whole grid is
+    evolved for the scenario and for each H + c*I, and never again."""
+    sizes = []
+    _record_every_binding(
+        monkeypatch, dynamics._states_at, lambda scenario, times: sizes.append(len(times))
+    )
+    path = DATA / "scenario_dim6.json"
+    steps = json.loads(path.read_text())["time"]["steps"]
+    main(["verify", "all", "--scenario", str(path), "--report", str(tmp_path / "r.json")])
+    assert sizes.count(steps) == 1 + len(OFFSET_VALUES)
+
+
+def _validated_matrices(monkeypatch):
+    """Matrices passed to require_hermitian, through every module's binding."""
+    seen = []
+    _record_every_binding(
+        monkeypatch, hilbert.require_hermitian, lambda m, *_: seen.append(np.array(m).tobytes())
+    )
+    return seen
+
+
+def test_verify_scenario_validates_each_matrix_once(tmp_path, monkeypatch):
+    """H, obs0 and obs1 when the file loads, and each H + c*I when its
+    scenario is built; no analysis validates any of them again."""
+    seen = _validated_matrices(monkeypatch)
+    main(["verify", "all", "--scenario", str(DATA / "scenario_dim6.json"),
+          "--report", str(tmp_path / "r.json")])
+    assert len(seen) == len(set(seen)) == 3 + len(OFFSET_VALUES)
+
+
+def test_verify_all_validation_count(tmp_path, monkeypatch):
+    """Each preset Scenario is built once per run, and analyses take its
+    matrices as validated: 232 calls before presets were shared."""
+    seen = _validated_matrices(monkeypatch)
+    assert main(["verify", "all", "--seed", "42", "--report", str(tmp_path / "r.json")]) == 0
+    # 11 presets x (H and 3 observables), 10 random x (H and 2), 4 x 3 offsets
+    assert len(seen) == 86
+
+
+@pytest.mark.parametrize("target", ["scenario_dim6.json", "fig2D", "fig3AB", "fig3CD"])
+def test_mt_minima_of_the_shared_trajectory_match_mt_series(tmp_path, target):
+    """The mt checks read the trajectory the evolution analysis evolved; its
+    columns, and the reported minima, are mt_series's, bit for bit."""
+    if target.endswith(".json"):
+        path = str(DATA / target)
+        s, argv = load_scenario(path), ["--scenario", path]
+        checks = {name: f"mt.{name}.min_product" for name in s.observables}
+    else:
+        s, argv = qubit.qubit_scenario(qubit.FIGURE_PRESETS[target]), []
+        checks = {"sx": f"mt.{target}.min_product"}
+    report = tmp_path / "r.json"
+    main(["verify", "mt", *argv, "--report", str(report)])
+    lhs = {c["name"]: c["lhs"] for c in json.loads(report.read_text())["checks"]}
+    trajectory = dynamics.evolve(s)
+    for name, check in checks.items():
+        rates, delta_t, product = cli._trajectory_mt(s, trajectory, name)
+        samples = uncertainty.mt_series(s.observables[name], s)
+        assert np.array_equal(rates, [x.rate for x in samples])
+        assert np.array_equal(delta_t, [x.delta_t for x in samples])
+        assert np.array_equal(product, [x.product for x in samples])
+        finite = [x.product for x in samples if math.isfinite(x.delta_t)]
+        assert lhs[check] == min(finite)
+
+
+def test_verify_digests_the_bytes_it_parsed(tmp_path, monkeypatch):
+    """The scenario file is read once; input_digest is the sha256 of those bytes."""
+    path = str(DATA / "scenario_dim6.json")
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    report = tmp_path / "r.json"
+    main(["verify", "all", "--scenario", path, "--report", str(report)])
+    assert opened.count(path) == 1
+    digest = json.loads(report.read_text())["input_digest"]
+    assert digest == "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("suite", ["ml", "qsl"])
@@ -694,7 +781,7 @@ def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
     triple."""
     calls = count_calls(uncertainty, "_pair_bounds")
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    cli._suite_uncertainty(None, rng)
+    cli._suite_uncertainty(None, rng, None)
     assert [a.shape[-1] for a, _, _ in calls] == [2, 3, 4, 5, 6]
     for a, b, psi in calls:
         dim = a.shape[-1]
@@ -711,10 +798,10 @@ def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
 def test_uncertainty_fuzz_memory_is_bounded():
     """The fuzz draws its triples in blocks: drawing a whole dimension at
     once peaks above 6 MB."""
-    cli._suite_uncertainty(None, np.random.default_rng(42))  # numpy's one-time set-up
+    cli._suite_uncertainty(None, np.random.default_rng(42), None)  # numpy's one-time set-up
     tracemalloc.start()
     try:
-        cli._suite_uncertainty(None, np.random.default_rng(42))
+        cli._suite_uncertainty(None, np.random.default_rng(42), None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -51,6 +51,14 @@ def test_verify_scenario_draws_no_random_numbers(tmp_path):
     assert loaded["hashlib"] is True  # the report carries the file's sha256
 
 
+def test_evolve_loads_neither_hashlib_nor_numpy_random(tmp_path):
+    """The scenario loader reads the file's bytes for verify's digest, but
+    only verify hashes them."""
+    argv = ["evolve", str(DATA / "scenario_dim6.json"), "-o", str(tmp_path / "out.csv")]
+    loaded = _loaded_after(f"from quncert.cli import main\nassert main({argv!r}) == 0")
+    assert loaded == {"hashlib": False, "numpy.random": False}
+
+
 def test_only_input_records_are_dataclasses():
     public = [getattr(quncert, name) for name in quncert.__all__]
     public += [obj for name, obj in vars(cli).items() if not name.startswith("_")]
