@@ -114,6 +114,16 @@ def _as_complex_vector(value, where: str) -> np.ndarray:
     return _pairs_at_once(value, (f"{where}[{i}]" for i in range(len(value))))
 
 
+def _require_keys(value: dict, where: str, required, optional=()) -> None:
+    """Refuse a JSON object that lacks a required key or holds an unknown one."""
+    for key in required:
+        if key not in value:
+            raise ScenarioFormatError(f"{where}: missing required key {key!r}")
+    unknown = set(value) - {*required, *optional}
+    if unknown:
+        raise ScenarioFormatError(f"{where}: unknown keys {sorted(unknown)!r}")
+
+
 def load_scenario(path: str) -> dynamics.Scenario:
     """Parse and validate a scenario file (JSON with [re, im] complex pairs)."""
     return _load_scenario(path)[1]
@@ -121,11 +131,23 @@ def load_scenario(path: str) -> dynamics.Scenario:
 
 def _load_scenario(path: str) -> tuple[bytes, dynamics.Scenario]:
     """The file's bytes, read once, and the Scenario parsed from them."""
+
+    def one_value_per_key(pairs) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ScenarioFormatError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         # decoded as a text-mode read decodes, universal newlines included
-        raw = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        raw = json.load(text, object_pairs_hook=one_value_per_key)
+    except ScenarioFormatError:
+        raise
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -142,12 +164,7 @@ def _load_scenario(path: str) -> tuple[bytes, dynamics.Scenario]:
 
     if not isinstance(raw, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
-    for key in ("hbar", "hamiltonian", "initial_state", "time"):
-        if key not in raw:
-            raise ScenarioFormatError(f"{path}: missing required key {key!r}")
-    unknown = set(raw) - {"hbar", "hamiltonian", "initial_state", "time", "observables"}
-    if unknown:
-        raise ScenarioFormatError(f"{path}: unknown keys {sorted(unknown)!r}")
+    _require_keys(raw, path, ("hbar", "hamiltonian", "initial_state", "time"), ("observables",))
 
     hbar = _as_number(raw["hbar"], "hbar")
     hamiltonian = _as_complex_matrix(raw["hamiltonian"], "hamiltonian")
@@ -156,9 +173,7 @@ def _load_scenario(path: str) -> tuple[bytes, dynamics.Scenario]:
     time = raw["time"]
     if not isinstance(time, dict):
         raise ScenarioFormatError("time: expected an object {start, stop, steps}")
-    for key in ("start", "stop", "steps"):
-        if key not in time:
-            raise ScenarioFormatError(f"time: missing required key {key!r}")
+    _require_keys(time, "time", ("start", "stop", "steps"))
     steps = time["steps"]
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ScenarioFormatError(f"time.steps: expected an integer, got {steps!r}")
@@ -424,8 +439,7 @@ def _suite_ehrenfest(scenario, rng, presets) -> dict[str, list[Check]]:
         checks.append(check_max(f"ehrenfest.{name}.residual@default", worst, 1e-6 * scale))
     if scenario.observables:
         name, matrix = next(iter(scenario.observables.items()))
-        period = 2.0 * math.pi * scenario.hbar / spec.span if spec.span > 0 else 1.0
-        coarse_step = 1e-3 * period
+        coarse_step = 1e-3 * dynamics._period(spec, scenario.hbar)
         coarse = {
             t: dynamics._ehrenfest_residual(matrix, scenario, t, coarse_step) for t in probes
         }
@@ -710,13 +724,6 @@ def cmd_evolve(args) -> int:
     return EXIT_PASS
 
 
-_FIGURE_PANELS = {
-    "fig1": ("fig1A", "fig1B", "fig1C", "fig1D"),
-    "fig2": ("fig2A", "fig2B", "fig2C", "fig2D"),
-    "fig3": ("fig3AB", "fig3CD"),
-}
-
-
 def _write_figure_panel(figure: str, panel: str, outdir: str) -> list[str]:
     preset = qubit.FIGURE_PRESETS[panel]
     path = os.path.join(outdir, f"{panel}.csv")
@@ -749,7 +756,7 @@ def _write_figure_panel(figure: str, panel: str, outdir: str) -> list[str]:
 
 def cmd_figure(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
-    for panel in _FIGURE_PANELS[args.figure]:
+    for panel in [p for p in qubit.FIGURE_PRESETS if p.startswith(args.figure)]:
         for path in _write_figure_panel(args.figure, panel, args.outdir):
             print(path)
     return EXIT_PASS
@@ -802,7 +809,7 @@ def main(argv=None) -> int:
     p_evolve.add_argument("-o", "--output", help="output CSV path (default stdout)")
 
     p_figure = sub.add_parser("figure", help="emit per-panel CSV data for a figure")
-    p_figure.add_argument("figure", choices=sorted(_FIGURE_PANELS))
+    p_figure.add_argument("figure", choices=("fig1", "fig2", "fig3"))
     p_figure.add_argument("-d", "--outdir", default=".", help="output directory")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -70,8 +70,6 @@ def _validated_observables(observables, dim: int) -> MappingProxyType:
             raise ValueError(f"observable name {name!r} is not an identifier")
         if name == "energy":
             raise ValueError("'energy' is reserved for the Hamiltonian series")
-        if name in out:
-            raise ValueError(f"duplicate observable name {name!r}")
         m = _require_observable(matrix, dim, f"observable {name!r}")
         out[name] = _frozen_copy(m)
     return MappingProxyType(out)
@@ -291,31 +289,6 @@ class OffsetInvarianceReport(NamedTuple):
     passed: bool
 
 
-def _shifted_scenarios(scenario: Scenario, offsets) -> list[Scenario]:
-    """The scenario with H + offset * identity, one per offset.
-
-    Only the shifted Hamiltonian, the one field that changes, is validated.
-    Every shifted Hamiltonian is decomposed in one stacked call, led by the
-    base Hamiltonian when the base has no cached spectrum yet, and each
-    spectrum is seeded into its Scenario's cache, as _on_default_grid seeds
-    the grid.  A member of a stack gets the bits it gets alone, so the seeded
-    spectra are those each Scenario would compute for itself.
-    """
-    base_fields = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
-    shifted = []
-    for offset in offsets:
-        h = _shift(scenario.hamiltonian, require_finite_real(offset, "offset"))
-        s = object.__new__(type(scenario))  # no __post_init__, and no cached spectrum
-        vars(s).update(base_fields, hamiltonian=_frozen_copy(require_hermitian(h, "hamiltonian")))
-        shifted.append(s)
-    if shifted:
-        members = shifted if "spectrum" in vars(scenario) else [scenario, *shifted]
-        spectra = _eigendecompose_stack(np.stack([s.hamiltonian for s in members]))
-        for s, spec in zip(members, spectra):
-            object.__setattr__(s, "spectrum", spec)
-    return shifted
-
-
 def offset_invariance_check(scenario: Scenario, offsets) -> list[OffsetInvarianceReport]:
     """Energy-offset invariance: identical physics, a global phase in the state.
 
@@ -333,13 +306,29 @@ def _offset_comparison(
 ) -> tuple[Trajectory, list[OffsetInvarianceReport]]:
     """The base trajectory and one OffsetInvarianceReport per offset.
 
-    The shifted scenarios are built before the base is evolved, so that an
-    undecomposed base joins their stacked decomposition (_shifted_scenarios);
-    each shifted trajectory is then evolved and compared in turn.  The
-    conservation and Mandelstam-Tamm checks read the base trajectory too.
+    Each shifted scenario copies the base's fields with H + offset * identity,
+    and only that Hamiltonian, the one field that changes, is validated.  All
+    shifted Hamiltonians are decomposed in one stacked call, led by the base
+    Hamiltonian when the base has no cached spectrum yet, before the base is
+    evolved; each spectrum is seeded into its Scenario's cache, as
+    _on_default_grid seeds the grid.  A member of a stack gets the bits it
+    gets alone, so the seeded spectra are those each Scenario would compute
+    for itself.  Each shifted trajectory is then evolved and compared in turn.
+    The conservation and Mandelstam-Tamm checks read the base trajectory too.
     """
     offsets = list(offsets)
-    shifted = _shifted_scenarios(scenario, offsets)
+    base_fields = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
+    shifted = []
+    for offset in offsets:
+        h = _shift(scenario.hamiltonian, require_finite_real(offset, "offset"))
+        s = object.__new__(type(scenario))  # no __post_init__, and no cached spectrum
+        vars(s).update(base_fields, hamiltonian=_frozen_copy(require_hermitian(h, "hamiltonian")))
+        shifted.append(s)
+    if shifted:
+        members = shifted if "spectrum" in vars(scenario) else [scenario, *shifted]
+        spectra = _eigendecompose_stack(np.stack([s.hamiltonian for s in members]))
+        for s, spec in zip(members, spectra):
+            object.__setattr__(s, "spectrum", spec)
     base = evolve(scenario, store_states=True)
     return base, [
         _offset_report(base, evolve(s, store_states=True), offset)
@@ -385,12 +374,15 @@ def _rate(a: np.ndarray, h: np.ndarray, psi: np.ndarray, hbar: float) -> float:
     return float((complex(np.vdot(psi, _commutator(a, h) @ psi)) / (1j * hbar)).real)
 
 
+def _period(spec: SpectralDecomposition, hbar: float) -> float:
+    """The fastest period 2*pi*hbar/(E_max - E_min); 1 for a fully
+    degenerate spectrum, which has none."""
+    return 2.0 * math.pi * hbar / spec.span if spec.span > 0.0 else 1.0
+
+
 def default_fd_step(spec: SpectralDecomposition, hbar: float) -> float:
-    """FD_STEP_FRACTION of the fastest period 2*pi*hbar/(E_max - E_min)."""
-    span = spec.span
-    if span <= 0.0:
-        return FD_STEP_FRACTION
-    return FD_STEP_FRACTION * (2.0 * math.pi * hbar / span)
+    """FD_STEP_FRACTION of the fastest period (_period)."""
+    return FD_STEP_FRACTION * _period(spec, hbar)
 
 
 def ehrenfest_residual(

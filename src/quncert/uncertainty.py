@@ -206,8 +206,8 @@ class OrthogonalizationResult(NamedTuple):
     set: the analytic floor below which the overlap modulus cannot drop).
     evaluations counts the overlap evaluations the search spent, windows the
     march windows it ran, and decided_by names what settled the outcome:
-    "degenerate" (the populated levels share one energy), "certificate" (a
-    dominant amplitude) or "march".
+    "degenerate" (a fully degenerate spectrum), "certificate" (a dominant
+    level) or "march".
     """
 
     kind: str
@@ -424,9 +424,11 @@ class _March:
 def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     """Earliest time at which the evolved state is orthogonal to the start.
 
-    A dominant amplitude (max |a_k|^2 > 1/2) certifies analytically that the
-    overlap modulus never drops below 2 max|a_k|^2 - 1, so no search runs;
-    nor does one when the populated levels share one energy (|o| = 1).
+    A dominant level certifies analytically that the overlap modulus never
+    drops below 2 P - 1, where P > 1/2 is the largest population of a level:
+    a run of eigenvalues that no gap above GAP_TOL_FACTOR * max(||H||_2,
+    E_max - E_min) separates, the degeneracy convention of the whole search.
+    No search runs then, nor on a fully degenerate spectrum (|o| = 1).
 
     Otherwise a certified march looks for the first time with |o| at or
     below DEFAULT_TOL_ORTH, up to a horizon of HORIZON_PERIODS slowest beat
@@ -454,7 +456,8 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     Raises:
         InconclusiveScanError: nothing found and no certificate applies, or
             the march spent MARCH_BUDGET evaluations, or its step stopped
-            moving before a minimum above tol, or (dH / hbar)^2 overflows;
+            moving before a minimum above tol, or (dH / hbar)^2 overflows
+            or underflows;
             min_observed_overlap is then the smallest modulus evaluated.
     """
     spec, hbar = scenario.spectrum, scenario.hbar
@@ -463,27 +466,25 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
 
     gap_tol = GAP_TOL_FACTOR * max(_energy_scale(spec), spec.span)
     gaps = np.diff(evals)
-    real_gaps = gaps[gaps > gap_tol]
-    degenerate = OrthogonalizationResult(
-        "never_orthogonal", None, 1.0, 1.0, 0.0, 0, 0, "degenerate"
-    )
-    if real_gaps.size == 0:
+    real = gaps > gap_tol
+    if not real.any():
         # fully degenerate spectrum: overlap modulus is identically 1
-        return degenerate
+        return OrthogonalizationResult(
+            "never_orthogonal", None, 1.0, 1.0, 0.0, 0, 0, "degenerate"
+        )
 
-    bound = 2.0 * float(probs.max()) - 1.0
+    # a level is a run of eigenvalues that no gap above gap_tol separates
+    levels = np.add.reduceat(probs, np.flatnonzero(np.concatenate(([True], real))))
+    bound = 2.0 * float(levels.max()) - 1.0
     if bound > DEFAULT_TOL_ORTH:
         return OrthogonalizationResult(
             "never_orthogonal", None, bound, 1.0, 0.0, 0, 0, "certificate"
         )
 
-    horizon = HORIZON_PERIODS * 2.0 * math.pi * hbar / float(real_gaps.min())
+    horizon = HORIZON_PERIODS * 2.0 * math.pi * hbar / float(gaps[real].min())
     march = _March(probs, evals, hbar, horizon)
-    if march.curvature == 0.0:
-        # the populated levels share one energy
-        return degenerate
-    if not math.isfinite(march.curvature):
-        # no step is certified when (dH / hbar)^2 overflows
+    if not 0.0 < march.curvature < math.inf:
+        # no step is certified when (dH / hbar)^2 overflows or underflows
         raise march.inconclusive(march.smallest_evaluated())
     scale = 1.0 / math.sqrt(march.curvature)
     start = min(horizon, math.acos(DEFAULT_TOL_ORTH) * scale)
@@ -534,14 +535,11 @@ def ml_bounds(scenario: Scenario) -> SpeedLimitBounds:
 
 
 def qsl_tau(scenario: Scenario) -> float:
-    """Unified quantum speed limit h / (4 min(dH, <H'>)), E_min = 0 shift.
+    """Unified quantum speed limit: the larger of the two ml_bounds,
+    pi*hbar / (2 min(dH, <H'>)) with E_min = 0 (Levitin & Toffoli 2009).
 
     Infinite for energy eigenstates (either moment vanishes), which never
     reach an orthogonal state under closed evolution.
     """
-    _, spread, shifted_mean, floor = _energy_moments(scenario)
-    denom = min(spread, shifted_mean)
-    if denom <= floor:
-        return math.inf
-    # h = 2*pi*hbar, so h/(4x) = pi*hbar/(2x)
-    return 0.5 * math.pi * scenario.hbar / denom
+    bounds = ml_bounds(scenario)
+    return max(bounds.from_energy_spread, bounds.from_mean_energy)

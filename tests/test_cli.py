@@ -134,6 +134,9 @@ def test_evolve_output_file_matches_stdout(tmp_path, capsys):
         ),
         (lambda d: d["time"].pop("steps"), "missing required key 'steps'"),
         (lambda d: d["time"].__setitem__("steps", 2.5), "time.steps"),
+        (lambda d: d["time"].update(setps=7), "time: unknown keys ['setps']"),
+        # json.dump writes the int key 0 as "0", so the file repeats that key
+        (lambda d: d["time"].update({0: 1.0, "0": 2.0}), "repeated key '0'"),
         (
             lambda d: d["initial_state"].__setitem__(0, [1.0, 0.0, 0.0]),
             "initial_state[0]",
@@ -259,6 +262,21 @@ def test_unparsable_file_is_an_input_error_that_names_it(tmp_path, capsys, raw, 
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def test_loader_refuses_a_repeated_key(tmp_path):
+    """A key given twice in any object is refused by name, not read as its
+    last value."""
+    text = json.dumps(BALANCED_QUBIT)
+    for key, doubled in [
+        ("hbar", text.replace('"hbar": 1.0', '"hbar": 2.0, "hbar": 1.0')),
+        ("steps", text.replace('"steps": 50', '"steps": 7, "steps": 50')),
+    ]:
+        path = tmp_path / f"{key}.json"
+        path.write_text(doubled, encoding="utf-8")
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(str(path))
+        assert str(err.value) == f"{path}: repeated key {key!r}"
+
+
 def run_cli_strict(*args):
     """The CLI in a child process that turns every warning into an error; a
     hang fails the test at the timeout instead of stalling the suite."""
@@ -381,15 +399,27 @@ def _pairs(array) -> list:
 
 
 def _eigenstate_scenario(kind: str) -> dict:
-    """A valid scenario whose initial state is an energy eigenstate."""
+    """A valid scenario whose initial state is an energy eigenstate: of a
+    diagonal qubit, of a seeded H, inside the doubly degenerate level of
+    diag(1, 1, 3) (also rotated to a seeded basis), or of H = 2 I, whose
+    spectrum is fully degenerate."""
     if kind == "diagonal":
         h, psi = np.diag([0.5, -0.5]), np.array([1.0, 0.0])
         observables = {"sx": qubit.pauli("x")}
-    else:
+    elif kind == "seeded":
         rng = np.random.default_rng(3)
         h = random_hermitian(rng, 3)
         psi = np.linalg.eigh(h)[1][:, 0]
         observables = {f"obs{k}": random_hermitian(rng, 3) for k in range(2)}
+    else:
+        h, psi = np.diag([1.0, 1.0, 3.0]), np.array([SQ, SQ, 0.0])
+        observables = {"obs0": np.diag([0.0, 1.0, 2.0])}
+        if kind == "rotated_level":
+            u = np.linalg.eigh(random_hermitian(np.random.default_rng(3), 3))[1]
+            h, psi = u @ h @ u.conj().T, u @ psi
+            h = 0.5 * (h + h.conj().T)
+        elif kind == "identity":
+            h = 2.0 * np.eye(3)
     return {
         "hbar": 1.0,
         "hamiltonian": _pairs(np.asarray(h, dtype=complex)),
@@ -399,10 +429,12 @@ def _eigenstate_scenario(kind: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("kind", ["diagonal", "seeded"])
+@pytest.mark.parametrize("kind", ["diagonal", "seeded", "level", "rotated_level", "identity"])
 def test_verify_energy_eigenstate_passes_every_suite(tmp_path, kind):
     """An eigenstate has no Mandelstam-Tamm clock and only rounding noise in
-    its Ehrenfest residuals: both are reported as passing checks."""
+    its Ehrenfest residuals: both are reported as passing checks.  It never
+    turns orthogonal, which the search certifies without a march, also
+    inside a degenerate level."""
     path = write_json(tmp_path / "scenario.json", _eigenstate_scenario(kind))
     for suite in VERIFY_SUITES:
         report = tmp_path / f"{suite}.json"
@@ -411,9 +443,35 @@ def test_verify_energy_eigenstate_passes_every_suite(tmp_path, kind):
         assert checks and all(c["verdict"] == "pass" for c in checks), suite
     names = [c["name"] for c in checks]  # "all" runs last
     assert "mt.scenario.undefined_for_eigenstate" in names
+    assert "qsl.scenario.infinite_for_eigenstate" in names
+    certificate = checks[names.index("ml.scenario.certificate_positive")]
+    assert certificate["lhs"] == pytest.approx(1.0, abs=1e-12)
     first = "sx" if kind == "diagonal" else "obs0"
     assert f"ehrenfest.{first}.residual_at_rounding_floor" in names
     assert not any("halving_ratio" in n for n in names)
+
+
+def test_infinite_check_value_is_written_as_the_string_inf(tmp_path):
+    """An observable that commutes with H has no finite Mandelstam-Tamm
+    product; the report writes that minimum as "inf", never as the
+    non-JSON literal Infinity."""
+    n = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    doc = {
+        "hbar": 1.0,
+        "hamiltonian": _pairs(n),
+        "initial_state": _pairs(np.array([0.6, 0.8, 0.0], dtype=complex)),
+        "time": {"start": 0.0, "stop": 10.0, "steps": 200},
+        "observables": {"n": _pairs(n)},
+    }
+    path, report = write_json(tmp_path / "scenario.json", doc), tmp_path / "r.json"
+    assert main(["verify", "mt", "--scenario", path, "--report", str(report)]) == EXIT_PASS
+
+    def refuse(literal):
+        raise AssertionError(f"non-JSON literal {literal}")
+
+    text = report.read_text(encoding="utf-8")
+    checks = {c["name"]: c for c in json.loads(text, parse_constant=refuse)["checks"]}
+    assert checks["mt.n.min_product"]["lhs"] == "inf"
 
 
 def _default_grid_payload(hbar, h, psi, observable) -> dict:

@@ -229,14 +229,22 @@ def test_offset_invariance_stack_matches_single_offsets(monkeypatch):
     of any report, and each spectrum is that of its own H or H + E0 * I."""
     s = random_scenario(9, 5)
     alone = eigendecompose(s.hamiltonian)
+    evolved = []
+
+    def recording(scenario, store_states=True):
+        evolved.append(scenario)
+        return evolve(scenario, store_states)
+
     with monkeypatch.context() as m:
         # the undecomposed base joins the stack instead of decomposing alone
         m.setattr(dynamics, "eigendecompose", None)
+        m.setattr(dynamics, "evolve", recording)
         together = offset_invariance_check(s, OFFSETS)
     assert s.spectrum.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
     assert s.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
     assert together == [offset_invariance_check(s, [e0])[0] for e0 in OFFSETS]
-    for e0, shifted in zip(OFFSETS, dynamics._shifted_scenarios(s, OFFSETS)):
+    assert evolved[0] is s and len(evolved) == 1 + len(OFFSETS)
+    for e0, shifted in zip(OFFSETS, evolved[1:]):
         alone = eigendecompose(shift_hamiltonian(s.hamiltonian, e0))
         assert shifted.spectrum.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
         assert shifted.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()

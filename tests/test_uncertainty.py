@@ -248,6 +248,47 @@ def test_orthogonalization_degenerate_spectrum():
     assert result.min_overlap_bound == pytest.approx(1.0)
 
 
+def _rotated(h, psi, seed=3):
+    """H and psi in the eigenbasis of a seeded Gaussian Hermitian matrix."""
+    u = np.linalg.eigh(random_hermitian(np.random.default_rng(seed), len(psi)))[1]
+    rotated = u @ np.asarray(h) @ u.conj().T
+    return 0.5 * (rotated + rotated.conj().T), u @ psi
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+def test_eigenstate_in_a_degenerate_level_is_certified(rotate):
+    """psi = (|0> + |1>)/sqrt(2) in the doubly degenerate level of
+    diag(1, 1, 3) is an energy eigenstate: the level's population, not
+    either amplitude, certifies that it never turns orthogonal."""
+    h, psi = np.diag([1.0, 1.0, 3.0]), np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    s = scenario_of(*(_rotated(h, psi) if rotate else (h, psi)))
+    result = orthogonalization_time(s)
+    assert (result.kind, result.decided_by, result.evaluations) == (
+        "never_orthogonal", "certificate", 0
+    )
+    assert result.min_overlap_bound == pytest.approx(1.0, abs=1e-12)
+
+
+def test_degenerate_level_certificate_is_tight():
+    """Populations (0.3, 0.3) in one level and 0.4 in the other: no single
+    amplitude dominates, but the level does, and |o| reaches its floor
+    2 * 0.6 - 1 = 0.2 at t = pi."""
+    s = scenario_of(np.diag([0.0, 0.0, 1.0]), np.sqrt([0.3, 0.3, 0.4]))
+    result = orthogonalization_time(s)
+    assert result.decided_by == "certificate"
+    assert result.min_overlap_bound == pytest.approx(0.2, abs=1e-12)
+    assert abs(state_overlap(s, math.pi)) == pytest.approx(0.2, abs=1e-12)
+
+
+def test_underflowing_curvature_makes_the_search_inconclusive():
+    """At hbar = 1e300, (dH / hbar)^2 underflows to 0: the state does reach
+    an orthogonal one, at pi * hbar, but no step can be certified."""
+    s = scenario_of(np.diag([0.0, 1.0]), np.full(2, math.sqrt(0.5)), hbar=1e300)
+    with pytest.raises(InconclusiveScanError) as err:
+        orthogonalization_time(s)
+    assert (err.value.evaluations, err.value.decided_by) == (0, "march")
+
+
 def test_orthogonalization_three_level_inconclusive():
     """Equal gaps, weights (1/2, 1/4, 1/4): no zero, no certificate."""
     s = scenario_of(np.diag([0.0, 1.0, 2.0]), np.array([math.sqrt(0.5), 0.5, 0.5]))
@@ -577,6 +618,18 @@ def test_qsl_is_max_of_ml_bounds():
             assert qsl_tau(s) == max(
                 bounds.from_energy_spread, bounds.from_mean_energy
             )
+
+
+def test_qsl_is_the_larger_ml_bound_on_presets_and_files():
+    """The unified limit is the larger of the two ml_bounds, exactly, on
+    every figure preset (eigenstates included), the dim-6 file and an
+    eigenstate, where it is infinite."""
+    scenarios = [qubit_scenario(p) for p in FIGURE_PRESETS.values()]
+    scenarios.append(load_scenario(DATA / "scenario_dim6.json"))
+    eigenstate = scenario_of(np.diag([0.0, 1.0]), UP)
+    for s in [*scenarios, eigenstate]:
+        assert qsl_tau(s) == max(ml_bounds(s)[:2])
+    assert math.isinf(qsl_tau(eigenstate))
 
 
 def test_qsl_balanced_qubit_and_found_ordering():
