@@ -1,121 +1,91 @@
-"""Closed-system quantum dynamics with time-energy uncertainty analyzers."""
+"""Closed-system quantum dynamics with time-energy uncertainty analyzers.
 
-from .hilbert import (
-    ConvergenceError,
-    SpectralDecomposition,
-    commutator,
-    eigendecompose,
-    hermitian_defect,
-    inner,
-    propagator,
-    require_hermitian,
-)
-from .qstat import (
-    CoherenceSummary,
-    StatSummary,
-    coherence_from_amplitudes,
-    expectation,
-    l1_coherence,
-    stats,
-)
-from .dynamics import (
-    ConservationReport,
-    OffsetInvarianceReport,
-    Scenario,
-    SeriesStats,
-    TimeGrid,
-    Trajectory,
-    check_conservation,
-    default_time_grid,
-    ehrenfest_rate,
-    ehrenfest_residual,
-    evolve,
-    offset_invariance_check,
-    shift_hamiltonian,
-)
-from .uncertainty import (
-    BoundCheck,
-    InconclusiveScanError,
-    MTSample,
-    OrthogonalizationResult,
-    SpeedLimitBounds,
-    ml_bounds,
-    mt_sample,
-    mt_series,
-    orthogonalization_time,
-    qsl_tau,
-    robertson_check,
-    schrodinger_check,
-    state_overlap,
-)
-from .qubit import (
-    FIGURE_PRESETS,
-    QubitPreset,
-    TickTockReport,
-    analytic_energy_spread,
-    analytic_mt_delta_t,
-    analytic_sx_mean,
-    analytic_sx_rate,
-    analytic_sx_std,
-    pauli,
-    qubit_scenario,
-    spin_projectors,
-    tick_tock,
-)
+Each public name is imported from its layer on first access (PEP 562), so a
+process loads only the layers it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCheck",
-    "CoherenceSummary",
-    "ConservationReport",
-    "ConvergenceError",
-    "FIGURE_PRESETS",
-    "InconclusiveScanError",
-    "MTSample",
-    "OffsetInvarianceReport",
-    "OrthogonalizationResult",
-    "QubitPreset",
-    "Scenario",
-    "SeriesStats",
-    "SpectralDecomposition",
-    "SpeedLimitBounds",
-    "StatSummary",
-    "TickTockReport",
-    "TimeGrid",
-    "Trajectory",
-    "analytic_energy_spread",
-    "analytic_mt_delta_t",
-    "analytic_sx_mean",
-    "analytic_sx_rate",
-    "analytic_sx_std",
-    "check_conservation",
-    "coherence_from_amplitudes",
-    "commutator",
-    "default_time_grid",
-    "ehrenfest_rate",
-    "ehrenfest_residual",
-    "eigendecompose",
-    "evolve",
-    "expectation",
-    "hermitian_defect",
-    "inner",
-    "l1_coherence",
-    "ml_bounds",
-    "mt_sample",
-    "mt_series",
-    "offset_invariance_check",
-    "orthogonalization_time",
-    "pauli",
-    "propagator",
-    "qsl_tau",
-    "qubit_scenario",
-    "require_hermitian",
-    "robertson_check",
-    "schrodinger_check",
-    "shift_hamiltonian",
-    "spin_projectors",
-    "state_overlap",
-    "stats",
-    "tick_tock",
-]
+# every public name, by the layer that defines it
+_EXPORTS = {
+    "hilbert": (
+        "ConvergenceError",
+        "SpectralDecomposition",
+        "commutator",
+        "eigendecompose",
+        "hermitian_defect",
+        "inner",
+        "propagator",
+        "require_hermitian",
+    ),
+    "qstat": (
+        "CoherenceSummary",
+        "StatSummary",
+        "coherence_from_amplitudes",
+        "expectation",
+        "l1_coherence",
+        "stats",
+    ),
+    "dynamics": (
+        "ConservationReport",
+        "OffsetInvarianceReport",
+        "Scenario",
+        "SeriesStats",
+        "TimeGrid",
+        "Trajectory",
+        "check_conservation",
+        "default_time_grid",
+        "ehrenfest_rate",
+        "ehrenfest_residual",
+        "evolve",
+        "offset_invariance_check",
+        "shift_hamiltonian",
+    ),
+    "uncertainty": (
+        "BoundCheck",
+        "InconclusiveScanError",
+        "MTSample",
+        "OrthogonalizationResult",
+        "SpeedLimitBounds",
+        "ml_bounds",
+        "mt_sample",
+        "mt_series",
+        "orthogonalization_time",
+        "qsl_tau",
+        "robertson_check",
+        "schrodinger_check",
+        "state_overlap",
+    ),
+    "qubit": (
+        "FIGURE_PRESETS",
+        "QubitPreset",
+        "TickTockReport",
+        "analytic_energy_spread",
+        "analytic_mt_delta_t",
+        "analytic_sx_mean",
+        "analytic_sx_rate",
+        "analytic_sx_std",
+        "pauli",
+        "qubit_scenario",
+        "spin_projectors",
+        "tick_tock",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value  # bound as an eager import would bind it
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

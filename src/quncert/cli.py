@@ -13,6 +13,8 @@ Exit codes: 0 all checks pass, 1 check failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.util
 import io
 import json
 import math
@@ -22,8 +24,31 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, dynamics, qubit, uncertainty
+from . import __version__, dynamics
 from .hilbert import ConvergenceError
+
+
+def _lazy_layer(name: str):
+    """quncert.<name>, registered now and executed on first attribute access.
+
+    ``evolve`` runs neither qubit nor uncertainty, ``figure fig1|fig2`` no
+    uncertainty and ``verify --scenario`` no qubit.  A layer already in
+    sys.modules is returned as it is, so patches made on it stay in effect.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+qubit = _lazy_layer("qubit")
+uncertainty = _lazy_layer("uncertainty")
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "QUNCERT_SEED"
@@ -221,19 +246,24 @@ def _write_rows(fh, header: list[str], columns, kinds=None) -> None:
     """Header line, then one row per index over the stacked float columns.
 
     Floats render as format_value renders them; ``kinds``, when given, is a
-    trailing text column.
+    trailing text column.  Conserved columns repeat a few values, so each
+    chunk formats its distinct values once.  They are told apart by their bit
+    patterns, never by ==, which would merge 0.0 and -0.0.
     """
-    template = ",".join(["%.16e"] * len(columns)) + (
-        "\n" if kinds is None else ",%s\n"
-    )
-    table = np.column_stack(columns)
+    table = np.column_stack(columns).astype(np.float64, copy=False)
     fh.write(",".join(header) + "\n")
     for start in range(0, len(table), _ROW_CHUNK):
-        rows = table[start : start + _ROW_CHUNK].tolist()
-        if kinds is not None:
+        block = table[start : start + _ROW_CHUNK]
+        bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        distinct = bits.view(np.float64).tolist()
+        # one C-level format of every distinct value; "%.16e" never emits a comma
+        text = (",".join(["%.16e"] * len(distinct)) % tuple(distinct)).split(",")
+        rows = np.array(text, dtype=object)[inverse.reshape(block.shape)].tolist()
+        if kinds is None:
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        else:
             chunk_kinds = kinds[start : start + _ROW_CHUNK]
-            rows = [row + [kind] for row, kind in zip(rows, chunk_kinds)]
-        fh.writelines(template % tuple(row) for row in rows)
+            fh.writelines(",".join(row) + f",{kind}\n" for row, kind in zip(rows, chunk_kinds))
 
 
 def write_trajectory_csv(trajectory: dynamics.Trajectory, fh) -> None:
@@ -340,11 +370,15 @@ def check_inconclusive(name: str, min_observed: float) -> Check:
     return Check(name, min_observed, 0.0, 0.0, "inconclusive")
 
 
-# the figure presets, and a qubit whose upper level strictly dominates
-_PRESETS = {
-    **qubit.FIGURE_PRESETS,
-    "dominant95": qubit.QubitPreset(omega=1.0, alpha1=math.sqrt(0.95), alpha2=math.sqrt(0.05)),
-}
+@functools.cache
+def _presets() -> dict:
+    """The figure presets, and a qubit whose upper level strictly dominates."""
+    return {
+        **qubit.FIGURE_PRESETS,
+        "dominant95": qubit.QubitPreset(
+            omega=1.0, alpha1=math.sqrt(0.95), alpha2=math.sqrt(0.05)
+        ),
+    }
 
 
 def _suite_evolution(scenario, rng, presets) -> dict[str, list[Check]]:
@@ -509,7 +543,7 @@ def _trajectory_mt(s, trajectory, name: str):
 
 
 def _mt_preset_checks(name: str, s, trajectory) -> list[Check]:
-    preset = _PRESETS[name]
+    preset = _presets()[name]
     _, delta_t, product = _trajectory_mt(s, trajectory, "sx")
     finite = np.isfinite(delta_t)
     checks = [check_bool(f"mt.{name}.has_finite_samples", bool(finite.any()))]
@@ -542,7 +576,7 @@ def _mt_scenario_checks(name: str, s, trajectory) -> list[Check]:
 
 
 def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
-    preset, s = _PRESETS["fig2D"], scenarios["fig2D"]
+    preset, s = _presets()["fig2D"], scenarios["fig2D"]
     result = uncertainty.orthogonalization_time(s)
     bounds = uncertainty.ml_bounds(s)
     tau_expect = math.pi / preset.omega
@@ -562,7 +596,7 @@ def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
             math.isinf(bounds.from_mean_energy_unshifted),
         ),
     ]
-    for name, p in _PRESETS.items():
+    for name, p in _presets().items():
         dominant = max(abs(p.alpha1), abs(p.alpha2)) ** 2
         # strictly dominant amplitude; the balanced presets sit at 1/2 + rounding
         if dominant <= 0.5 + 1e-12:
@@ -768,7 +802,7 @@ def cmd_verify(args) -> int:
     digest = _input_digest(data)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     # each preset Scenario, and so its spectrum, is built once for every analysis
-    presets = None if scenario else {n: qubit.qubit_scenario(p) for n, p in _PRESETS.items()}
+    presets = None if scenario else {n: qubit.qubit_scenario(p) for n, p in _presets().items()}
 
     # each analysis runs once, for all the suites it covers, with a fresh rng of
     # its own on the presets (none draws on a scenario); uncertainty runs first,

@@ -428,6 +428,7 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     drops below 2 P - 1, where P > 1/2 is the largest population of a level:
     a run of eigenvalues that no gap above GAP_TOL_FACTOR * max(||H||_2,
     E_max - E_min) separates, the degeneracy convention of the whole search.
+    The populations sum with rounding, so the reported floor is capped at 1.
     No search runs then, nor on a fully degenerate spectrum (|o| = 1).
 
     Otherwise a certified march looks for the first time with |o| at or
@@ -475,7 +476,7 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
 
     # a level is a run of eigenvalues that no gap above gap_tol separates
     levels = np.add.reduceat(probs, np.flatnonzero(np.concatenate(([True], real))))
-    bound = 2.0 * float(levels.max()) - 1.0
+    bound = min(1.0, 2.0 * float(levels.max()) - 1.0)
     if bound > DEFAULT_TOL_ORTH:
         return OrthogonalizationResult(
             "never_orthogonal", None, bound, 1.0, 0.0, 0, 0, "certificate"

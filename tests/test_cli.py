@@ -446,6 +446,9 @@ def test_verify_energy_eigenstate_passes_every_suite(tmp_path, kind):
     assert "qsl.scenario.infinite_for_eigenstate" in names
     certificate = checks[names.index("ml.scenario.certificate_positive")]
     assert certificate["lhs"] == pytest.approx(1.0, abs=1e-12)
+    assert certificate["lhs"] <= 1.0  # a floor on |o|, which never exceeds 1
+    if kind in ("level", "rotated_level"):
+        assert certificate["lhs"] == 1.0
     first = "sx" if kind == "diagonal" else "obs0"
     assert f"ehrenfest.{first}.residual_at_rounding_floor" in names
     assert not any("halving_ratio" in n for n in names)
@@ -1008,6 +1011,60 @@ def test_trajectory_csv_rows_across_chunks():
     lines = out.getvalue().splitlines()
     assert len(lines) == 1 + 9001
     assert lines[1:] == _format_rows(_trajectory_columns(trajectory))
+
+
+def _written(columns, kinds=None) -> list[str]:
+    out = io.StringIO()
+    cli._write_rows(out, [f"c{k}" for k in range(len(columns))], columns, kinds)
+    return out.getvalue().splitlines()
+
+
+def test_rows_keep_every_bit_pattern():
+    """Values are told apart by their bits: 0.0 and -0.0 print differently,
+    and NaN, the infinities, subnormals and the extremes print as
+    format_value prints them, in a column that repeats each of them."""
+    specials = [
+        math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072e-310,
+        1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308,
+    ]
+    zeros = np.tile([0.0, -0.0], 60)
+    column = np.concatenate([zeros, np.repeat(specials, 3), zeros[::-1]])
+    second = np.arange(column.size) % 7 - 3.0
+    lines = _written([column, second])
+    assert lines[1:] == _format_rows([column, second])
+    assert {row.split(",")[0] for row in lines[1:121]} == {"0.0000000000000000e+00",
+                                                          "-0.0000000000000000e+00"}
+
+
+@pytest.mark.parametrize("rows", [4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("with_kinds", [False, True], ids=["floats", "kinds"])
+def test_rows_across_chunk_seams(rows, with_kinds):
+    """Row counts one below, at and one above a chunk, and one above two."""
+    assert cli._ROW_CHUNK == 4096
+    t = np.linspace(0.0, 3.0, rows)
+    columns = [t, np.cos(t), np.full(rows, 0.5), np.round(np.sin(t), 2)]
+    kinds = [("max", "min")[k % 2] for k in range(rows)] if with_kinds else None
+    lines = _written(columns, kinds)
+    expected = _format_rows(columns)
+    if with_kinds:
+        expected = [f"{row},{kind}" for row, kind in zip(expected, kinds)]
+    assert len(lines) == 1 + rows
+    assert lines[1:] == expected
+
+
+def test_figure_fig3_rows_match_per_cell_formatting(tmp_path):
+    """fig3 writes its Mandelstam-Tamm columns directly; the product column
+    holds inf where the clock stops."""
+    assert main(["figure", "fig3", "-d", str(tmp_path)]) == EXIT_PASS
+    for panel in ("fig3AB", "fig3CD"):
+        preset = qubit.FIGURE_PRESETS[panel]
+        s = qubit.qubit_scenario(preset)
+        trajectory = dynamics.evolve(s, store_states=True)
+        _, delta_t, product = cli._trajectory_mt(s, trajectory, "sx")
+        columns = [trajectory.times, delta_t * preset.omega, product / (0.5 * preset.hbar)]
+        assert np.isinf(columns[2]).any()
+        lines = (tmp_path / f"{panel}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == _format_rows(columns)
 
 
 def test_figure_output_is_deterministic(tmp_path):

@@ -267,6 +267,19 @@ def test_eigenstate_in_a_degenerate_level_is_certified(rotate):
         "never_orthogonal", "certificate", 0
     )
     assert result.min_overlap_bound == pytest.approx(1.0, abs=1e-12)
+    assert result.min_overlap_bound <= 1.0
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+def test_certificate_floor_never_exceeds_one(rotate):
+    """With amplitudes sqrt(1/2), the level's populations sum to just above 1,
+    so 2 P - 1 is 1 + 4.4e-16 on the diagonal and 1 + 1.8e-15 rotated.  No
+    overlap modulus exceeds 1, and neither does the floor reported."""
+    h, psi = np.diag([1.0, 1.0, 3.0]), np.array([1.0, 1.0, 0.0]) * math.sqrt(0.5)
+    s = scenario_of(*(_rotated(h, psi) if rotate else (h, psi)))
+    result = orthogonalization_time(s)
+    assert result.decided_by == "certificate"
+    assert result.min_overlap_bound == 1.0
 
 
 def test_degenerate_level_certificate_is_tight():
