@@ -375,9 +375,7 @@ def _presets() -> dict:
     """The figure presets, and a qubit whose upper level strictly dominates."""
     return {
         **qubit.FIGURE_PRESETS,
-        "dominant95": qubit.QubitPreset(
-            omega=1.0, alpha1=math.sqrt(0.95), alpha2=math.sqrt(0.05)
-        ),
+        "dominant95": qubit._preset(0.95, 0.05),
     }
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Scenario, TimeGrid, Trajectory
+from .dynamics import Scenario, Trajectory, _on_default_grid
 from .hilbert import as_state, require_positive_finite
 
 SIGMA_X = np.asarray([[0, 1], [1, 0]], dtype=np.complex128)
@@ -100,17 +100,9 @@ def qubit_scenario(
     observables: dict | None = None,
     steps: int = 1000,
 ) -> Scenario:
-    """Scenario for a preset: two precession periods on a uniform grid."""
-    span = preset.hbar * preset.omega  # E_max - E_min, exact for +-hbar*omega/2
-    return Scenario(
-        hbar=preset.hbar,
-        hamiltonian=preset.hamiltonian(),
-        initial_state=preset.state(),
-        time_grid=TimeGrid(0.0, 4.0 * math.pi * preset.hbar / span, steps),
-        observables=(
-            default_clock_observables() if observables is None else observables
-        ),
-    )
+    """Scenario for a preset: two precession periods (default_time_grid)."""
+    observables = default_clock_observables() if observables is None else observables
+    return _on_default_grid(preset.hbar, preset.hamiltonian(), preset.state(), observables, steps)
 
 
 def _interference(preset: QubitPreset):
@@ -197,31 +189,24 @@ def tick_tock(trajectory: Trajectory, observable_name: str) -> TickTockReport:
         raise ValueError("no clock signal: observable series is constant")
 
     step = ts[1] - ts[0]
-    diffs = np.diff(y)
-    signs = np.sign(diffs)
-    extrema: list[tuple[float, str]] = []
-    prev = -1  # index of the last nonzero first difference
-    for i, s in enumerate(signs):
-        if s == 0.0:
-            continue
-        if prev >= 0 and signs[prev] * s < 0:
-            # the vertex sits between the opposing slopes; the samples they
-            # bracket differ by exact zeros, so the first of them stands for all
-            j = prev + 1
-            denom = y[j - 1] - 2.0 * y[j] + y[j + 1]
-            offset = 0.0 if denom == 0.0 else 0.5 * step * (y[j - 1] - y[j + 1]) / denom
-            kind = "tick" if signs[prev] > 0 else "tock"
-            extrema.append((float(ts[j] + offset), kind))
-        prev = i
-    if len(extrema) < MIN_EXTREMA:
+    signs = np.sign(np.diff(y))
+    sloped = np.flatnonzero(signs)
+    # a turning point follows each nonzero difference whose next nonzero one
+    # has the opposite sign; the samples between them differ by exact zeros,
+    # so the first of them stands for all
+    turns = sloped[:-1][signs[sloped[:-1]] * signs[sloped[1:]] < 0]
+    j = turns + 1
+    denom = y[j - 1] - 2.0 * y[j] + y[j + 1]
+    offset = np.divide(
+        0.5 * step * (y[j - 1] - y[j + 1]), denom, out=np.zeros(j.size), where=denom != 0.0
+    )
+    times = ts[j] + offset
+    if times.size < MIN_EXTREMA:
         raise ValueError(
             f"need at least {MIN_EXTREMA} extrema to estimate the clock rate, "
-            f"found {len(extrema)}"
+            f"found {times.size}"
         )
-    for (_, a), (_, b) in zip(extrema, extrema[1:]):
-        if a == b:
-            raise ValueError("extrema do not alternate; series is not a clean clock")
-    times = np.asarray([t for t, _ in extrema])
+    extrema = [(float(t), "tick" if s > 0 else "tock") for t, s in zip(times, signs[turns])]
     delta_t = float(np.mean(np.diff(times)))
     delta_e = trajectory.energy_span
     return TickTockReport(extrema, delta_t, delta_e, delta_e * delta_t)

@@ -517,6 +517,52 @@ def test_loaded_scenario_never_exits_as_input_error(tmp_path, name):
     assert main(["evolve", path, "-o", str(tmp_path / "out.csv")]) == EXIT_PASS
 
 
+def _offset_cancelling_qubit(c: float, spread: float, defect: float) -> dict:
+    """H = c*I + spread*K plus an anti-Hermitian defect of ``defect`` times the
+    load tolerance; each nonzero c is one of OFFSET_VALUES negated, so one
+    H + E0*I has a norm near spread, far below that of H."""
+    h = c * np.eye(2) + spread * np.array([[0.5, 1.0], [1.0, -0.5]], dtype=complex)
+    delta = defect * hilbert.HERMITICITY_TOL_FACTOR * float(np.linalg.norm(h))
+    h = h + 0.5j * delta * np.array([[0.0, 1.0], [1.0, 0.0]])
+    return {
+        "hbar": 1.0,
+        "hamiltonian": _pairs(h),
+        "initial_state": _pairs(np.array([0.6, 0.8j])),
+        "time": {"start": 0.0, "stop": 10.0 / spread, "steps": 300},
+        "observables": {"sx": _pairs(qubit.pauli("x"))},
+    }
+
+
+@pytest.mark.parametrize("defect", [0.0, 0.5])
+@pytest.mark.parametrize("spread", [1e-3, 1e-6])
+@pytest.mark.parametrize("c", [5.0, -0.5, -7.3, 0.0])
+def test_offset_cancelling_scenario_gets_a_report(tmp_path, c, spread, defect):
+    """H + E0*I is as Hermitian as H, so a Hermiticity defect the loader
+    accepts is not re-judged against the norm of a shifted H that an offset
+    shrinks: the file gets a report, whatever its verdicts."""
+    path = write_json(tmp_path / "scenario.json", _offset_cancelling_qubit(c, spread, defect))
+    load_scenario(path)
+    report = tmp_path / "report.json"
+    assert main(["verify", "all", "--scenario", path, "--report", str(report)]) != EXIT_INPUT
+    assert json.loads(report.read_text(encoding="utf-8"))["checks"]
+
+
+def test_offset_check_on_an_offset_cancelling_file():
+    """E0 = -5 nearly cancels this H, whose Hermiticity defect 5e-12 is within
+    the load tolerance of H but not within that of H - 5*I."""
+    s = load_scenario(str(DATA / "scenario_offset_cancels.json"))
+    reports = dynamics.offset_invariance_check(s, OFFSET_VALUES)
+    assert [r.offset for r in reports] == list(OFFSET_VALUES)
+    assert all(r.passed for r in reports)
+
+
+def test_offset_whose_shifted_norm_overflows_is_refused():
+    """A finite offset can still overflow the Frobenius norm of H + E0*I."""
+    s = dynamics.Scenario(1.0, np.diag([1e150, -1e150]), [0.6, 0.8], dynamics.TimeGrid(0, 1, 2))
+    with pytest.raises(ValueError, match="hamiltonian is too large: its Frobenius norm overflows"):
+        dynamics.offset_invariance_check(s, [1e308])
+
+
 def test_si_qubit_is_not_taken_for_an_eigenstate(tmp_path):
     """The energy thresholds scale with ||H||, so a balanced qubit in SI units
     (level spacing ~3e-24 J) keeps its Mandelstam-Tamm clock and its finite
@@ -723,21 +769,23 @@ def _validated_matrices(monkeypatch):
 
 
 def test_verify_scenario_validates_each_matrix_once(tmp_path, monkeypatch):
-    """H, obs0 and obs1 when the file loads, and each H + c*I when its
-    scenario is built; no analysis validates any of them again."""
+    """H, obs0 and obs1 when the file loads; each H + c*I inherits H's
+    Hermiticity, so no analysis validates a matrix again (3 + 3 calls when
+    each H + c*I was validated too)."""
     seen = _validated_matrices(monkeypatch)
     main(["verify", "all", "--scenario", str(DATA / "scenario_dim6.json"),
           "--report", str(tmp_path / "r.json")])
-    assert len(seen) == len(set(seen)) == 3 + len(OFFSET_VALUES)
+    assert len(seen) == len(set(seen)) == 3
 
 
 def test_verify_all_validation_count(tmp_path, monkeypatch):
     """Each preset Scenario is built once per run, and analyses take its
-    matrices as validated: 232 calls before presets were shared."""
+    matrices as validated: 232 calls before presets were shared, 86 while
+    each H + c*I was validated."""
     seen = _validated_matrices(monkeypatch)
     assert main(["verify", "all", "--seed", "42", "--report", str(tmp_path / "r.json")]) == 0
-    # 11 presets x (H and 3 observables), 10 random x (H and 2), 4 x 3 offsets
-    assert len(seen) == 86
+    # 11 presets x (H and 3 observables), 10 random x (H and 2)
+    assert len(seen) == 74
 
 
 @pytest.mark.parametrize("target", ["scenario_dim6.json", "fig2D", "fig3AB", "fig3CD"])

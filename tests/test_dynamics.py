@@ -12,6 +12,7 @@ import pytest
 
 from conftest import random_hermitian, random_state
 from quncert import dynamics
+from quncert.cli import check_max
 from quncert import (
     FIGURE_PRESETS,
     Scenario,
@@ -189,6 +190,33 @@ def test_conservation_on_presets(name):
 def test_conservation_on_random_scenarios(seed, dim):
     report = check_conservation(evolve(random_scenario(seed, dim, steps=500)))
     assert report.passed, report.drifts
+
+
+def _flat_trajectory(energy_mean) -> dynamics.Trajectory:
+    """Two samples of one constant state, with the given energy means."""
+    flat = np.zeros(2)
+    energy = dynamics.SeriesStats(np.asarray(energy_mean, dtype=float), flat, flat)
+    states = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return dynamics.Trajectory(np.array([0.0, 1.0]), {}, energy, flat, flat, states, 1.0)
+
+
+def test_conservation_passes_at_its_tolerance():
+    """A drift equal to the tolerance passes, in the library and in the
+    report's inclusive check_max alike."""
+    report = check_conservation(_flat_trajectory([0.0, dynamics.CONSERVATION_TOL]))
+    assert report.max_drift == report.tolerance
+    assert report.passed
+    assert check_max("c", report.max_drift, report.tolerance).verdict == "pass"
+
+
+def test_offset_invariance_passes_at_its_tolerance():
+    """An energy-shift defect equal to the tolerance passes, as in check_max."""
+    base = _flat_trajectory([0.0, 0.0])
+    shifted = _flat_trajectory([0.0, dynamics.OFFSET_TOL])
+    report = dynamics._offset_report(base, shifted, 0.0)
+    assert report.max_energy_shift_defect == report.tolerance
+    assert report.passed
+    assert check_max("o", report.max_energy_shift_defect, report.tolerance).verdict == "pass"
 
 
 @pytest.mark.parametrize("offset", OFFSETS)

@@ -34,6 +34,7 @@ TWISTED = QubitPreset(
 )
 
 CLOCK_PRESETS = ["fig2B", "fig2C", "fig2D", "fig3AB", "fig3CD"]
+SQ = math.sqrt(0.5)
 
 
 def test_pauli_and_projectors():
@@ -176,6 +177,59 @@ def test_tick_tock_two_sample_plateaus_give_their_midpoints():
     )
     report = tick_tock(trajectory, "sx")
     assert report.extrema == [(1.25, "tick"), (3.25, "tock"), (5.0, "tick")]
+
+
+def _scalar_extrema(ts, y) -> list:
+    """Reference: one scan over the first differences, skipping exact zeros,
+    with a parabola through each turning point's three samples."""
+    step = ts[1] - ts[0]
+    signs = np.sign(np.diff(y))
+    extrema = []
+    prev = -1  # index of the last nonzero first difference
+    for i, s in enumerate(signs):
+        if s == 0.0:
+            continue
+        if prev >= 0 and signs[prev] * s < 0:
+            j = prev + 1
+            denom = y[j - 1] - 2.0 * y[j] + y[j + 1]
+            offset = 0.0 if denom == 0.0 else 0.5 * step * (y[j - 1] - y[j + 1]) / denom
+            extrema.append((float(ts[j] + offset), "tick" if signs[prev] > 0 else "tock"))
+        prev = i
+    return extrema
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tick_tock_extrema_match_the_scalar_scan_on_plateaus(seed):
+    """Quantized sinusoids hold runs of exact-zero differences at and away
+    from their turning points; each extremum keeps the scalar scan's bits."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, rng.uniform(20.0, 40.0), int(rng.integers(200, 600)))
+    levels = int(rng.integers(2, 6))
+    y = np.round(levels * np.sin(rng.uniform(0.5, 2.0) * times + rng.uniform(0.0, 6.3))) / levels
+    assert np.any(np.diff(y) == 0.0)
+    flat = np.zeros_like(y)
+    trajectory = Trajectory(
+        times, {"sx": SeriesStats(y, flat, flat)}, SeriesStats(flat, flat, flat),
+        flat, flat, None, 1.0,
+    )
+    expected = _scalar_extrema(times, y)
+    extrema = tick_tock(trajectory, "sx").extrema
+    assert [kind for _, kind in extrema] == [kind for _, kind in expected]
+    assert np.array([t for t, _ in extrema]).tobytes() == np.array([t for t, _ in expected]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [
+        QubitPreset(omega=2.0, alpha1=0.6, alpha2=0.8, hbar=0.5),
+        QubitPreset(omega=0.3, alpha1=SQ, alpha2=SQ, hbar=7.0),
+        QubitPreset(omega=2.0 * math.pi * 5e9, alpha1=SQ, alpha2=SQ, hbar=1.054571817e-34),
+    ],
+)
+def test_scenario_grid_spans_two_precession_periods(preset):
+    """The grid is default_time_grid's, 4 pi hbar / (hbar omega), to the bit."""
+    grid = qubit_scenario(preset).time_grid
+    assert grid.stop == 4.0 * math.pi * preset.hbar / (preset.hbar * preset.omega)
 
 
 def test_tick_tock_errors():
