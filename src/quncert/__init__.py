@@ -16,7 +16,6 @@ _EXPORTS = {
         "commutator",
         "eigendecompose",
         "hermitian_defect",
-        "inner",
         "propagator",
         "require_hermitian",
     ),
@@ -24,8 +23,6 @@ _EXPORTS = {
         "CoherenceSummary",
         "StatSummary",
         "coherence_from_amplitudes",
-        "expectation",
-        "l1_coherence",
         "stats",
     ),
     "dynamics": (
@@ -41,7 +38,6 @@ _EXPORTS = {
         "ehrenfest_residual",
         "evolve",
         "offset_invariance_check",
-        "shift_hamiltonian",
     ),
     "uncertainty": (
         "BoundCheck",
@@ -50,7 +46,6 @@ _EXPORTS = {
         "OrthogonalizationResult",
         "SpeedLimitBounds",
         "ml_bounds",
-        "mt_sample",
         "mt_series",
         "orthogonalization_time",
         "qsl_tau",
@@ -62,11 +57,6 @@ _EXPORTS = {
         "FIGURE_PRESETS",
         "QubitPreset",
         "TickTockReport",
-        "analytic_energy_spread",
-        "analytic_mt_delta_t",
-        "analytic_sx_mean",
-        "analytic_sx_rate",
-        "analytic_sx_std",
         "pauli",
         "qubit_scenario",
         "spin_projectors",

@@ -3,7 +3,7 @@
 Evolution is spectral: the initial state is expanded over the energy
 eigenbasis once and each grid time applies pure phase factors.  On top of the
 trajectories sit the conservation, offset-invariance and Ehrenfest-rate
-checks.
+checks, and the Mandelstam-Tamm columns read off a trajectory's states.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ OFFSET_TOL = 1e-10
 # centered-difference step as a fraction of the fastest oscillation period
 FD_STEP_FRACTION = 1e-4
 DEFAULT_STEPS = 1000
+# The energy thresholds are relative to ||H||_2 = max|E_k| (_energy_scale), so
+# they hold in any unit; H = 0 meets each of them with equality.
+# an energy spread at or below this is an eigenstate: no Mandelstam-Tamm clock
+ENERGY_SPREAD_MIN = 1e-12
+# scale factor for the rate threshold that flags a sample as infinite
+RATE_EPS_FACTOR = 1e-12
+# a spread or shifted mean energy at or below this makes the bound infinite
+MEAN_ENERGY_MIN = 1e-14
 
 _NAME_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 
@@ -209,6 +217,64 @@ def _series_stats(matrix: np.ndarray, states: np.ndarray) -> SeriesStats:
     return SeriesStats(means, variances, np.sqrt(variances))
 
 
+def _populations(scenario: Scenario) -> np.ndarray:
+    """Energy populations |a_k|^2 of the initial state, ascending energy."""
+    return np.abs(scenario.amplitudes) ** 2
+
+
+def _energy_scale(spec: SpectralDecomposition) -> float:
+    """||H||_2 = max|E_k|, the unit of the energy thresholds."""
+    return float(max(-spec.eigenvalues[0], spec.eigenvalues[-1]))
+
+
+def _energy_moments(scenario: Scenario):
+    """<H>, dH, <H> - E_min and the infinite-bound threshold
+    MEAN_ENERGY_MIN * ||H||_2, from the energy populations over the cached
+    spectrum."""
+    spec, probs = scenario.spectrum, _populations(scenario)
+    mean = float(probs @ spec.eigenvalues)
+    # shifted second moment: exact zero spread for eigenstates instead of
+    # sqrt(eps)-sized cancellation residue, which would defeat the
+    # infinite-bound threshold
+    spread = math.sqrt(float(probs @ (spec.eigenvalues - mean) ** 2))
+    shifted_mean = mean - float(spec.eigenvalues[0])
+    return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec)
+
+
+def _energy_spread(scenario: Scenario) -> tuple[float, float]:
+    """Delta H on the initial state (_energy_moments) and the eigenstate
+    threshold ENERGY_SPREAD_MIN * ||H||_2; a spread at or below it is an
+    energy eigenstate, which has no Mandelstam-Tamm clock."""
+    spread = _energy_moments(scenario)[1]
+    return spread, ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum)
+
+
+def _mt_columns(a, scenario: Scenario, states, delta_a):
+    """Rates |d<A>/dt|, dT = dA / rate and dH * dT of a validated observable
+    on (d, T) state columns with spreads ``delta_a``; dT and the product are
+    math.inf at rates at or below the scale-aware threshold.  An energy
+    eigenstate, which has no clock, raises ValueError."""
+    energy_spread, floor = _energy_spread(scenario)
+    if energy_spread <= floor:
+        raise ValueError(
+            "Mandelstam-Tamm timescale is undefined for energy eigenstates "
+            f"(energy spread {energy_spread:.3e})"
+        )
+    norm = float(np.linalg.norm(a, 2))
+    rate_eps = RATE_EPS_FACTOR * scenario.spectrum.span * norm / scenario.hbar
+    # exact rate d<A>/dt = <[A, H]> / (i hbar): the mean of a Hermitian generator
+    generator = _commutator(a, scenario.hamiltonian) / (1j * scenario.hbar)
+    rates = np.abs(qstat._means(generator, states)[0])
+    delta_t = np.divide(delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps)
+    return rates, delta_t, energy_spread * delta_t
+
+
+def _trajectory_mt(scenario: Scenario, trajectory: Trajectory, name: str):
+    """Mandelstam-Tamm rate, dT and product of ``name`` off a trajectory with states."""
+    a, delta_a = scenario.observables[name], trajectory.observables[name].stddev
+    return _mt_columns(a, scenario, trajectory.states, delta_a)
+
+
 def evolve(scenario: Scenario, store_states: bool = True) -> Trajectory:
     """Sample the closed-system evolution over the scenario's time grid.
 
@@ -267,12 +333,6 @@ def check_conservation(trajectory: Trajectory) -> ConservationReport:
     }
     passed = all(d <= CONSERVATION_TOL for d in drifts.values())
     return ConservationReport(drifts, CONSERVATION_TOL, passed)
-
-
-def shift_hamiltonian(hamiltonian, offset: float) -> np.ndarray:
-    """H + offset * identity."""
-    h = require_hermitian(hamiltonian, "hamiltonian")
-    return _shift(h, require_finite_real(offset, "offset"))
 
 
 def _shift(h: np.ndarray, offset: float) -> np.ndarray:

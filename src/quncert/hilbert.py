@@ -111,17 +111,6 @@ def as_state(vector, name: str = "state", norm_tol: float = 1e-9) -> np.ndarray:
     return v
 
 
-def inner(a, b) -> complex:
-    """Inner product <a|b>, antilinear in the first argument."""
-    av = np.asarray(a, dtype=np.complex128)
-    bv = np.asarray(b, dtype=np.complex128)
-    if av.ndim != 1 or bv.ndim != 1:
-        raise ValueError("inner expects vectors")
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    return complex(np.vdot(av, bv))
-
-
 def commutator(a, b) -> np.ndarray:
     """AB - BA for same-dimension square matrices."""
     am = as_complex_matrix(a, "first operand")

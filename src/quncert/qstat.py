@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import SpectralDecomposition, as_state, require_hermitian
+from .hilbert import as_state, require_hermitian
 
 
 class StatSummary(NamedTuple):
@@ -48,11 +48,6 @@ def _moments(matrix: np.ndarray, states: np.ndarray):
     residuals = a_states - states * means[..., None, :]
     variances = np.vecdot(residuals, residuals, axis=-2).real
     return means, variances, a_states
-
-
-def expectation(observable, state) -> float:
-    """<state|observable|state>, real for a Hermitian observable."""
-    return stats(observable, state).mean
 
 
 def stats(observable, state) -> StatSummary:
@@ -101,12 +96,3 @@ def coherence_from_amplitudes(amplitudes) -> CoherenceSummary:
     if coherence[0] > 1.0 + 1e-12:
         raise ValueError(f"coherence {coherence[0]!r} exceeds 1 beyond rounding")
     return CoherenceSummary(float(coherence[0]), float(predictability[0]), amps.size)
-
-
-def l1_coherence(state, basis: SpectralDecomposition) -> CoherenceSummary:
-    """Coherence of a state over the eigenbasis of a spectral decomposition."""
-    psi = as_state(state)
-    if basis.dim != psi.shape[0]:
-        raise ValueError(f"dimension mismatch: {basis.dim} vs {psi.shape[0]}")
-    amps = basis.eigenvectors.conj().T @ psi
-    return coherence_from_amplitudes(amps)

@@ -7,8 +7,8 @@ limit.
 
 The time-energy analyzers take a ``Scenario`` and read its cached spectrum,
 energy amplitudes and hbar, which the ``Scenario`` validated when it was
-built; they validate only the arguments that do not come from it (an
-observable, a time).  The Robertson and Schrodinger checks take loose
+built; they validate only the argument that does not come from it, an
+observable.  The Robertson and Schrodinger checks take loose
 matrices and a state, and validate those at entry.
 """
 
@@ -20,18 +20,18 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qstat
-from .dynamics import Scenario, _require_observable, _states_at
-from .hilbert import SpectralDecomposition, _commutator, _phases, as_state, require_finite_real
+from .dynamics import (
+    Scenario,
+    _energy_moments,
+    _energy_scale,
+    _mt_columns,
+    _populations,
+    _require_observable,
+    _states_at,
+)
+from .hilbert import _phases, as_state
 
 BOUND_SLACK_TOL = 1e-10
-# The energy thresholds are relative to ||H||_2 = max|E_k| (_energy_scale), so
-# they hold in any unit; H = 0 meets each of them with equality.
-# an energy spread at or below this is an eigenstate: no Mandelstam-Tamm clock
-ENERGY_SPREAD_MIN = 1e-12
-# scale factor for the rate threshold that flags a sample as infinite
-RATE_EPS_FACTOR = 1e-12
-# a spread or shifted mean energy at or below this makes the bound infinite
-MEAN_ENERGY_MIN = 1e-14
 # level gaps at or below this are degeneracies for the orthogonalization search
 GAP_TOL_FACTOR = 1e-12
 DEFAULT_TOL_ORTH = 1e-9
@@ -108,74 +108,14 @@ class MTSample(NamedTuple):
     product: float
 
 
-def _energy_scale(spec: SpectralDecomposition) -> float:
-    """||H||_2 = max|E_k|, the unit of the energy thresholds."""
-    return float(max(-spec.eigenvalues[0], spec.eigenvalues[-1]))
-
-
-def _energy_moments(scenario: Scenario):
-    """<H>, dH, <H> - E_min and the infinite-bound threshold
-    MEAN_ENERGY_MIN * ||H||_2, from the energy populations over the cached
-    spectrum."""
-    spec, probs = scenario.spectrum, _populations(scenario)
-    mean = float(probs @ spec.eigenvalues)
-    # shifted second moment: exact zero spread for eigenstates instead of
-    # sqrt(eps)-sized cancellation residue, which would defeat the
-    # infinite-bound threshold
-    spread = math.sqrt(float(probs @ (spec.eigenvalues - mean) ** 2))
-    shifted_mean = mean - float(spec.eigenvalues[0])
-    return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec)
-
-
-def _energy_spread(scenario: Scenario) -> tuple[float, float]:
-    """Delta H on the initial state (_energy_moments) and the eigenstate
-    threshold ENERGY_SPREAD_MIN * ||H||_2; a spread at or below it is an
-    energy eigenstate, which has no Mandelstam-Tamm clock."""
-    spread = _energy_moments(scenario)[1]
-    return spread, ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum)
-
-
-def _mt_columns(a, scenario: Scenario, states, delta_a):
-    """Rates |d<A>/dt|, dT = dA / rate and dH * dT of a validated observable
-    on (d, T) state columns with spreads ``delta_a``; dT and the product are
-    math.inf at rates at or below the scale-aware threshold.  An energy
-    eigenstate, which has no clock, raises ValueError."""
-    energy_spread, floor = _energy_spread(scenario)
-    if energy_spread <= floor:
-        raise ValueError(
-            "Mandelstam-Tamm timescale is undefined for energy eigenstates "
-            f"(energy spread {energy_spread:.3e})"
-        )
-    norm = float(np.linalg.norm(a, 2))
-    rate_eps = RATE_EPS_FACTOR * scenario.spectrum.span * norm / scenario.hbar
-    # exact rate d<A>/dt = <[A, H]> / (i hbar): the mean of a Hermitian generator
-    generator = _commutator(a, scenario.hamiltonian) / (1j * scenario.hbar)
-    rates = np.abs(qstat._means(generator, states)[0])
-    delta_t = np.divide(delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps)
-    return rates, delta_t, energy_spread * delta_t
-
-
-def _mt_samples(observable, scenario: Scenario, times) -> list[MTSample]:
+def mt_series(observable, scenario: Scenario) -> list[MTSample]:
+    """One MTSample per point of the scenario's time grid, in grid order."""
     a = _require_observable(observable, scenario.dim)
+    times = scenario.time_grid.times()
     states = _states_at(scenario, times)
     delta_a = np.sqrt(qstat._moments(a, states)[1])
     columns = (times, delta_a, *_mt_columns(a, scenario, states, delta_a))
     return [MTSample(*row) for row in zip(*(c.tolist() for c in columns))]
-
-
-def mt_sample(observable, scenario: Scenario, t: float) -> MTSample:
-    """Mandelstam-Tamm sample dT = dA / |d<A>/dt| with the exact rate."""
-    return _mt_samples(observable, scenario, np.array([require_finite_real(t, "t")]))[0]
-
-
-def mt_series(observable, scenario: Scenario) -> list[MTSample]:
-    """One MTSample per point of the scenario's time grid, in grid order."""
-    return _mt_samples(observable, scenario, scenario.time_grid.times())
-
-
-def _populations(scenario: Scenario) -> np.ndarray:
-    """Energy populations |a_k|^2 of the initial state, ascending energy."""
-    return np.abs(scenario.amplitudes) ** 2
 
 
 def _overlap(weights, evals, ts, hbar):

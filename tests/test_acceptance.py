@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_state
+from qubit_oracles import analytic_mt_delta_t, analytic_sx_mean, analytic_sx_std
 from quncert import (
     FIGURE_PRESETS,
     Scenario,
-    analytic_mt_delta_t,
-    analytic_sx_mean,
-    analytic_sx_std,
     check_conservation,
     default_time_grid,
     ehrenfest_residual,

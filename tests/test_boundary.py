@@ -18,7 +18,6 @@ from quncert import (
     ehrenfest_rate,
     ehrenfest_residual,
     ml_bounds,
-    mt_sample,
     mt_series,
     orthogonalization_time,
     qsl_tau,
@@ -57,7 +56,6 @@ def _scenario(**overrides):
         lambda: schrodinger_check(LOPSIDED, SZ, PLUS),
         lambda: schrodinger_check(SZ, LOPSIDED, PLUS),
         lambda: mt_series(LOPSIDED, _scenario()),
-        lambda: mt_sample(LOPSIDED, _scenario(), 0.3),
         lambda: ehrenfest_residual(LOPSIDED, _scenario(), 0.3),
         lambda: ehrenfest_rate(LOPSIDED, SZ, PLUS),
         # <[SX, LOPSIDED]> vanishes on PLUS, so no imaginary part shows it
@@ -72,7 +70,6 @@ def _scenario(**overrides):
         "schrodinger_check.a",
         "schrodinger_check.b",
         "mt_series",
-        "mt_sample",
         "ehrenfest_residual",
         "ehrenfest_rate.observable",
         "ehrenfest_rate.hamiltonian",

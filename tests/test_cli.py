@@ -21,14 +21,14 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_state
-from quncert import cli, dynamics, hilbert, qubit, uncertainty
+from quncert import cli, dynamics, hilbert, qubit, uncertainty, verify
 from quncert.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_PASS,
-    OFFSET_VALUES,
     VERIFY_SUITES,
     ScenarioFormatError,
     format_value,
@@ -36,6 +36,7 @@ from quncert.cli import (
     main,
     write_trajectory_csv,
 )
+from quncert.verify import OFFSET_VALUES
 
 SQ = math.sqrt(0.5)
 DATA = Path(__file__).resolve().parent / "data"
@@ -609,8 +610,47 @@ def test_si_qubit_product_floor_scales_with_hbar(tmp_path):
 
 
 def test_exit_codes_are_distinct():
-    codes = [EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE, EXIT_NUMERIC]
-    assert sorted(codes) == [0, 1, 2, 3, 4]
+    codes = [EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE, EXIT_NUMERIC, EXIT_BROKEN_PIPE]
+    assert sorted(codes) == [0, 1, 2, 3, 4, 141]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", str(DATA / "scenario_dim6.json")],
+        ["verify", "all"],
+        ["figure", "fig1", "-d", "{tmp}"],
+    ],
+    ids=["evolve", "verify", "figure"],
+)
+def test_a_closed_pipe_ends_quietly(tmp_path, args):
+    """A reader that has closed stdout, as `| head` does once it has its
+    lines, stops the command with 128 + SIGPIPE and nothing on stderr, not
+    with the bad-input code, an error line or an "Exception ignored" at exit."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [a.format(tmp=tmp_path) for a in args]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "quncert.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+
+def test_figure_runs_without_stdout(tmp_path):
+    """Started with stdout closed, a process has no sys.stdout; figure, whose
+    stdout only lists the files it wrote, still writes them and exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "quncert.cli", "figure", "fig1", "-d", str(tmp_path)],
+        stderr=subprocess.PIPE, env=env, timeout=60, preexec_fn=lambda: os.close(1),
+    )
+    assert (result.returncode, result.stderr) == (EXIT_PASS, b"")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"fig1{x}.csv" for x in "ABCD"]
 
 
 def test_eigensolver_failure_exit_code(monkeypatch, capsys):
@@ -804,7 +844,7 @@ def test_mt_minima_of_the_shared_trajectory_match_mt_series(tmp_path, target):
     lhs = {c["name"]: c["lhs"] for c in json.loads(report.read_text())["checks"]}
     trajectory = dynamics.evolve(s)
     for name, check in checks.items():
-        rates, delta_t, product = cli._trajectory_mt(s, trajectory, name)
+        rates, delta_t, product = dynamics._trajectory_mt(s, trajectory, name)
         samples = uncertainty.mt_series(s.observables[name], s)
         assert np.array_equal(rates, [x.rate for x in samples])
         assert np.array_equal(delta_t, [x.delta_t for x in samples])
@@ -890,7 +930,7 @@ def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
     triple."""
     calls = count_calls(uncertainty, "_pair_bounds")
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    cli._suite_uncertainty(None, rng, None)
+    verify._suite_uncertainty(None, rng, None)
     assert [a.shape[-1] for a, _, _ in calls] == [2, 3, 4, 5, 6]
     for a, b, psi in calls:
         dim = a.shape[-1]
@@ -907,10 +947,10 @@ def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
 def test_uncertainty_fuzz_memory_is_bounded():
     """The fuzz draws its triples in blocks: drawing a whole dimension at
     once peaks above 6 MB."""
-    cli._suite_uncertainty(None, np.random.default_rng(42), None)  # numpy's one-time set-up
+    verify._suite_uncertainty(None, np.random.default_rng(42), None)  # numpy's one-time set-up
     tracemalloc.start()
     try:
-        cli._suite_uncertainty(None, np.random.default_rng(42), None)
+        verify._suite_uncertainty(None, np.random.default_rng(42), None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1108,7 +1148,7 @@ def test_figure_fig3_rows_match_per_cell_formatting(tmp_path):
         preset = qubit.FIGURE_PRESETS[panel]
         s = qubit.qubit_scenario(preset)
         trajectory = dynamics.evolve(s, store_states=True)
-        _, delta_t, product = cli._trajectory_mt(s, trajectory, "sx")
+        _, delta_t, product = dynamics._trajectory_mt(s, trajectory, "sx")
         columns = [trajectory.times, delta_t * preset.omega, product / (0.5 * preset.hbar)]
         assert np.isinf(columns[2]).any()
         lines = (tmp_path / f"{panel}.csv").read_text(encoding="utf-8").splitlines()

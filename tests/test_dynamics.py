@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_state
+from qubit_oracles import analytic_sx_mean, analytic_sx_rate
 from quncert import dynamics
-from quncert.cli import check_max
+from quncert.verify import check_max
 from quncert import (
     FIGURE_PRESETS,
     Scenario,
     TimeGrid,
-    analytic_sx_mean,
-    analytic_sx_rate,
     check_conservation,
     default_time_grid,
     ehrenfest_rate,
@@ -29,7 +28,6 @@ from quncert import (
     pauli,
     propagator,
     qubit_scenario,
-    shift_hamiltonian,
 )
 
 OFFSETS = (-5.0, 0.5, 7.3)
@@ -111,7 +109,7 @@ def test_scenario_observables_are_read_only():
     with pytest.raises(TypeError):
         s.observables["extra"] = np.eye(3)
     assert list(s.observables) == ["probe"]
-    shifted = replace(s, hamiltonian=shift_hamiltonian(s.hamiltonian, 0.5))
+    shifted = replace(s, hamiltonian=dynamics._shift(s.hamiltonian, 0.5))
     assert list(shifted.observables) == ["probe"]
     assert np.array_equal(shifted.observables["probe"], s.observables["probe"])
     with pytest.raises(TypeError):
@@ -133,7 +131,7 @@ def test_scenario_spectrum_is_cached():
 def test_replaced_scenario_decomposes_its_own_hamiltonian():
     s = random_scenario(23, 5)
     base = s.spectrum
-    shifted = replace(s, hamiltonian=shift_hamiltonian(s.hamiltonian, 7.3))
+    shifted = replace(s, hamiltonian=dynamics._shift(s.hamiltonian, 7.3))
     assert shifted.spectrum is not base
     np.testing.assert_allclose(
         shifted.spectrum.eigenvalues, base.eigenvalues + 7.3, rtol=0, atol=1e-12
@@ -273,17 +271,18 @@ def test_offset_invariance_stack_matches_single_offsets(monkeypatch):
     assert together == [offset_invariance_check(s, [e0])[0] for e0 in OFFSETS]
     assert evolved[0] is s and len(evolved) == 1 + len(OFFSETS)
     for e0, shifted in zip(OFFSETS, evolved[1:]):
-        alone = eigendecompose(shift_hamiltonian(s.hamiltonian, e0))
+        alone = eigendecompose(dynamics._shift(s.hamiltonian, e0))
         assert shifted.spectrum.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
         assert shifted.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
     assert offset_invariance_check(s, []) == []
 
 
 def test_shift_hamiltonian():
-    shifted = shift_hamiltonian(pauli("z"), 2.0)
+    """The offset check shifts H by E0 * identity and refuses a non-finite E0."""
+    shifted = dynamics._shift(pauli("z"), 2.0)
     np.testing.assert_allclose(shifted, [[3.0, 0.0], [0.0, 1.0]], atol=0)
     with pytest.raises(ValueError, match="finite real"):
-        shift_hamiltonian(pauli("z"), math.nan)
+        offset_invariance_check(qubit_scenario(FIGURE_PRESETS["fig2D"]), [math.nan])
 
 
 def test_energy_amplitudes_roundtrip():

@@ -17,7 +17,6 @@ from quncert import (
     commutator,
     eigendecompose,
     hermitian_defect,
-    inner,
     propagator,
     require_hermitian,
 )
@@ -324,14 +323,11 @@ def test_convergence_cap_names_the_first_member_in_stack_order(monkeypatch):
     assert err.value.residual == alone.value.residual
 
 
-def test_inner_and_commutator():
+def test_commutator():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     np.testing.assert_allclose(commutator(x, y), 2j * z, atol=1e-15)
-    assert inner([1.0, 0.0], [0.0, 1.0]) == 0.0
-    with pytest.raises(ValueError):
-        inner([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])

@@ -8,10 +8,10 @@ import pytest
 from conftest import random_state
 from quncert import (
     FIGURE_PRESETS,
+    Scenario,
+    TimeGrid,
     coherence_from_amplitudes,
-    eigendecompose,
-    expectation,
-    l1_coherence,
+    evolve,
     pauli,
     stats,
 )
@@ -36,7 +36,7 @@ def test_energy_expectation_closed_form(name):
     """<H> = (hbar w / 2)(|a1|^2 - |a2|^2) on the precession presets."""
     p = FIGURE_PRESETS[name]
     expected = 0.5 * p.hbar * p.omega * (abs(p.alpha1) ** 2 - abs(p.alpha2) ** 2)
-    assert expectation(p.hamiltonian(), p.state()) == pytest.approx(
+    assert stats(p.hamiltonian(), p.state()).mean == pytest.approx(
         expected, abs=1e-14
     )
 
@@ -124,22 +124,26 @@ def test_coherence_is_phase_invariant():
 
 
 def test_l1_coherence_agrees_with_amplitude_route():
+    """The trajectory's coherence over H's eigenbasis, at every grid time,
+    is the coherence of the initial energy amplitudes: the phases leave the
+    moduli as they are, so only the rounding of the basis change differs."""
     rng = np.random.default_rng(21)
     h = np.diag([0.0, 1.0, 3.0]).astype(complex)
     h[0, 1] = h[1, 0] = 0.4
-    spec = eigendecompose(h)
-    psi = random_state(rng, 3)
-    via_basis = l1_coherence(psi, spec)
-    via_amps = coherence_from_amplitudes(spec.eigenvectors.conj().T @ psi)
-    assert via_basis.coherence == via_amps.coherence
-    assert via_basis.predictability == via_amps.predictability
+    scenario = Scenario(1.0, h, random_state(rng, 3), TimeGrid(0.0, 5.0, 40))
+    trajectory = evolve(scenario)
+    via_amps = coherence_from_amplitudes(scenario.amplitudes)
+    np.testing.assert_allclose(trajectory.coherence, via_amps.coherence, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        trajectory.predictability, via_amps.predictability, rtol=0, atol=1e-14
+    )
 
 
 def test_input_validation():
     with pytest.raises(ValueError, match="not Hermitian"):
-        expectation([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0])
+        stats([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        expectation(np.eye(2), [1.0, 0.0, 0.0])
+        stats(np.eye(2), [1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="normalized"):
         stats(np.eye(2), [1.0, 1.0])
     with pytest.raises(ValueError, match="dimension >= 2"):

@@ -6,17 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qubit_oracles import (
+    analytic_energy_spread,
+    analytic_mt_delta_t,
+    analytic_sx_mean,
+    analytic_sx_rate,
+    analytic_sx_std,
+)
 from quncert import (
     FIGURE_PRESETS,
     QubitPreset,
     SeriesStats,
     TimeGrid,
     Trajectory,
-    analytic_energy_spread,
-    analytic_mt_delta_t,
-    analytic_sx_mean,
-    analytic_sx_rate,
-    analytic_sx_std,
     evolve,
     mt_series,
     pauli,

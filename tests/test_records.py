@@ -8,7 +8,7 @@ and its fields in the order callers already rely on.
 import pytest
 
 import quncert
-from quncert import cli
+from quncert import verify
 
 RECORD_FIELDS = {
     quncert.SpectralDecomposition: ("eigenvalues", "eigenvectors", "sweeps", "offdiag_residual"),
@@ -34,7 +34,7 @@ RECORD_FIELDS = {
         "from_energy_spread", "from_mean_energy", "from_mean_energy_unshifted",
     ),
     quncert.TickTockReport: ("extrema", "delta_t", "delta_e", "product"),
-    cli.Check: ("name", "lhs", "rhs", "slack", "verdict"),
+    verify.Check: ("name", "lhs", "rhs", "slack", "verdict"),
 }
 
 RECORDS = pytest.mark.parametrize("record", RECORD_FIELDS, ids=lambda r: r.__name__)

@@ -5,7 +5,8 @@ hashlib (it loads OpenSSL) is imported only to digest a scenario file, and
 numpy.random only when a verify suite draws random inputs.  Output records
 are NamedTuples; only the validated inputs stay dataclasses.  The package
 resolves its public names on first access, and the CLI executes the qubit and
-uncertainty layers only when its command reads them.
+uncertainty layers only when its command reads them; only ``verify`` imports
+the verify module, and only it executes uncertainty.
 """
 
 import dataclasses
@@ -16,8 +17,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quncert
-from quncert import cli
+from quncert import cli, verify
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = str(Path(quncert.__file__).resolve().parent.parent)
@@ -43,12 +46,13 @@ def _loaded_after(code: str) -> dict:
 
 
 def _ran_after(code: str) -> dict:
-    """Which of the qubit and uncertainty layers the code executed: a layer
-    registered but not yet executed is a lazy module, not a plain one."""
+    """Which of the qubit and uncertainty layers and the verify module the
+    code executed: a layer registered but not yet executed is a lazy module,
+    not a plain one, and a module never imported is not in sys.modules."""
     return _probe(
         code,
         "{m: type(sys.modules.get(f'quncert.{m}')) is types.ModuleType"
-        " for m in ('qubit', 'uncertainty')}",
+        " for m in ('qubit', 'uncertainty', 'verify')}",
     )
 
 
@@ -77,14 +81,16 @@ def test_evolve_loads_neither_hashlib_nor_numpy_random(tmp_path):
 
 def test_only_input_records_are_dataclasses():
     public = [getattr(quncert, name) for name in quncert.__all__]
-    public += [obj for name, obj in vars(cli).items() if not name.startswith("_")]
+    for module in (cli, verify):
+        public += [obj for name, obj in vars(module).items() if not name.startswith("_")]
     ours = [obj for obj in public if inspect.isclass(obj) and obj.__module__.startswith("quncert")]
     names = {cls.__name__ for cls in ours if dataclasses.is_dataclass(cls)}
     assert names == {"TimeGrid", "Scenario", "QubitPreset"}
 
 
 def test_import_runs_neither_qubit_nor_uncertainty():
-    assert _ran_after("import quncert.cli") == {"qubit": False, "uncertainty": False}
+    ran = _ran_after("import quncert.cli")
+    assert ran == {"qubit": False, "uncertainty": False, "verify": False}
 
 
 def test_every_layer_is_registered_on_import():
@@ -96,13 +102,21 @@ def test_every_layer_is_registered_on_import():
 def test_evolve_runs_neither_qubit_nor_uncertainty(tmp_path):
     argv = ["evolve", str(DATA / "scenario_dim6.json"), "-o", str(tmp_path / "out.csv")]
     ran = _ran_after(f"from quncert.cli import main\nassert main({argv!r}) == 0")
-    assert ran == {"qubit": False, "uncertainty": False}
+    assert ran == {"qubit": False, "uncertainty": False, "verify": False}
 
 
 def test_figure_fig1_runs_no_uncertainty(tmp_path):
     argv = ["figure", "fig1", "-d", str(tmp_path)]
     ran = _ran_after(f"from quncert.cli import main\nassert main({argv!r}) == 0")
-    assert ran == {"qubit": True, "uncertainty": False}
+    assert ran == {"qubit": True, "uncertainty": False, "verify": False}
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig3"])
+def test_figures_fig2_and_fig3_run_no_uncertainty(tmp_path, figure):
+    """fig3's Mandelstam-Tamm columns come from dynamics, not uncertainty."""
+    argv = ["figure", figure, "-d", str(tmp_path)]
+    ran = _ran_after(f"from quncert.cli import main\nassert main({argv!r}) == 0")
+    assert ran == {"qubit": True, "uncertainty": False, "verify": False}
 
 
 def test_verify_scenario_runs_no_qubit(tmp_path):
@@ -112,17 +126,19 @@ def test_verify_scenario_runs_no_qubit(tmp_path):
         "from quncert.cli import EXIT_INCONCLUSIVE, main\n"
         f"assert main({argv!r}) == EXIT_INCONCLUSIVE"
     )
-    assert ran == {"qubit": False, "uncertainty": True}
+    assert ran == {"qubit": False, "uncertainty": True, "verify": True}
 
 
 def test_a_patched_layer_keeps_its_patch_through_the_cli_import():
-    """A layer imported before quncert.cli is the one the CLI reads."""
+    """A layer imported before quncert.cli, which registers the layers, is
+    the one the verify module reads."""
     code = (
         "import quncert.uncertainty as u\n"
         "u.qsl_tau = 'patched'\n"
-        "from quncert import cli"
+        "from quncert import cli, verify"
     )
-    assert _probe(code, "[cli.uncertainty is u, cli.uncertainty.qsl_tau]") == [True, "patched"]
+    expression = "[verify.uncertainty is u, verify.uncertainty.qsl_tau]"
+    assert _probe(code, expression) == [True, "patched"]
 
 
 def test_star_import_binds_each_name_to_its_layer_object():

@@ -22,7 +22,6 @@ from quncert import (
     default_time_grid,
     ehrenfest_rate,
     ml_bounds,
-    mt_sample,
     mt_series,
     orthogonalization_time,
     pauli,
@@ -36,13 +35,8 @@ from quncert import (
 )
 from quncert import dynamics, uncertainty
 from quncert.cli import load_scenario
-from quncert.uncertainty import (
-    DEFAULT_TOL_ORTH,
-    HORIZON_PERIODS,
-    RATE_EPS_FACTOR,
-    REFINE_REL_TOL,
-    _pair_bounds,
-)
+from quncert.dynamics import RATE_EPS_FACTOR
+from quncert.uncertainty import DEFAULT_TOL_ORTH, HORIZON_PERIODS, REFINE_REL_TOL, _pair_bounds
 
 THREE_LEVEL_MIN_OVERLAP = 0.23385358667337133  # sqrt(7/128)
 
@@ -169,14 +163,6 @@ def test_mt_product_floor_and_flag_placement(name):
             assert min(abs(s.t - k * math.pi) for k in range(5)) <= step
 
 
-def test_mt_sample_matches_series():
-    scenario = qubit_scenario(FIGURE_PRESETS["fig3AB"])
-    series = mt_series(pauli("x"), scenario)
-    probe = series[137]
-    single = mt_sample(pauli("x"), scenario, probe.t)
-    assert single == probe
-
-
 def test_mt_undefined_for_energy_eigenstate():
     scenario = qubit_scenario(FIGURE_PRESETS["fig2A"])
     with pytest.raises(ValueError, match="energy eigenstates"):
@@ -187,12 +173,6 @@ def test_mt_static_observable_is_all_flags():
     scenario = qubit_scenario(FIGURE_PRESETS["fig2D"])
     series = mt_series(pauli("z"), scenario)
     assert all(math.isinf(s.delta_t) for s in series)
-
-
-def test_mt_sample_rejects_non_finite_time():
-    scenario = qubit_scenario(FIGURE_PRESETS["fig2D"])
-    with pytest.raises(ValueError, match="finite real"):
-        mt_sample(pauli("x"), scenario, math.nan)
 
 
 def test_state_overlap_dominant_probability_floor():
