@@ -7,13 +7,14 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 check failure, 2 input error,
 3 inconclusive (orthogonalization search found nothing either way),
-4 numerical failure (the eigensolver did not converge), 141 the reader of
-the output closed its pipe early.
+4 numerical failure (the eigensolver did not converge), 130 interrupted
+(Ctrl-C), 141 the reader of the output closed its pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import io
 import json
@@ -60,6 +61,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_NUMERIC = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process Ctrl-C stopped
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer a closed pipe stopped
 
 
@@ -363,6 +365,15 @@ def cmd_figure(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status.
+
+    Called without ``argv``, as the process entry is, main reads sys.argv and
+    ends by freezing the collector, on every exit path: at shutdown CPython's
+    collections then skip the objects of the import-time reference cycles
+    (modules, classes, functions), whose memory the OS reclaims at once,
+    instead of freeing them one at a time.  A caller that keeps working after
+    main returns passes ``argv``, and the collector is left as it was found.
+    """
     parser = argparse.ArgumentParser(
         prog="quncert",
         description="Closed-system quantum dynamics and time-energy uncertainty checks.",
@@ -384,8 +395,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("--seed", type=int, help=f"rng seed (default {DEFAULT_SEED})")
     p_verify.add_argument("--report", help="write the JSON report here instead of stdout")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "verify":
             from . import verify  # only this command compiles and runs the suites
             status = verify.cmd_verify(args)
@@ -399,6 +410,9 @@ def main(argv=None) -> int:
         # goes to devnull, so the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     # MemoryError: an input whose arrays cannot be allocated, such as 1e18 steps
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -406,6 +420,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """End-to-end CLI tests: scenario parsing, CSV emission, verify reports.
 
 Runs the entry point in process via main(argv). Child processes run the
-inputs that once hung, under ``-W error`` and a timeout, and one confirms the
+inputs that once hung, under ``-W error`` and a timeout, others check that a
+child process writes the bytes main(argv) writes, and one confirms the
 installed console script is wired up.
 """
 
@@ -27,6 +28,7 @@ from quncert.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
+    EXIT_INTERRUPTED,
     EXIT_NUMERIC,
     EXIT_PASS,
     VERIFY_SUITES,
@@ -610,8 +612,55 @@ def test_si_qubit_product_floor_scales_with_hbar(tmp_path):
 
 
 def test_exit_codes_are_distinct():
-    codes = [EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE, EXIT_NUMERIC, EXIT_BROKEN_PIPE]
-    assert sorted(codes) == [0, 1, 2, 3, 4, 141]
+    codes = [EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE, EXIT_NUMERIC,
+             EXIT_INTERRUPTED, EXIT_BROKEN_PIPE]
+    assert sorted(codes) == [0, 1, 2, 3, 4, 130, 141]
+
+
+def test_ctrl_c_ends_with_one_line_and_no_traceback(monkeypatch, capsys):
+    """Ctrl-C exits 128 + SIGINT with one stderr line, as a closed pipe
+    exits 128 + SIGPIPE."""
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_evolve", interrupted)
+    assert main(["evolve", str(DATA / "scenario_dim6.json")]) == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "error: interrupted\n"
+
+
+@pytest.mark.parametrize(
+    "args,status",
+    [
+        (["verify", "all", "--seed", "42"], EXIT_PASS),
+        (["evolve", str(DATA / "scenario_dim6.json")], EXIT_PASS),
+        (["figure", "fig2", "-d", "{dir}"], EXIT_PASS),
+        (["evolve", "{dir}/missing.json"], EXIT_INPUT),
+    ],
+    ids=["verify", "evolve", "figure", "missing-file"],
+)
+def test_a_process_writes_what_main_argv_writes(tmp_path, capsysbinary, args, status):
+    """`python -m quncert.cli`, which ends by freezing the collector, writes
+    the same bytes and exits with the same status as main(argv) in process."""
+    outdir = tmp_path / "out"
+    argv = [a.format(dir=outdir) for a in args]
+
+    def files():
+        return {p.name: p.read_bytes() for p in outdir.iterdir()} if outdir.exists() else {}
+
+    in_process = main(argv), *capsysbinary.readouterr(), files()
+    shutil.rmtree(outdir, ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "quncert.cli", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr, files()) == in_process
+    assert result.returncode == status
+    if status == EXIT_INPUT:
+        assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
+    else:
+        assert result.stderr == b"" and result.stdout
 
 
 @pytest.mark.parametrize(

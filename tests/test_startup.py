@@ -7,6 +7,10 @@ are NamedTuples; only the validated inputs stay dataclasses.  The package
 resolves its public names on first access, and the CLI executes the qubit and
 uncertainty layers only when its command reads them; only ``verify`` imports
 the verify module, and only it executes uncertainty.
+
+A process also pays to end: when main is the process entry it ends with the
+collector frozen, so shutdown skips the import-time objects instead of
+freeing them one at a time.
 """
 
 import dataclasses
@@ -159,3 +163,58 @@ def test_dir_lists_every_public_name_before_first_use():
     bound, names = _probe("import quncert", "[sorted(vars(quncert)), dir(quncert)]")
     assert "__version__" in bound and not set(quncert.__all__) & set(bound)
     assert set(quncert.__all__) <= set(names)
+
+
+# (argv, exit status): a pass, an inconclusive report, bad input, and
+# argparse's own exit
+ENTRY_CASES = [
+    (["figure", "fig3", "-d", "{tmp}"], cli.EXIT_PASS),
+    (["verify", "all", "--scenario", str(DATA / "scenario_dim6.json"),
+      "--report", "{tmp}/report.json"], cli.EXIT_INCONCLUSIVE),
+    (["evolve", "{tmp}/missing.json"], cli.EXIT_INPUT),
+    (["--version"], 0),
+]
+ENTRY_IDS = ["figure", "inconclusive", "missing-file", "version"]
+
+
+def _collector_after_main(argv: list, *, process_entry: bool, enabled: bool = True,
+                          setup: str = "") -> list:
+    """[exit status, gc.get_freeze_count(), gc.isenabled()] after main() with
+    sys.argv set, as the process entry calls it, or after main(argv)."""
+    code = (
+        "import gc, sys\n"
+        "from quncert import cli\n"
+        f"{setup}\n"
+        f"sys.argv = ['quncert', *{argv!r}]\n"
+        f"{'' if enabled else 'gc.disable()'}\n"
+        "try:\n"
+        f"    status = cli.main({'' if process_entry else 'sys.argv[1:]'})\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code"
+    )
+    return _probe(code, "[status, gc.get_freeze_count(), gc.isenabled()]")
+
+
+@pytest.mark.parametrize("args,status", ENTRY_CASES, ids=ENTRY_IDS)
+def test_the_process_entry_freezes_the_collector(tmp_path, args, status):
+    """Shutdown's collections skip frozen objects, so the process ends
+    without freeing its import-time cycles one at a time."""
+    argv = [a.format(tmp=tmp_path) for a in args]
+    got, frozen, enabled = _collector_after_main(argv, process_entry=True)
+    assert (got, frozen > 0, enabled) == (status, True, True)
+
+
+def test_an_interrupted_process_entry_still_freezes_the_collector():
+    setup = "def interrupted(args):\n    raise KeyboardInterrupt\ncli.cmd_evolve = interrupted"
+    argv = ["evolve", str(DATA / "scenario_dim6.json")]
+    got, frozen, _ = _collector_after_main(argv, process_entry=True, setup=setup)
+    assert (got, frozen > 0) == (cli.EXIT_INTERRUPTED, True)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("args,status", ENTRY_CASES, ids=ENTRY_IDS)
+def test_main_with_argv_leaves_the_collector_as_it_was(tmp_path, args, status, enabled):
+    """A caller that keeps working after main returns passes argv."""
+    argv = [a.format(tmp=tmp_path) for a in args]
+    got = _collector_after_main(argv, process_entry=False, enabled=enabled)
+    assert got == [status, 0, enabled]
