@@ -37,11 +37,11 @@ FD_STEP_FRACTION = 1e-4
 DEFAULT_STEPS = 1000
 # The energy thresholds are relative to ||H||_2 = max|E_k| (_energy_scale), so
 # they hold in any unit; H = 0 meets each of them with equality.
-# an energy spread at or below this is an eigenstate: no Mandelstam-Tamm clock
+# a spread at or below this is an eigenstate: no Mandelstam-Tamm clock or spread bound
 ENERGY_SPREAD_MIN = 1e-12
 # scale factor for the rate threshold that flags a sample as infinite
 RATE_EPS_FACTOR = 1e-12
-# a spread or shifted mean energy at or below this makes the bound infinite
+# a shifted or raw mean energy at or below this makes its bound infinite
 MEAN_ENERGY_MIN = 1e-14
 
 _NAME_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
@@ -56,12 +56,13 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("time grid bounds must be finite")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"grid bounds and width must be finite, got [{self.start}, {self.stop}]")
         if not self.stop > self.start:
             raise ValueError(f"stop must exceed start, got [{self.start}, {self.stop}]")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        # numpy holds at most intp.max bytes in one array: (2^63 - 1) // 8 float64 times
+        if not 2 <= self.steps <= np.iinfo(np.intp).max // 8:
+            raise ValueError(f"steps must be >= 2 and fit one float64 array, got {self.steps}")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -120,7 +121,7 @@ class Scenario:
         h = require_hermitian(self.hamiltonian, "hamiltonian")
         if h.shape[0] < 2:
             raise ValueError("scenario needs dimension >= 2")
-        psi = as_state(self.initial_state, "initial_state", norm_tol=1e-12)
+        psi = as_state(self.initial_state, "initial_state")
         if psi.shape[0] != h.shape[0]:
             raise ValueError(
                 f"initial_state dimension {psi.shape[0]} does not match "
@@ -165,20 +166,14 @@ def _on_default_grid(
 
 
 def default_time_grid(hamiltonian, hbar: float = 1.0, steps: int = DEFAULT_STEPS) -> TimeGrid:
-    """Two characteristic periods: [0, 4*pi*hbar/(E_max - E_min)].
-
-    A fully degenerate spectrum has no characteristic frequency; the grid
-    falls back to [0, 4*pi].
-    """
+    """Two of the fastest periods (_period): [0, 4*pi*hbar/(E_max - E_min)],
+    or [0, 4*pi] for a fully degenerate spectrum."""
     spec = (
         hamiltonian
         if isinstance(hamiltonian, SpectralDecomposition)
         else eigendecompose(hamiltonian)
     )
-    span = spec.span
-    hbar = require_positive_finite(hbar, "hbar")
-    stop = 4.0 * math.pi * hbar / span if span > 0.0 else 4.0 * math.pi
-    return TimeGrid(0.0, stop, steps)
+    return TimeGrid(0.0, 2.0 * _period(spec, require_positive_finite(hbar, "hbar")), steps)
 
 
 class SeriesStats(NamedTuple):
@@ -228,25 +223,29 @@ def _energy_scale(spec: SpectralDecomposition) -> float:
 
 
 def _energy_moments(scenario: Scenario):
-    """<H>, dH, <H> - E_min and the infinite-bound threshold
-    MEAN_ENERGY_MIN * ||H||_2, from the energy populations over the cached
-    spectrum."""
+    """<H>, dH, <H> - E_min and MEAN_ENERGY_MIN * ||H||_2, the threshold of
+    both mean energies, from the energy populations over the cached spectrum."""
     spec, probs = scenario.spectrum, _populations(scenario)
     mean = float(probs @ spec.eigenvalues)
-    # shifted second moment: exact zero spread for eigenstates instead of
-    # sqrt(eps)-sized cancellation residue, which would defeat the
-    # infinite-bound threshold
+    # shifted second moment: an eigenstate's spread is exactly zero, not the
+    # sqrt(eps)-sized cancellation residue that would defeat _energy_spread
     spread = math.sqrt(float(probs @ (spec.eigenvalues - mean) ** 2))
     shifted_mean = mean - float(spec.eigenvalues[0])
     return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec)
 
 
 def _energy_spread(scenario: Scenario) -> tuple[float, float]:
-    """Delta H on the initial state (_energy_moments) and the eigenstate
-    threshold ENERGY_SPREAD_MIN * ||H||_2; a spread at or below it is an
-    energy eigenstate, which has no Mandelstam-Tamm clock."""
+    """Delta H on the initial state (_energy_moments) and the one eigenstate
+    threshold ENERGY_SPREAD_MIN * ||H||_2: a state at or below it has no
+    Mandelstam-Tamm clock and no spread bound (ml_bounds)."""
     spread = _energy_moments(scenario)[1]
     return spread, ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum)
+
+
+def _rates(a: np.ndarray, h: np.ndarray, states: np.ndarray, hbar: float) -> np.ndarray:
+    """Exact rates d<A>/dt = <[A, H]> / (i hbar) on (d, T) state columns, the
+    means of a Hermitian generator (qstat._means); nothing is validated."""
+    return qstat._means(_commutator(a, h) / (1j * hbar), states)[0]
 
 
 def _mt_columns(a, scenario: Scenario, states, delta_a):
@@ -262,9 +261,7 @@ def _mt_columns(a, scenario: Scenario, states, delta_a):
         )
     norm = float(np.linalg.norm(a, 2))
     rate_eps = RATE_EPS_FACTOR * scenario.spectrum.span * norm / scenario.hbar
-    # exact rate d<A>/dt = <[A, H]> / (i hbar): the mean of a Hermitian generator
-    generator = _commutator(a, scenario.hamiltonian) / (1j * scenario.hbar)
-    rates = np.abs(qstat._means(generator, states)[0])
+    rates = np.abs(_rates(a, scenario.hamiltonian, states, scenario.hbar))
     delta_t = np.divide(delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps)
     return rates, delta_t, energy_spread * delta_t
 
@@ -432,18 +429,13 @@ def ehrenfest_rate(observable, hamiltonian, state, hbar: float = 1.0) -> float:
     psi = as_state(state)
     if psi.shape[0] != h.shape[0]:
         raise ValueError(f"dimension mismatch: {h.shape[0]} vs {psi.shape[0]}")
-    return _rate(a, h, psi, require_positive_finite(hbar, "hbar"))
-
-
-def _rate(a: np.ndarray, h: np.ndarray, psi: np.ndarray, hbar: float) -> float:
-    """Real part of <psi|[A, H]|psi> / (i hbar); nothing is validated."""
-    return float((complex(np.vdot(psi, _commutator(a, h) @ psi)) / (1j * hbar)).real)
+    return float(_rates(a, h, psi[:, None], require_positive_finite(hbar, "hbar"))[0])
 
 
 def _period(spec: SpectralDecomposition, hbar: float) -> float:
-    """The fastest period 2*pi*hbar/(E_max - E_min); 1 for a fully
-    degenerate spectrum, which has none."""
-    return 2.0 * math.pi * hbar / spec.span if spec.span > 0.0 else 1.0
+    """The fastest period 2*pi*hbar/(E_max - E_min); 2*pi for a fully
+    degenerate spectrum, which has none, so that its default grid is [0, 4*pi]."""
+    return 2.0 * math.pi * hbar / spec.span if spec.span > 0.0 else 2.0 * math.pi
 
 
 def default_fd_step(spec: SpectralDecomposition, hbar: float) -> float:
@@ -474,10 +466,9 @@ def _ehrenfest_residual(a: np.ndarray, scenario: Scenario, t, fd_step) -> float:
     # each mean (which the difference quotient amplifies by 1/fd_step) does
     # not depend on how many columns share a matrix product
     plus, minus = (
-        float(qstat._moments(a, _states_at(scenario, [tau]))[0][0])
+        float(qstat._means(a, _states_at(scenario, [tau]))[0][0])
         for tau in (t + fd_step, t - fd_step)
     )
     fd = (plus - minus) / (2.0 * fd_step)
-    psi = _states_at(scenario, [t])[:, 0]
-    exact = _rate(a, scenario.hamiltonian, psi, scenario.hbar)
-    return abs(fd - exact)
+    exact = _rates(a, scenario.hamiltonian, _states_at(scenario, [t]), scenario.hbar)
+    return abs(fd - float(exact[0]))

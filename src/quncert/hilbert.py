@@ -31,6 +31,8 @@ JACOBI_TOL_FACTOR = 1e-13
 JACOBI_MAX_SWEEPS = 100
 # Modulus ties when picking a column's anchor component for the phase fix.
 PHASE_TIE_TOL = 1e-12
+# A state is normalized when its squared norm is within this of 1.
+NORM_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -96,15 +98,16 @@ def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_state(vector, name: str = "state", norm_tol: float = 1e-9) -> np.ndarray:
-    """Coerce to a finite complex vector normalized within norm_tol."""
+def as_state(vector, name: str = "state") -> np.ndarray:
+    """Coerce to a finite complex vector whose squared norm is within NORM_TOL
+    of 1, the one normalization test of every state argument."""
     v = np.asarray(vector, dtype=np.complex128)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{name} must be a nonempty vector, got shape {v.shape}")
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     norm_sq = float(np.real(np.vdot(v, v)))
-    if abs(norm_sq - 1.0) > norm_tol:
+    if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(
             f"{name} is not normalized: sum of squared moduli is {norm_sq!r}"
         )

@@ -54,7 +54,7 @@ class QubitPreset:
     def __post_init__(self):
         require_positive_finite(self.omega, "omega")
         require_positive_finite(self.hbar, "hbar")
-        as_state([self.alpha1, self.alpha2], "preset amplitudes", norm_tol=1e-12)
+        as_state([self.alpha1, self.alpha2], "preset amplitudes")
 
     @property
     def coherence(self) -> float:

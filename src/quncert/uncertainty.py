@@ -8,7 +8,7 @@ limit.
 The time-energy analyzers take a ``Scenario`` and read its cached spectrum,
 energy amplitudes and hbar, which the ``Scenario`` validated when it was
 built; they validate only the argument that does not come from it, an
-observable.  The Robertson and Schrodinger checks take loose
+observable or a time.  The Robertson and Schrodinger checks take loose
 matrices and a state, and validate those at entry.
 """
 
@@ -24,6 +24,7 @@ from .dynamics import (
     Scenario,
     _energy_moments,
     _energy_scale,
+    _energy_spread,
     _mt_columns,
     _populations,
     _require_observable,
@@ -134,6 +135,8 @@ def state_overlap(scenario: Scenario, t):
     Scalar t gives a complex scalar; an array of times gives a complex array.
     """
     ts = np.asarray(t, dtype=np.float64)
+    if not np.isfinite(ts).all():
+        raise ValueError(f"t must be finite real times, got {t!r}")
     evals = scenario.spectrum.eigenvalues
     out = _overlap(_populations(scenario), evals, ts.reshape(-1), scenario.hbar)
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
@@ -450,14 +453,14 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
 class SpeedLimitBounds(NamedTuple):
     """Lower bounds on the orthogonalization time.
 
-    from_energy_spread: pi*hbar / (2 dH).
+    from_energy_spread: pi*hbar / (2 dH); infinite on an energy eigenstate
+    (_energy_spread), which has no Mandelstam-Tamm clock either.
     from_mean_energy: pi*hbar / (2 <H'>) with the spectrum shifted so that
     E_min = 0 (the convention under which the bound is valid).
     from_mean_energy_unshifted: the raw pi*hbar / (2 <H>) with no shift;
-    exposed because it fails for spectra whose mean energy is <= 0 (infinite
-    when |<H>| <= MEAN_ENERGY_MIN * ||H||_2, signed and meaningless when
-    negative).  Each bound is infinite when its energy is at or below that
-    threshold.
+    exposed because it fails for spectra whose mean energy is <= 0 (signed
+    and meaningless when negative).  Each mean-energy bound is infinite when
+    its |energy| is at or below MEAN_ENERGY_MIN * ||H||_2.
     """
 
     from_energy_spread: float
@@ -468,8 +471,9 @@ class SpeedLimitBounds(NamedTuple):
 def ml_bounds(scenario: Scenario) -> SpeedLimitBounds:
     """Margolus-Levitin style lower bounds on the orthogonalization time."""
     half_pi_hbar = 0.5 * math.pi * scenario.hbar
-    mean, spread, shifted_mean, floor = _energy_moments(scenario)
-    from_spread = half_pi_hbar / spread if spread > floor else math.inf
+    mean, _, shifted_mean, floor = _energy_moments(scenario)
+    spread, eigenstate_floor = _energy_spread(scenario)
+    from_spread = half_pi_hbar / spread if spread > eigenstate_floor else math.inf
     from_mean = half_pi_hbar / shifted_mean if shifted_mean > floor else math.inf
     raw = half_pi_hbar / mean if abs(mean) > floor else math.inf
     return SpeedLimitBounds(from_spread, from_mean, raw)

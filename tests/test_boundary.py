@@ -96,6 +96,36 @@ def test_non_finite_amplitudes_are_rejected(call):
         call(np.array([math.nan, 1.0]))
 
 
+STATE_ARGUMENTS = [
+    lambda psi: stats(SX, psi),
+    lambda psi: robertson_check(SX, SZ, psi),
+    lambda psi: schrodinger_check(SX, SZ, psi),
+    lambda psi: ehrenfest_rate(SX, SZ, psi),
+    coherence_from_amplitudes,
+]
+STATE_IDS = ["stats", "robertson_check", "schrodinger_check", "ehrenfest_rate", "coherence"]
+
+
+@pytest.mark.parametrize("call", STATE_ARGUMENTS, ids=STATE_IDS)
+def test_every_state_argument_has_one_normalization_tolerance(call):
+    """A squared norm 1e-10 from 1 is refused by every public function that
+    takes a state, as Scenario refuses it; one 1e-13 from 1 is accepted."""
+    with pytest.raises(ValueError, match="not normalized"):
+        call(PLUS * math.sqrt(1.0 + 1e-10))
+    with pytest.raises(ValueError, match="not normalized"):
+        _scenario(initial_state=PLUS * math.sqrt(1.0 + 1e-10))
+    call(PLUS * math.sqrt(1.0 + 1e-13))
+    _scenario(initial_state=PLUS * math.sqrt(1.0 + 1e-13))
+
+
+@pytest.mark.parametrize(
+    "t", [math.nan, math.inf, -math.inf, [0.0, math.nan], [[1.0], [math.inf]]]
+)
+def test_state_overlap_refuses_a_time_that_is_not_finite(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        state_overlap(_scenario(), t)
+
+
 @pytest.mark.parametrize("hbar", BAD_HBARS)
 @pytest.mark.parametrize(
     "call",

@@ -725,6 +725,50 @@ def test_unallocatable_grid_is_an_input_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command", [["evolve"], ["verify", "all", "--scenario"]], ids=["evolve", "verify"]
+)
+@pytest.mark.parametrize(
+    "time,message",
+    [
+        ({"start": -1e308, "stop": 1e308, "steps": 5}, "width must be finite"),
+        ({"start": 0.0, "stop": 1.0, "steps": 2**63 - 1}, "fit one float64 array"),
+        ({"start": 0.0, "stop": 1.0, "steps": 2**63}, "fit one float64 array"),
+    ],
+    ids=["width", "steps_2^63-1", "steps_2^63"],
+)
+def test_grid_the_arithmetic_cannot_hold_is_an_input_error(
+    tmp_path, capsys, command, time, message
+):
+    """A width that overflows would sample NaN times, and np.linspace cannot
+    sample a step count beyond one float64 array: both are bad input."""
+    doc = json.loads((DATA / "scenario_dim6.json").read_text())
+    doc["time"] = time
+    path = write_json(tmp_path / "grid.json", doc)
+    assert main([*command, path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_near_eigenstate_is_an_eigenstate_to_every_suite(tmp_path):
+    """psi = (1, 5e-14) on diag(1/2, -1/2) has dH = 5e-14, below the one
+    eigenstate threshold ENERGY_SPREAD_MIN * ||H||_2: it has no
+    Mandelstam-Tamm clock, and so no finite spread bound or QSL either."""
+    doc = {
+        **BALANCED_QUBIT,
+        "initial_state": [[1.0, 0.0], [5e-14, 0.0]],
+        "time": {"start": 0.0, "stop": 10.0, "steps": 200},
+    }
+    path = write_json(tmp_path / "near.json", doc)
+    assert math.isinf(uncertainty.ml_bounds(load_scenario(path)).from_energy_spread)
+    report = tmp_path / "r.json"
+    assert main(["verify", "all", "--scenario", path, "--report", str(report)]) == EXIT_PASS
+    names = [c["name"] for c in json.loads(report.read_text())["checks"]]
+    assert "mt.scenario.undefined_for_eigenstate" in names
+    assert "qsl.scenario.infinite_for_eigenstate" in names
+
+
 def _record_every_binding(monkeypatch, original, record):
     """Replace every quncert module binding of original with a wrapper that
     calls record(*args) first."""

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_hermitian, random_state
 from qubit_oracles import analytic_sx_mean, analytic_sx_rate
-from quncert import dynamics
+from quncert import cli, dynamics
 from quncert.verify import check_max
 from quncert import (
     FIGURE_PRESETS,
@@ -52,6 +52,14 @@ def test_time_grid_validation():
         TimeGrid(1.0, 1.0, 10)
     with pytest.raises(ValueError, match="finite"):
         TimeGrid(0.0, math.inf, 10)
+    # a width stop - start that overflows would sample NaN times
+    with pytest.raises(ValueError, match="width must be finite"):
+        TimeGrid(-1e308, 1e308, 5)
+    assert np.isfinite(TimeGrid(-8e307, 8e307, 5).times()).all()
+    # numpy holds no float64 array of 2^60 or more elements
+    for steps in (2**60, 2**63 - 1, 2**63):
+        with pytest.raises(ValueError, match="fit one float64 array"):
+            TimeGrid(0.0, 1.0, steps)
     grid = TimeGrid(0.0, 2.0, 5)
     np.testing.assert_allclose(grid.times(), [0.0, 0.5, 1.0, 1.5, 2.0], atol=0)
     assert grid.step == pytest.approx(0.5)
@@ -137,6 +145,15 @@ def test_replaced_scenario_decomposes_its_own_hamiltonian():
         shifted.spectrum.eigenvalues, base.eigenvalues + 7.3, rtol=0, atol=1e-12
     )
     assert s.spectrum is base
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("h", [2.0 * np.eye(3), pauli("z")], ids=["degenerate", "sz"])
+def test_default_time_grid_is_two_fastest_periods(h, hbar):
+    """The default grid and the finite-difference step read one period,
+    also on a fully degenerate spectrum, which has no period of its own."""
+    spec = eigendecompose(h)
+    assert default_time_grid(spec, hbar).stop == 2 * dynamics._period(spec, hbar)
 
 
 def test_default_time_grid_spans_two_periods():
@@ -299,6 +316,20 @@ def test_ehrenfest_rate_closed_form():
         psi = propagator(spec, t) @ scenario.initial_state
         rate = ehrenfest_rate(pauli("x"), scenario.hamiltonian, psi, scenario.hbar)
         assert rate == pytest.approx(float(analytic_sx_rate(p, t)), abs=1e-12)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7, 3e-3])
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_ehrenfest_rate_is_the_mt_rate_bit_for_bit(dim, hbar):
+    """ehrenfest_rate and the Mandelstam-Tamm columns compute d<A>/dt with
+    one kernel, so on the same state column they agree in every bit."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a, h = cli.random_hermitian(rng, dim), cli.random_hermitian(rng, dim)
+        psi = cli.random_state(rng, dim)
+        scenario = Scenario(hbar, h, psi, TimeGrid(0.0, 1.0, 2))
+        rates = dynamics._mt_columns(a, scenario, psi[:, None], np.ones(1))[0]
+        assert abs(ehrenfest_rate(a, h, psi, hbar)) == rates[0]
 
 
 def test_ehrenfest_rate_rejects_non_hermitian():
