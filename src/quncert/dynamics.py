@@ -22,6 +22,8 @@ from .hilbert import (
     SpectralDecomposition,
     _commutator,
     _eigendecompose_stack,
+    _energy_scale,
+    _levels,
     _phases,
     as_state,
     eigendecompose,
@@ -35,7 +37,7 @@ OFFSET_TOL = 1e-10
 # centered-difference step as a fraction of the fastest oscillation period
 FD_STEP_FRACTION = 1e-4
 DEFAULT_STEPS = 1000
-# The energy thresholds are relative to ||H||_2 = max|E_k| (_energy_scale), so
+# The energy thresholds are relative to ||H||_2 = max|E_k| (hilbert._energy_scale), so
 # they hold in any unit; H = 0 meets each of them with equality.
 # a spread at or below this is an eigenstate: no Mandelstam-Tamm clock or spread bound
 ENERGY_SPREAD_MIN = 1e-12
@@ -118,6 +120,9 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "hbar", require_positive_finite(self.hbar, "hbar"))
+        t_max = max(abs(self.time_grid.start), abs(self.time_grid.stop))
+        if not math.isfinite(t_max / self.hbar):
+            raise ValueError(f"t / hbar overflows: |t| reaches {t_max!r} at hbar = {self.hbar!r}")
         h = require_hermitian(self.hamiltonian, "hamiltonian")
         if h.shape[0] < 2:
             raise ValueError("scenario needs dimension >= 2")
@@ -159,7 +164,8 @@ def _on_default_grid(
     only after it exists: it is built on a placeholder grid, which is then
     replaced by the grid read from its own cached spectrum.
     """
-    scenario = Scenario(hbar, hamiltonian, initial_state, TimeGrid(0.0, 1.0, 2), observables)
+    placeholder = TimeGrid(0.0, require_positive_finite(hbar, "hbar"), 2)
+    scenario = Scenario(hbar, hamiltonian, initial_state, placeholder, observables)
     grid = default_time_grid(scenario.spectrum, hbar, steps)
     object.__setattr__(scenario, "time_grid", grid)
     return scenario
@@ -217,11 +223,6 @@ def _populations(scenario: Scenario) -> np.ndarray:
     return np.abs(scenario.amplitudes) ** 2
 
 
-def _energy_scale(spec: SpectralDecomposition) -> float:
-    """||H||_2 = max|E_k|, the unit of the energy thresholds."""
-    return float(max(-spec.eigenvalues[0], spec.eigenvalues[-1]))
-
-
 def _energy_moments(scenario: Scenario):
     """<H>, dH, <H> - E_min and MEAN_ENERGY_MIN * ||H||_2, the threshold of
     both mean energies, from the energy populations over the cached spectrum."""
@@ -230,8 +231,8 @@ def _energy_moments(scenario: Scenario):
     # shifted second moment: an eigenstate's spread is exactly zero, not the
     # sqrt(eps)-sized cancellation residue that would defeat _energy_spread
     spread = math.sqrt(float(probs @ (spec.eigenvalues - mean) ** 2))
-    shifted_mean = mean - float(spec.eigenvalues[0])
-    return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec)
+    shifted_mean = mean - float(spec.eigenvalues.min())
+    return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec.eigenvalues)
 
 
 def _energy_spread(scenario: Scenario) -> tuple[float, float]:
@@ -239,7 +240,7 @@ def _energy_spread(scenario: Scenario) -> tuple[float, float]:
     threshold ENERGY_SPREAD_MIN * ||H||_2: a state at or below it has no
     Mandelstam-Tamm clock and no spread bound (ml_bounds)."""
     spread = _energy_moments(scenario)[1]
-    return spread, ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum)
+    return spread, ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum.eigenvalues)
 
 
 def _rates(a: np.ndarray, h: np.ndarray, states: np.ndarray, hbar: float) -> np.ndarray:
@@ -433,9 +434,9 @@ def ehrenfest_rate(observable, hamiltonian, state, hbar: float = 1.0) -> float:
 
 
 def _period(spec: SpectralDecomposition, hbar: float) -> float:
-    """The fastest period 2*pi*hbar/(E_max - E_min); 2*pi for a fully
-    degenerate spectrum, which has none, so that its default grid is [0, 4*pi]."""
-    return 2.0 * math.pi * hbar / spec.span if spec.span > 0.0 else 2.0 * math.pi
+    """The fastest period 2*pi*hbar/(E_max - E_min); 2*pi for a fully degenerate
+    spectrum, of one level (_levels), which has none: its default grid is [0, 4*pi]."""
+    return 2.0 * math.pi * hbar / spec.span if _levels(spec.eigenvalues).any() else 2.0 * math.pi
 
 
 def default_fd_step(spec: SpectralDecomposition, hbar: float) -> float:

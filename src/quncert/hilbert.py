@@ -29,6 +29,8 @@ HERMITICITY_TOL_FACTOR = 1e-12
 # Jacobi convergence: off-diagonal Frobenius norm target, relative to ||A||_F.
 JACOBI_TOL_FACTOR = 1e-13
 JACOBI_MAX_SWEEPS = 100
+# Sorted neighbouring eigenvalues at most this far apart, relative to ||H||_2, are one level.
+GAP_TOL_FACTOR = 1e-12
 # Modulus ties when picking a column's anchor component for the phase fix.
 PHASE_TIE_TOL = 1e-12
 # A state is normalized when its squared norm is within this of 1.
@@ -129,14 +131,14 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class SpectralDecomposition(NamedTuple):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
+    """Eigenvalues (ascending, but not within a level) and orthonormal eigenvectors.
 
     ``sweeps`` is the number of Jacobi sweeps the solver ran (0 for a
     diagonal input) and ``offdiag_residual`` the off-diagonal Frobenius norm
     it stopped at, at most JACOBI_TOL_FACTOR * ||A||_F.
     """
 
-    eigenvalues: np.ndarray   # (n,) float64, ascending
+    eigenvalues: np.ndarray   # (n,) float64, ascending level by level
     eigenvectors: np.ndarray  # (n, n) complex128, column k pairs with eigenvalue k
     sweeps: int
     offdiag_residual: float
@@ -147,8 +149,22 @@ class SpectralDecomposition(NamedTuple):
 
     @property
     def span(self) -> float:
-        """E_max - E_min."""
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
+        """E_max - E_min, never negative."""
+        return float(self.eigenvalues.max() - self.eigenvalues.min())
+
+
+def _energy_scale(eigenvalues) -> float:
+    """||H||_2 = max|E_k|, the unit of the energy thresholds and level gaps."""
+    return float(np.abs(eigenvalues).max())
+
+
+def _levels(eigenvalues) -> np.ndarray:
+    """Level of each eigenvalue, 0 at the lowest: in sorted order (a level that
+    _order_degenerate reordered can be out of order, and split), a gap above
+    GAP_TOL_FACTOR * ||H||_2 starts a new level.  The one degeneracy rule."""
+    order = np.argsort(eigenvalues, kind="stable")
+    gaps = np.diff(eigenvalues[order]) > GAP_TOL_FACTOR * _energy_scale(eigenvalues)
+    return np.concatenate(([0], np.cumsum(gaps)))[np.argsort(order, kind="stable")]
 
 
 def _offdiag_norms(a: np.ndarray) -> list[float]:
@@ -268,15 +284,9 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 
 def _order_degenerate(evals: np.ndarray, vecs: np.ndarray):
-    """Within near-degenerate eigenvalue runs, order columns by anchor index."""
-    tol = PHASE_TIE_TOL * float(np.max(np.abs(evals)))
-    gaps = evals[1:] - evals[:-1] > tol
-    if gaps.all():
-        return evals, vecs
-    # each gap above tolerance starts a new run; lexsort is stable, so columns
-    # with equal anchors keep their order
-    runs = np.concatenate(([0], np.cumsum(gaps)))
-    idx = np.lexsort((_anchor_indices(vecs), runs))
+    """Order the columns of each degenerate level (_levels) by anchor index."""
+    # lexsort is stable, so columns with equal anchors keep their order
+    idx = np.lexsort((_anchor_indices(vecs), _levels(evals)))
     return evals[idx], vecs[:, idx]
 
 
@@ -344,9 +354,9 @@ def eigendecompose(matrix) -> SpectralDecomposition:
     kernel, _eigendecompose_stack, which gives each member of a stack the
     bits it would get alone.
 
-    Eigenvalues come out ascending; each eigenvector column carries the
-    deterministic phase convention of _fix_column_phases, and degenerate
-    groups are ordered by the index of their largest-modulus component.
+    Eigenvalues come out ascending level by level; each eigenvector column
+    carries the phase convention of _fix_column_phases, and the columns of a
+    degenerate level are ordered by the index of their largest component.
     The result also records the sweep count and the final residual.
 
     Raises:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Scenario, Trajectory, _on_default_grid
+from .dynamics import DEFAULT_STEPS, Scenario, Trajectory, _on_default_grid
 from .hilbert import as_state, require_positive_finite
 
 SIGMA_X = np.asarray([[0, 1], [1, 0]], dtype=np.complex128)
@@ -97,7 +97,7 @@ def default_clock_observables() -> dict[str, np.ndarray]:
 def qubit_scenario(
     preset: QubitPreset,
     observables: dict | None = None,
-    steps: int = 1000,
+    steps: int = DEFAULT_STEPS,
 ) -> Scenario:
     """Scenario for a preset: two precession periods (default_time_grid)."""
     observables = default_clock_observables() if observables is None else observables

@@ -23,18 +23,15 @@ from . import qstat
 from .dynamics import (
     Scenario,
     _energy_moments,
-    _energy_scale,
     _energy_spread,
     _mt_columns,
     _populations,
     _require_observable,
     _states_at,
 )
-from .hilbert import _phases, as_state
+from .hilbert import _levels, _phases, as_state
 
 BOUND_SLACK_TOL = 1e-10
-# level gaps at or below this are degeneracies for the orthogonalization search
-GAP_TOL_FACTOR = 1e-12
 DEFAULT_TOL_ORTH = 1e-9
 HORIZON_PERIODS = 20
 REFINE_REL_TOL = 1e-12
@@ -368,9 +365,8 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     """Earliest time at which the evolved state is orthogonal to the start.
 
     A dominant level certifies analytically that the overlap modulus never
-    drops below 2 P - 1, where P > 1/2 is the largest population of a level:
-    a run of eigenvalues that no gap above GAP_TOL_FACTOR * max(||H||_2,
-    E_max - E_min) separates, the degeneracy convention of the whole search.
+    drops below 2 P - 1, where P > 1/2 is the largest population of a level
+    (hilbert._levels; the slowest beat is the smallest gap between levels).
     The populations sum with rounding, so the reported floor is capped at 1.
     No search runs then, nor on a fully degenerate spectrum (|o| = 1).
 
@@ -404,28 +400,24 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
             or underflows;
             min_observed_overlap is then the smallest modulus evaluated.
     """
-    spec, hbar = scenario.spectrum, scenario.hbar
+    hbar, evals = scenario.hbar, scenario.spectrum.eigenvalues
     probs = _populations(scenario)
-    evals = spec.eigenvalues
 
-    gap_tol = GAP_TOL_FACTOR * max(_energy_scale(spec), spec.span)
-    gaps = np.diff(evals)
-    real = gaps > gap_tol
-    if not real.any():
+    # the first column of each level (_levels); a level's columns are adjacent
+    starts = np.flatnonzero(np.diff(_levels(evals), prepend=-1))
+    if starts.size == 1:
         # fully degenerate spectrum: overlap modulus is identically 1
         return OrthogonalizationResult(
             "never_orthogonal", None, 1.0, 1.0, 0.0, 0, 0, "degenerate"
         )
 
-    # a level is a run of eigenvalues that no gap above gap_tol separates
-    levels = np.add.reduceat(probs, np.flatnonzero(np.concatenate(([True], real))))
-    bound = min(1.0, 2.0 * float(levels.max()) - 1.0)
+    bound = min(1.0, 2.0 * float(np.add.reduceat(probs, starts).max()) - 1.0)
     if bound > DEFAULT_TOL_ORTH:
         return OrthogonalizationResult(
             "never_orthogonal", None, bound, 1.0, 0.0, 0, 0, "certificate"
         )
 
-    horizon = HORIZON_PERIODS * 2.0 * math.pi * hbar / float(gaps[real].min())
+    horizon = HORIZON_PERIODS * 2.0 * math.pi * hbar / float(np.diff(evals)[starts[1:] - 1].min())
     march = _March(probs, evals, hbar, horizon)
     if not 0.0 < march.curvature < math.inf:
         # no step is certified when (dH / hbar)^2 overflows or underflows

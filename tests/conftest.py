@@ -20,6 +20,13 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
+def rotated(hamiltonian, state, seed: int = 3):
+    """H and a state in the eigenbasis of a seeded Gaussian Hermitian matrix."""
+    u = np.linalg.eigh(random_hermitian(np.random.default_rng(seed), len(state)))[1]
+    h = u @ np.asarray(hamiltonian) @ u.conj().T
+    return 0.5 * (h + h.conj().T), u @ state
+
+
 def scenario_of(hamiltonian, state, hbar: float = 1.0) -> Scenario:
     """Scenario of H and an initial state, for the analyzers that read only
     its spectrum, energy amplitudes and hbar (never its time grid).

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, rotated
 from quncert import cli, dynamics, hilbert, qubit, uncertainty, verify
 from quncert.cli import (
     EXIT_BROKEN_PIPE,
@@ -418,9 +418,7 @@ def _eigenstate_scenario(kind: str) -> dict:
         h, psi = np.diag([1.0, 1.0, 3.0]), np.array([SQ, SQ, 0.0])
         observables = {"obs0": np.diag([0.0, 1.0, 2.0])}
         if kind == "rotated_level":
-            u = np.linalg.eigh(random_hermitian(np.random.default_rng(3), 3))[1]
-            h, psi = u @ h @ u.conj().T, u @ psi
-            h = 0.5 * (h + h.conj().T)
+            h, psi = rotated(h, psi)
         elif kind == "identity":
             h = 2.0 * np.eye(3)
     return {
@@ -729,26 +727,50 @@ def test_unallocatable_grid_is_an_input_error(tmp_path, capsys, command):
     "command", [["evolve"], ["verify", "all", "--scenario"]], ids=["evolve", "verify"]
 )
 @pytest.mark.parametrize(
-    "time,message",
+    "change,message",
     [
-        ({"start": -1e308, "stop": 1e308, "steps": 5}, "width must be finite"),
-        ({"start": 0.0, "stop": 1.0, "steps": 2**63 - 1}, "fit one float64 array"),
-        ({"start": 0.0, "stop": 1.0, "steps": 2**63}, "fit one float64 array"),
+        ({"time": {"start": -1e308, "stop": 1e308, "steps": 5}}, "width must be finite"),
+        ({"time": {"start": 0.0, "stop": 1.0, "steps": 2**63 - 1}}, "fit one float64 array"),
+        ({"time": {"start": 0.0, "stop": 1.0, "steps": 2**63}}, "fit one float64 array"),
+        ({"hbar": 1e-320}, "t / hbar overflows"),
     ],
-    ids=["width", "steps_2^63-1", "steps_2^63"],
+    ids=["width", "steps_2^63-1", "steps_2^63", "hbar_1e-320"],
 )
 def test_grid_the_arithmetic_cannot_hold_is_an_input_error(
-    tmp_path, capsys, command, time, message
+    tmp_path, capsys, command, change, message
 ):
-    """A width that overflows would sample NaN times, and np.linspace cannot
-    sample a step count beyond one float64 array: both are bad input."""
-    doc = json.loads((DATA / "scenario_dim6.json").read_text())
-    doc["time"] = time
+    """A width that overflows would sample NaN times, np.linspace cannot
+    sample a step count beyond one float64 array, and a time over hbar that
+    overflows would make every phase NaN: all are bad input."""
+    doc = {**json.loads((DATA / "scenario_dim6.json").read_text()), **change}
     path = write_json(tmp_path / "grid.json", doc)
     assert main([*command, path]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_rotated_fully_degenerate_spectrum_passes_every_check(tmp_path):
+    """H = 2 I_3 in a seeded basis has eigenvalues a few ulps apart, but one
+    level: no period, so the Ehrenfest step is a fraction of 2 pi and the
+    residual sits at the rounding floor, as the certificate's degenerate
+    spectrum says."""
+    rng = np.random.default_rng(11)
+    psi, observable = cli.random_state(rng, 3), cli.random_hermitian(rng, 3)
+    h, _ = rotated(2.0 * np.eye(3), psi)
+    doc = {
+        "hbar": 1.0,
+        "hamiltonian": _pairs(h),
+        "initial_state": _pairs(psi),
+        "time": {"start": 0.0, "stop": 10.0, "steps": 50},
+        "observables": {"obs0": _pairs(observable)},
+    }
+    report = tmp_path / "report.json"
+    path = write_json(tmp_path / "scenario.json", doc)
+    assert main(["verify", "all", "--scenario", path, "--report", str(report)]) == EXIT_PASS
+    checks = {c["name"]: c["verdict"] for c in json.loads(report.read_text())["checks"]}
+    assert "fail" not in checks.values()
+    assert checks["ehrenfest.obs0.residual_at_rounding_floor"] == "pass"
 
 
 def test_near_eigenstate_is_an_eigenstate_to_every_suite(tmp_path):

@@ -10,12 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, rotated
 from qubit_oracles import analytic_sx_mean, analytic_sx_rate
 from quncert import cli, dynamics
 from quncert.verify import check_max
 from quncert import (
     FIGURE_PRESETS,
+    QubitPreset,
     Scenario,
     TimeGrid,
     check_conservation,
@@ -154,6 +155,39 @@ def test_default_time_grid_is_two_fastest_periods(h, hbar):
     also on a fully degenerate spectrum, which has no period of its own."""
     spec = eigendecompose(h)
     assert default_time_grid(spec, hbar).stop == 2 * dynamics._period(spec, hbar)
+
+
+def test_rotated_degenerate_spectrum_has_no_period():
+    """Rotated 2 I_3 keeps a spread of a few ulps (span 8.9e-16 at seed 3),
+    but it is one level: no period, so the default grid is [0, 4 pi] and the
+    finite-difference step a fraction of 2 pi, not of 2 pi / 8.9e-16."""
+    spec = eigendecompose(rotated(2.0 * np.eye(3), np.eye(3)[0])[0])
+    assert spec.span > 0.0
+    assert default_time_grid(spec, 1.0).stop == 4 * math.pi
+    assert dynamics.default_fd_step(spec, 1.0) == 2 * math.pi * 1e-4
+
+
+def test_grid_whose_times_over_hbar_overflow_is_refused():
+    """E t / hbar is formed as E * (t / hbar): a grid time over hbar beyond
+    the float range would make every phase NaN.  hbar = 1e-160 stays finite."""
+    ok = {"hamiltonian": pauli("z"), "initial_state": [1.0, 0.0]}
+    with pytest.raises(ValueError, match="t / hbar overflows"):
+        Scenario(hbar=1e-320, time_grid=TimeGrid(0.0, 1.0, 2), **ok)
+    with pytest.raises(ValueError, match="t / hbar overflows"):
+        Scenario(hbar=1e-320, time_grid=TimeGrid(-1.0, 0.0, 2), **ok)
+    assert Scenario(hbar=1e-160, time_grid=TimeGrid(0.0, 1.0, 2), **ok).hbar == 1e-160
+    assert Scenario(hbar=1e-320, time_grid=TimeGrid(0.0, 1e-300, 2), **ok).hbar == 1e-320
+
+
+def test_default_grid_placeholder_holds_a_subnormal_hbar():
+    """The placeholder grid a default-grid scenario is built on is [0, hbar],
+    so it is not refused where the default grid itself fits: here t / hbar
+    reaches 4 pi / omega / hbar = 1.3e308, while 1 / hbar overflows."""
+    preset = QubitPreset(omega=1e3, alpha1=math.sqrt(0.5), alpha2=math.sqrt(0.5), hbar=1e-310)
+    s = qubit_scenario(preset)
+    assert s.time_grid == default_time_grid(s.spectrum, preset.hbar)
+    assert math.isfinite(s.time_grid.stop / preset.hbar)
+    assert not math.isfinite(1.0 / preset.hbar)
 
 
 def test_default_time_grid_spans_two_periods():

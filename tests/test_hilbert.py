@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, rotated
 from quncert import hilbert
 from quncert import (
     ConvergenceError,
@@ -204,6 +204,33 @@ def test_degenerate_group_ordering_is_scale_free():
     unit = eigendecompose(np.diag([2.0, 2.0, 1.0]))
     np.testing.assert_array_equal(small.eigenvectors, unit.eigenvectors)
     np.testing.assert_array_equal(small.eigenvalues, 1e-20 * unit.eigenvalues)
+
+
+def test_levels_read_gaps_in_sorted_order():
+    """A gap above GAP_TOL_FACTOR * ||H||_2 = 1e-12 starts a level, and gaps
+    chain: 1, 1 + 0.6e-12, 1 + 1.2e-12 is one level.  Listed out of order, as
+    _order_degenerate can leave a level, it is still one level, though a raw
+    neighbour gap, 1.2e-12, is above the tolerance."""
+    assert hilbert._levels(np.array([-1.0, -1.0 + 1.5e-12, 1.0])).tolist() == [0, 1, 2]
+    assert hilbert._levels(np.array([-1.0, -1.0 + 0.5e-12, 1.0])).tolist() == [0, 0, 1]
+    chain = np.array([1.0, 1.0 + 1.2e-12, 1.0 + 0.6e-12, -1.0])
+    assert hilbert._levels(chain).tolist() == [1, 1, 1, 0]
+    # the solver, ordering that level of a rotated H by anchor, leaves it so
+    h, _ = rotated(np.diag(np.sort(chain)), np.eye(4)[0], seed=1)
+    evals = eigendecompose(h).eigenvalues
+    assert np.diff(evals[1:]).max() > hilbert.GAP_TOL_FACTOR * hilbert._energy_scale(evals)
+    assert hilbert._levels(evals).tolist() == [0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_span_of_a_rotated_degenerate_level_is_never_negative(seed):
+    """Ordering the level of a rotated 2 I_3 by anchor leaves its eigenvalues
+    out of order by rounding (E_last - E_first is -2.2e-16 to -1.1e-15 for
+    seeds 1, 2 and 7); the span reads the extremes."""
+    spec = eigendecompose(rotated(2.0 * np.eye(3), np.eye(3)[0], seed)[0])
+    assert spec.span >= 0.0
+    assert spec.span == float(spec.eigenvalues.max() - spec.eigenvalues.min())
+    assert hilbert._levels(spec.eigenvalues).tolist() == [0, 0, 0]
 
 
 def test_results_are_read_only():

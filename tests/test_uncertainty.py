@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state, scenario_of
+from conftest import random_hermitian, random_state, rotated, scenario_of
 from quncert import (
     FIGURE_PRESETS,
     InconclusiveScanError,
@@ -33,7 +33,7 @@ from quncert import (
     state_overlap,
     stats,
 )
-from quncert import dynamics, uncertainty
+from quncert import dynamics, hilbert, uncertainty
 from quncert.cli import load_scenario
 from quncert.dynamics import RATE_EPS_FACTOR
 from quncert.uncertainty import DEFAULT_TOL_ORTH, HORIZON_PERIODS, REFINE_REL_TOL, _pair_bounds
@@ -228,20 +228,13 @@ def test_orthogonalization_degenerate_spectrum():
     assert result.min_overlap_bound == pytest.approx(1.0)
 
 
-def _rotated(h, psi, seed=3):
-    """H and psi in the eigenbasis of a seeded Gaussian Hermitian matrix."""
-    u = np.linalg.eigh(random_hermitian(np.random.default_rng(seed), len(psi)))[1]
-    rotated = u @ np.asarray(h) @ u.conj().T
-    return 0.5 * (rotated + rotated.conj().T), u @ psi
-
-
 @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
 def test_eigenstate_in_a_degenerate_level_is_certified(rotate):
     """psi = (|0> + |1>)/sqrt(2) in the doubly degenerate level of
     diag(1, 1, 3) is an energy eigenstate: the level's population, not
     either amplitude, certifies that it never turns orthogonal."""
     h, psi = np.diag([1.0, 1.0, 3.0]), np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    s = scenario_of(*(_rotated(h, psi) if rotate else (h, psi)))
+    s = scenario_of(*(rotated(h, psi) if rotate else (h, psi)))
     result = orthogonalization_time(s)
     assert (result.kind, result.decided_by, result.evaluations) == (
         "never_orthogonal", "certificate", 0
@@ -256,10 +249,31 @@ def test_certificate_floor_never_exceeds_one(rotate):
     so 2 P - 1 is 1 + 4.4e-16 on the diagonal and 1 + 1.8e-15 rotated.  No
     overlap modulus exceeds 1, and neither does the floor reported."""
     h, psi = np.diag([1.0, 1.0, 3.0]), np.array([1.0, 1.0, 0.0]) * math.sqrt(0.5)
-    s = scenario_of(*(_rotated(h, psi) if rotate else (h, psi)))
+    s = scenario_of(*(rotated(h, psi) if rotate else (h, psi)))
     result = orthogonalization_time(s)
     assert result.decided_by == "certificate"
     assert result.min_overlap_bound == 1.0
+
+
+def test_levels_a_gap_above_tolerance_separates_get_no_certificate():
+    """diag(-1, -1 + 1.5e-12, 1): the gap 1.5e-12 is above GAP_TOL_FACTOR *
+    ||H||_2 = 1e-12, so the certificate sees the three levels the ordering
+    sees, and populations (0.3, 0.3, 0.4) have no dominant one.  |o| does
+    reach 0, near t = 2 arccos(2/3) / 1.5e-12 = 1.12e12: a floor of 0.2
+    from merging the first two levels would be false."""
+    evals = np.array([-1.0, -1.0 + 1.5e-12, 1.0])
+    s = scenario_of(np.diag(evals), np.sqrt([0.3, 0.3, 0.4]))
+    assert s.spectrum.eigenvalues.tobytes() == evals.tobytes()
+    assert hilbert._levels(evals).tolist() == [0, 1, 2]
+    # anchors (1, 0, 2): ordering the first two as one level would swap them
+    vecs = np.eye(3)[:, [1, 0, 2]]
+    assert hilbert._order_degenerate(evals, vecs)[1].tobytes() == vecs.tobytes()
+    assert abs(state_overlap(s, 1121424894093.696)) < 1e-4
+    try:
+        kind = orthogonalization_time(s).kind
+    except InconclusiveScanError:
+        kind = "inconclusive"
+    assert kind in ("found", "inconclusive")
 
 
 def test_degenerate_level_certificate_is_tight():
