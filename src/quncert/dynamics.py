@@ -17,12 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qstat
+from . import hilbert, qstat
 from .hilbert import (
     SpectralDecomposition,
     _commutator,
     _eigendecompose_stack,
-    _energy_scale,
     _levels,
     _phases,
     as_state,
@@ -232,7 +231,7 @@ def _energy_moments(scenario: Scenario):
     # sqrt(eps)-sized cancellation residue that would defeat _energy_spread
     spread = math.sqrt(float(probs @ (spec.eigenvalues - mean) ** 2))
     shifted_mean = mean - float(spec.eigenvalues.min())
-    return mean, spread, shifted_mean, MEAN_ENERGY_MIN * _energy_scale(spec.eigenvalues)
+    return mean, spread, shifted_mean, MEAN_ENERGY_MIN * hilbert._energy_scale(spec.eigenvalues)
 
 
 def _energy_spread(scenario: Scenario) -> tuple[float, float]:
@@ -240,7 +239,7 @@ def _energy_spread(scenario: Scenario) -> tuple[float, float]:
     threshold ENERGY_SPREAD_MIN * ||H||_2: a state at or below it has no
     Mandelstam-Tamm clock and no spread bound (ml_bounds)."""
     spread = _energy_moments(scenario)[1]
-    return spread, ENERGY_SPREAD_MIN * _energy_scale(scenario.spectrum.eigenvalues)
+    return spread, ENERGY_SPREAD_MIN * hilbert._energy_scale(scenario.spectrum.eigenvalues)
 
 
 def _rates(a: np.ndarray, h: np.ndarray, states: np.ndarray, hbar: float) -> np.ndarray:
