@@ -100,6 +100,13 @@ def _frozen_copy(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_phase_range(grid: TimeGrid, hbar: float) -> None:
+    """The one guard of every Scenario's grid: its largest |t| / hbar is finite."""
+    t_max = max(abs(grid.start), abs(grid.stop))
+    if not math.isfinite(t_max / hbar):
+        raise ValueError(f"t / hbar overflows: |t| reaches {t_max!r} at hbar = {hbar!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Hamiltonian, initial state, sampling grid, and named observables.
@@ -119,9 +126,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "hbar", require_positive_finite(self.hbar, "hbar"))
-        t_max = max(abs(self.time_grid.start), abs(self.time_grid.stop))
-        if not math.isfinite(t_max / self.hbar):
-            raise ValueError(f"t / hbar overflows: |t| reaches {t_max!r} at hbar = {self.hbar!r}")
+        _require_phase_range(self.time_grid, self.hbar)
         h = require_hermitian(self.hamiltonian, "hamiltonian")
         if h.shape[0] < 2:
             raise ValueError("scenario needs dimension >= 2")
@@ -166,6 +171,7 @@ def _on_default_grid(
     placeholder = TimeGrid(0.0, require_positive_finite(hbar, "hbar"), 2)
     scenario = Scenario(hbar, hamiltonian, initial_state, placeholder, observables)
     grid = default_time_grid(scenario.spectrum, hbar, steps)
+    _require_phase_range(grid, scenario.hbar)
     object.__setattr__(scenario, "time_grid", grid)
     return scenario
 
@@ -262,8 +268,9 @@ def _mt_columns(a, scenario: Scenario, states, delta_a):
     norm = float(np.linalg.norm(a, 2))
     rate_eps = RATE_EPS_FACTOR * scenario.spectrum.span * norm / scenario.hbar
     rates = np.abs(_rates(a, scenario.hamiltonian, states, scenario.hbar))
-    delta_t = np.divide(delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps)
-    return rates, delta_t, energy_spread * delta_t
+    with np.errstate(over="ignore"):  # a timescale beyond the float range rounds to inf
+        delta_t = np.divide(delta_a, rates, out=np.full_like(rates, math.inf), where=rates > rate_eps)
+        return rates, delta_t, energy_spread * delta_t
 
 
 def _trajectory_mt(scenario: Scenario, trajectory: Trajectory, name: str):
@@ -434,8 +441,14 @@ def ehrenfest_rate(observable, hamiltonian, state, hbar: float = 1.0) -> float:
 
 def _period(spec: SpectralDecomposition, hbar: float) -> float:
     """The fastest period 2*pi*hbar/(E_max - E_min); 2*pi for a fully degenerate
-    spectrum, of one level (_levels), which has none: its default grid is [0, 4*pi]."""
-    return 2.0 * math.pi * hbar / spec.span if _levels(spec.eigenvalues).any() else 2.0 * math.pi
+    spectrum, of one level (_levels), which has none: its default grid is [0, 4*pi].
+    A period beyond the float range raises ValueError."""
+    if not _levels(spec.eigenvalues).any():
+        return 2.0 * math.pi
+    period = 2.0 * math.pi * hbar / spec.span
+    if not math.isfinite(period):
+        raise ValueError(f"the fastest period 2*pi*hbar/(E_max - E_min) overflows at hbar = {hbar!r}")
+    return period
 
 
 def default_fd_step(spec: SpectralDecomposition, hbar: float) -> float:

@@ -159,8 +159,8 @@ def _energy_scale(eigenvalues) -> float:
 
 
 def _levels(eigenvalues) -> np.ndarray:
-    """Level of each eigenvalue, 0 at the lowest: in sorted order (a level that
-    _order_degenerate reordered can be out of order, and split), a gap above
+    """Level of each eigenvalue, 0 at the lowest: in sorted order (a level
+    ordered by anchor can be out of order, and split), a gap above
     GAP_TOL_FACTOR * ||H||_2 starts a new level.  The one degeneracy rule."""
     order = np.argsort(eigenvalues, kind="stable")
     gaps = np.diff(eigenvalues[order]) > GAP_TOL_FACTOR * _energy_scale(eigenvalues)
@@ -273,31 +273,19 @@ def _anchor_indices(v: np.ndarray) -> np.ndarray:
     return np.where(near_top, np.arange(v.shape[0])[:, None], v.shape[0]).min(axis=0)
 
 
-def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its anchor component (_anchor_indices) is real >= 0.
-
-    A zero column has no phase and stays zero.
-    """
-    anchors = v[_anchor_indices(v), np.arange(v.shape[1])]
-    # the scalar modulus (libm hypot), which can differ from np.abs in the last bit
-    return v * (anchors.conj() / [abs(z) or 1.0 for z in anchors.tolist()])
-
-
-def _order_degenerate(evals: np.ndarray, vecs: np.ndarray):
-    """Order the columns of each degenerate level (_levels) by anchor index."""
-    # lexsort is stable, so columns with equal anchors keep their order
-    idx = np.lexsort((_anchor_indices(vecs), _levels(evals)))
-    return evals[idx], vecs[:, idx]
-
-
 def _spectral_decomposition(av: np.ndarray, sweeps: int, residual: float):
-    """The SpectralDecomposition read off one converged A-over-V member."""
+    """The SpectralDecomposition read off one converged A-over-V member: each
+    column rotated so that its anchor component (_anchor_indices) is real >= 0
+    (a zero column stays zero), and the eigenpairs in one stable sort by level
+    (_levels), anchor and value."""
     n = av.shape[1]
-    evals = av[:n].diagonal().real.copy()
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    vecs = _fix_column_phases(av[n:, order])
-    evals, vecs = _order_degenerate(evals, vecs)
+    evals, vecs = av[:n].diagonal().real, av[n:]
+    anchors = _anchor_indices(vecs)
+    tops = vecs[anchors, np.arange(n)]
+    # the scalar modulus (libm hypot), which can differ from np.abs in the last bit
+    vecs = vecs * (tops.conj() / [abs(z) or 1.0 for z in tops.tolist()])
+    order = np.lexsort((evals, anchors, _levels(evals)))
+    evals, vecs = evals[order], vecs[:, order]
     evals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(evals, vecs, sweeps, residual)
@@ -354,9 +342,10 @@ def eigendecompose(matrix) -> SpectralDecomposition:
     kernel, _eigendecompose_stack, which gives each member of a stack the
     bits it would get alone.
 
-    Eigenvalues come out ascending level by level; each eigenvector column
-    carries the phase convention of _fix_column_phases, and the columns of a
-    degenerate level are ordered by the index of their largest component.
+    Eigenvalues come out ascending level by level; each eigenvector column is
+    rotated so that its largest component is real >= 0, and the columns of a
+    degenerate level are ordered by the index of that component
+    (_spectral_decomposition).
     The result also records the sweep count and the final residual.
 
     Raises:

@@ -142,8 +142,9 @@ def state_overlap(scenario: Scenario, t):
 class OrthogonalizationResult(NamedTuple):
     """Outcome of the earliest-orthogonal-time search.
 
-    kind is "found" (tau_perp set) or "never_orthogonal" (min_overlap_bound
-    set: the analytic floor below which the overlap modulus cannot drop).
+    kind is "found" (tau_perp set), "never_orthogonal" (min_overlap_bound
+    set: the analytic floor below which the overlap modulus cannot drop) or
+    "inconclusive" (neither set), the kind InconclusiveScanError carries.
     evaluations counts the overlap evaluations the search spent, windows the
     march windows it ran, and decided_by names what settled the outcome:
     "degenerate" (a fully degenerate spectrum), "certificate" (a dominant
@@ -165,23 +166,18 @@ class OrthogonalizationResult(NamedTuple):
 
 
 class InconclusiveScanError(RuntimeError):
-    """No orthogonal state found, but no analytic certificate excludes one."""
+    """No orthogonal state found, but no analytic certificate excludes one:
+    ``result`` is the search's OrthogonalizationResult, of kind "inconclusive",
+    and its fields are attributes of the error too."""
 
-    # only the march ends a search inconclusive
-    decided_by = "march"
-
-    def __init__(
-        self, min_observed_overlap: float, horizon: float, evaluations: int, windows: int
-    ):
+    def __init__(self, result: OrthogonalizationResult):
         super().__init__(
             "orthogonalization search is inconclusive: no overlap zero within "
-            f"horizon {horizon:.6g} (smallest observed modulus "
-            f"{min_observed_overlap:.6g}) and no analytic certificate applies"
+            f"horizon {result.horizon:.6g} (smallest observed modulus "
+            f"{result.min_observed_overlap:.6g}) and no analytic certificate applies"
         )
-        self.min_observed_overlap = min_observed_overlap
-        self.horizon = horizon
-        self.evaluations = evaluations
-        self.windows = windows
+        self.result = result
+        vars(self).update(result._asdict())
 
 
 def _overlap_modulus_and_slope(weights, rates, ts):
@@ -230,10 +226,15 @@ class _March:
     def smallest_evaluated(self):
         return min((float(p[1].min()) for p in self.points), default=1.0)
 
-    def inconclusive(self, min_observed):
-        return InconclusiveScanError(
-            float(min_observed), float(self.horizon), self.evaluations, self.windows
+    def outcome(self, kind, tau_perp, min_observed):
+        """The OrthogonalizationResult of a march that ended "found" or "inconclusive"."""
+        return OrthogonalizationResult(
+            kind, tau_perp, None, float(min_observed), float(self.horizon),
+            self.evaluations, self.windows, "march",
         )
+
+    def inconclusive(self, min_observed):
+        return InconclusiveScanError(self.outcome("inconclusive", None, min_observed))
 
     def refine_minima(self, lo, hi):
         """Bisect the |o|^2 slope over every bracket [lo[j], hi[j]] at once.
@@ -390,15 +391,16 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     marched too and min_observed_overlap is the minimum of |o| over
     [0, horizon]: the smallest evaluated modulus, lowered by refining each
     gap between evaluated points whose end slopes straddle zero and whose
-    second-order lower bound falls below it.  The result and the error carry
-    the evaluations and windows spent and what decided the outcome.
+    second-order lower bound falls below it.  Every outcome is one
+    OrthogonalizationResult, with the work spent and what decided it.
 
     Raises:
         InconclusiveScanError: nothing found and no certificate applies, or
             the march spent MARCH_BUDGET evaluations, or its step stopped
             moving before a minimum above tol, or (dH / hbar)^2 overflows
-            or underflows;
-            min_observed_overlap is then the smallest modulus evaluated.
+            or underflows.  It carries the search's result, of kind
+            "inconclusive", as ``result``; short of the horizon its
+            min_observed_overlap is the smallest modulus evaluated.
     """
     hbar, evals = scenario.hbar, scenario.spectrum.eigenvalues
     probs = _populations(scenario)
@@ -433,11 +435,7 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     for lo, hi in [*zip(spans, spans[1:]), (0.0, start)]:
         zero = march.window(lo, hi)
         if zero is not None:
-            tau, modulus = zero
-            return OrthogonalizationResult(
-                "found", tau, None, modulus, float(horizon),
-                march.evaluations, march.windows, "march",
-            )
+            return march.outcome("found", *zero)
     march.evaluate(np.array([horizon]))
     raise march.inconclusive(march.smallest_minimum())
 

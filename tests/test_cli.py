@@ -750,6 +750,26 @@ def test_grid_the_arithmetic_cannot_hold_is_an_input_error(
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "command,status",
+    [(["evolve"], EXIT_PASS), (["verify", "all", "--scenario"], EXIT_INPUT)],
+    ids=["evolve", "verify"],
+)
+def test_period_beyond_the_float_range_is_an_input_error(tmp_path, capsys, command, status):
+    """At hbar = 1e308 the dim-6 file's own grid holds, so evolve samples it.
+    verify's default Ehrenfest step is a fraction of the fastest period
+    2 pi hbar / (E_max - E_min), which overflows: one error line names it,
+    and no timescale that overflows on the way warns."""
+    doc = {**json.loads((DATA / "scenario_dim6.json").read_text()), "hbar": 1e308}
+    path = write_json(tmp_path / "hbar.json", doc)
+    assert main([*command, path]) == status
+    err = capsys.readouterr().err
+    if status == EXIT_PASS:
+        assert err == ""
+    else:
+        assert err.startswith("error: the fastest period") and err.count("\n") == 1
+
+
 def test_rotated_fully_degenerate_spectrum_passes_every_check(tmp_path):
     """H = 2 I_3 in a seeded basis has eigenvalues a few ulps apart, but one
     level: no period, so the Ehrenfest step is a fraction of 2 pi and the

@@ -190,6 +190,19 @@ def test_default_grid_placeholder_holds_a_subnormal_hbar():
     assert not math.isfinite(1.0 / preset.hbar)
 
 
+def test_default_grid_whose_times_over_hbar_overflow_is_refused():
+    """A default grid passes the t / hbar guard of every Scenario's grid: at
+    hbar = 1e-320 and omega = 1 it is [0, 4 pi], and 4 pi / hbar overflows."""
+    preset = QubitPreset(omega=1.0, alpha1=math.sqrt(0.5), alpha2=math.sqrt(0.5), hbar=1e-320)
+    with pytest.raises(ValueError, match="t / hbar overflows"):
+        qubit_scenario(preset)
+
+
+def test_period_beyond_the_float_range_is_refused():
+    with pytest.raises(ValueError, match="fastest period"):
+        default_time_grid(pauli("z"), hbar=1e308)
+
+
 def test_default_time_grid_spans_two_periods():
     grid = default_time_grid(pauli("z"), steps=100)
     assert grid.start == 0.0

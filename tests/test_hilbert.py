@@ -171,10 +171,62 @@ def test_degenerate_runs_at_both_ends_are_ordered_by_anchor():
     # -2 + 1e-12 is within the tolerance 1e-12 * max|E| of -2
     evals = np.array([-2.0, -2.0, -2.0 + 1e-12, 0.5, 1.0, 3.0, 3.0])
     perm = [5, 1, 3, 6, 0, 4, 2]  # the anchor row of each column
-    out_evals, out_vecs = hilbert._order_degenerate(evals, np.eye(7)[:, perm])
+    out_evals, out_vecs, _, _ = hilbert._spectral_decomposition(
+        _member(evals, np.eye(7)[:, perm]), 0, 0.0
+    )
     expected = [1, 3, 5, 6, 0, 2, 4]
     np.testing.assert_array_equal(out_vecs, np.eye(7)[:, expected])
     np.testing.assert_array_equal(out_evals, evals[[perm.index(k) for k in expected]])
+
+
+def _member(evals, vecs) -> np.ndarray:
+    """A converged A-over-V stack member: diag(evals) over the columns vecs."""
+    return np.concatenate((np.diag(evals), vecs)).astype(np.complex128)
+
+
+def _epilogue_in_two_passes(av):
+    """The epilogue as it was: a value sort, the phase fix, then each level
+    reordered by the anchors of the phase-fixed columns."""
+    n = av.shape[1]
+    evals = av[:n].diagonal().real.copy()
+    order = np.argsort(evals, kind="stable")
+    evals, v = evals[order], av[n:, order]
+    tops = v[hilbert._anchor_indices(v), np.arange(n)]
+    vecs = v * (tops.conj() / [abs(z) or 1.0 for z in tops.tolist()])
+    idx = np.lexsort((hilbert._anchor_indices(vecs), hilbert._levels(evals)))
+    return evals[idx], vecs[:, idx]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_epilogue_sorts_once_as_the_two_passes_did(seed):
+    """One stable sort by (level, anchor, value) gives the bits of a value
+    sort followed by ordering each level by anchor, on spectra with
+    degenerate runs, chained gaps and distinct values, under random unitary
+    columns, signed permutations and columns with modulus ties."""
+    rng = np.random.default_rng(seed)
+    spectra = [
+        np.array([-2.0, -2.0, -2.0 + 1e-12, 0.5, 1.0, 3.0, 3.0]),
+        np.array([1.0, 1.0 + 0.6e-12, 1.0 + 1.2e-12, -1.0, 1.0 + 2.4e-12]),
+        np.array([0.0, 0.0, 0.0, 0.0]),
+        rng.standard_normal(9),
+        np.round(rng.standard_normal(24), 1),
+    ]
+    for evals in spectra:
+        n = evals.size
+        evals = rng.permutation(evals)
+        phases = np.exp(2j * math.pi * rng.random(n))
+        tied = np.kron(np.eye(n // 2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+        if n % 2:
+            tied = np.pad(tied, (0, 1))
+            tied[-1, -1] = 1.0
+        unitary = np.linalg.qr(random_hermitian(rng, n))[0]
+        for vecs in (unitary, np.eye(n)[:, rng.permutation(n)] * phases, tied * phases):
+            av = _member(evals, vecs)
+            got = hilbert._spectral_decomposition(av, 3, 0.0)
+            want_evals, want_vecs = _epilogue_in_two_passes(av)
+            assert got.eigenvalues.tobytes() == want_evals.tobytes()
+            assert got.eigenvectors.tobytes() == want_vecs.tobytes()
+            assert (got.sweeps, got.offdiag_residual) == (3, 0.0)
 
 
 def test_degenerate_runs_of_a_rotated_matrix_are_ordered_by_anchor():
@@ -209,7 +261,7 @@ def test_degenerate_group_ordering_is_scale_free():
 def test_levels_read_gaps_in_sorted_order():
     """A gap above GAP_TOL_FACTOR * ||H||_2 = 1e-12 starts a level, and gaps
     chain: 1, 1 + 0.6e-12, 1 + 1.2e-12 is one level.  Listed out of order, as
-    _order_degenerate can leave a level, it is still one level, though a raw
+    ordering a level by anchor can leave it, it is still one level, though a raw
     neighbour gap, 1.2e-12, is above the tolerance."""
     assert hilbert._levels(np.array([-1.0, -1.0 + 1.5e-12, 1.0])).tolist() == [0, 1, 2]
     assert hilbert._levels(np.array([-1.0, -1.0 + 0.5e-12, 1.0])).tolist() == [0, 0, 1]

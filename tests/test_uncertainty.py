@@ -17,6 +17,7 @@ from conftest import random_hermitian, random_state, rotated, scenario_of
 from quncert import (
     FIGURE_PRESETS,
     InconclusiveScanError,
+    OrthogonalizationResult,
     QubitPreset,
     Scenario,
     default_time_grid,
@@ -266,8 +267,9 @@ def test_levels_a_gap_above_tolerance_separates_get_no_certificate():
     assert s.spectrum.eigenvalues.tobytes() == evals.tobytes()
     assert hilbert._levels(evals).tolist() == [0, 1, 2]
     # anchors (1, 0, 2): ordering the first two as one level would swap them
-    vecs = np.eye(3)[:, [1, 0, 2]]
-    assert hilbert._order_degenerate(evals, vecs)[1].tobytes() == vecs.tobytes()
+    vecs = np.eye(3, dtype=np.complex128)[:, [1, 0, 2]]
+    member = np.concatenate((np.diag(evals), vecs))
+    assert hilbert._spectral_decomposition(member, 0, 0.0).eigenvectors.tobytes() == vecs.tobytes()
     assert abs(state_overlap(s, 1121424894093.696)) < 1e-4
     try:
         kind = orthogonalization_time(s).kind
@@ -511,6 +513,13 @@ def test_search_reports_its_work():
     with pytest.raises(InconclusiveScanError) as err:
         orthogonalization_time(load_scenario(DATA / "scenario_dim6.json"))
     assert (err.value.evaluations, err.value.windows, err.value.decided_by) == (850, 5, "march")
+    # the error carries the search's one record, whose fields it reads as its own
+    assert isinstance(err.value.result, OrthogonalizationResult)
+    assert (err.value.result.kind, err.value.result.tau_perp) == ("inconclusive", None)
+    assert err.value.result.min_overlap_bound is None
+    assert {f: getattr(err.value, f) for f in OrthogonalizationResult._fields} == (
+        err.value.result._asdict()
+    )
     result = orthogonalization_time(qubit_scenario(FIGURE_PRESETS["fig1A"]))
     assert (result.evaluations, result.windows, result.decided_by) == (0, 0, "certificate")
     result = orthogonalization_time(scenario_of(np.eye(3), np.full(3, 1.0 / math.sqrt(3.0))))
