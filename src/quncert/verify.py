@@ -56,25 +56,65 @@ class Check(NamedTuple):
     verdict: str  # "pass" | "fail" | "inconclusive"
 
 
-def check_min(name: str, value: float, floor: float) -> Check:
-    """Pass when value >= floor."""
-    slack = value - floor
-    return Check(name, value, floor, slack, "pass" if slack >= 0 else "fail")
+# Each check family: its name template, with "{}" for the target, and its
+# (kind, limit).  A "min" check passes when value >= bound + limit * scale, a
+# "max" check when value <= bound + limit * scale; a trailing comment names the
+# scale where it is not 1 and the bound where it is not 0.
+_CHECKS = {
+    "conservation.{}.max_drift": ("max", dynamics.CONSERVATION_TOL),
+    "offset.{}.E0={}": ("max", dynamics.OFFSET_TOL),
+    "ehrenfest.{}.residual@1e-4": ("max", 1e-8),
+    "ehrenfest.{}.static_observables": ("max", 1e-10),
+    "ehrenfest.{}.residual@default": ("max", 1e-6),  # scale: max(1, span/hbar ||A||_F)
+    "ehrenfest.{}.residual_at_rounding_floor": ("max", 1000.0),  # scale: d eps ||A||_2 / step
+    "ehrenfest.{}.halving_ratio_low": ("min", 3.5),
+    "ehrenfest.{}.halving_ratio_high": ("max", 4.5),
+    "robertson.{}.slack": ("min", -uncertainty.BOUND_SLACK_TOL),
+    "schrodinger.{}.slack": ("min", -uncertainty.BOUND_SLACK_TOL),
+    "robertson.{}.min_slack": ("min", -uncertainty.BOUND_SLACK_TOL),
+    "schrodinger.{}.min_slack": ("min", -uncertainty.BOUND_SLACK_TOL),
+    "schrodinger.{}.rhs_dominates_robertson": ("min", 0.0),
+    "mt.{}.has_finite_samples": ("bool", None),
+    "mt.{}.min_product": ("min", -1e-10),  # scale: hbar, bound: hbar/2
+    "mt.{}.flags_at_extrema": ("max", 1.0),  # scale: grid step
+    "mt.{}.delta_t_is_1/omega": ("max", 1e-9),
+    "mt.{}.product_is_hbar/2": ("max", 1e-9),
+    "mt.{}.undefined_for_eigenstate": ("max", 0.0),  # bound: _energy_spread's floor
+    "ml.{}.found": ("bool", None),
+    "ml.{}.tau_perp_is_pi/omega": ("max", 1e-9),
+    "ml.{}.spread_bound_equality": ("max", 1e-9),
+    "ml.{}.tau_above_spread_bound": ("min", -1e-9),
+    "ml.{}.tau_above_mean_bound": ("min", -1e-9),
+    "ml.{}.unshifted_mean_bound_infinite": ("bool", None),
+    "ml.{}.never_orthogonal": ("bool", None),
+    "ml.{}.certificate_bound": ("max", 1e-12),
+    "ml.{}.certificate_positive": ("min", 0.0),
+    "ml.{}.overlap_at_tau": ("max", uncertainty.DEFAULT_TOL_ORTH),
+    "ml.{}.search": ("inconclusive", None),
+    "qsl.{}.finite": ("bool", None),
+    "qsl.{}.infinite_for_eigenstate": ("bool", None),
+    "qsl.{}.equals_max_bound": ("max", 1e-12),
+    "qsl.{}.tau_is_pi/omega": ("max", 1e-9),
+    "qsl.{}.below_tau_perp": ("max", 1e-9),  # bound: tau_perp
+    "qsl.{}.tau_perp_search": ("inconclusive", None),
+}
 
 
-def check_max(name: str, value: float, ceiling: float) -> Check:
-    """Pass when value <= ceiling."""
-    slack = ceiling - value
-    return Check(name, ceiling, value, slack, "pass" if slack >= 0 else "fail")
-
-
-def check_bool(name: str, ok: bool) -> Check:
-    lhs = 1.0 if ok else 0.0
-    return Check(name, lhs, 1.0, lhs - 1.0, "pass" if ok else "fail")
-
-
-def check_inconclusive(name: str, min_observed: float) -> Check:
-    return Check(name, min_observed, 0.0, 0.0, "inconclusive")
+def _check(family: str, target, value, bound: float = 0.0, scale: float = 1.0) -> Check:
+    """The check of ``value`` against its row of _CHECKS, named by ``target``
+    (a tuple fills several fields); a bool row reads ``value`` as the verdict
+    and an inconclusive row records it, the smallest overlap observed."""
+    kind, limit = _CHECKS[family]
+    name = family.format(*target) if isinstance(target, tuple) else family.format(target)
+    if kind == "bool":
+        lhs = 1.0 if value else 0.0
+        return Check(name, lhs, 1.0, lhs - 1.0, "pass" if value else "fail")
+    if kind == "inconclusive":
+        return Check(name, value, 0.0, 0.0, "inconclusive")
+    edge = bound + limit * scale
+    lhs, rhs = (value, edge) if kind == "min" else (edge, value)
+    slack = lhs - rhs
+    return Check(name, lhs, rhs, slack, "pass" if slack >= 0 else "fail")
 
 
 @functools.cache
@@ -113,18 +153,14 @@ def _suite_evolution(scenario, rng, presets) -> dict[str, list[Check]]:
         if name in mt_checks:
             mt += mt_checks[name](name, s, trajectory)
         del trajectory  # freed before the next target evolves, which lowers the peak RSS
-        conservation.append(
-            check_max(f"conservation.{name}.max_drift", drift.max_drift, drift.tolerance)
-        )
+        conservation.append(_check("conservation.{}.max_drift", name, drift.max_drift))
         for report in reports:
             worst = max(
                 report.max_observable_diff,
                 report.max_phase_defect,
                 report.max_energy_shift_defect,
             )
-            offset.append(
-                check_max(f"offset.{name}.E0={report.offset}", worst, report.tolerance)
-            )
+            offset.append(_check("offset.{}.E0={}", (name, report.offset), worst))
     return {"conservation": conservation, "offset": offset, "mt": mt}
 
 
@@ -132,19 +168,21 @@ def _halving_checks(label: str, s, observable, t, step, coarse) -> list[Check]:
     """Ratio of the residual at ``step`` (``coarse``) to the one at step/2.
 
     Truncation error puts the ratio near 4.  A halved residual at or below
-    the rounding floor of the centred difference, 1000 d eps ||A||_2 / (step/2),
+    the rounding floor of the centred difference, its row's multiple of
+    d eps ||A||_2 / (step/2),
     is rounding noise with no ratio to report, so one check records that.
     """
     fine_step = step / 2.0
     fine = dynamics._ehrenfest_residual(observable, s, t, fine_step)
     eps = np.finfo(np.float64).eps
-    floor = 1000.0 * s.dim * eps * float(np.linalg.norm(observable, 2)) / fine_step
-    if fine <= floor:
-        return [check_max(f"ehrenfest.{label}.residual_at_rounding_floor", fine, floor)]
+    unit = s.dim * eps * float(np.linalg.norm(observable, 2)) / fine_step
+    floor = _check("ehrenfest.{}.residual_at_rounding_floor", label, fine, scale=unit)
+    if floor.verdict == "pass":
+        return [floor]
     ratio = coarse / fine
     return [
-        check_min(f"ehrenfest.{label}.halving_ratio_low", ratio, 3.5),
-        check_max(f"ehrenfest.{label}.halving_ratio_high", ratio, 4.5),
+        _check("ehrenfest.{}.halving_ratio_low", label, ratio),
+        _check("ehrenfest.{}.halving_ratio_high", label, ratio),
     ]
 
 
@@ -155,14 +193,14 @@ def _suite_ehrenfest(scenario, rng, presets) -> dict[str, list[Check]]:
         sx = s.observables["sx"]
         probes = (0.4, 1.3, 2.9, 4.6)
         worst = max(dynamics._ehrenfest_residual(sx, s, t, 1e-4) for t in probes)
-        checks.append(check_max("ehrenfest.fig2D.sx.residual@1e-4", worst, 1e-8))
+        checks.append(_check("ehrenfest.{}.residual@1e-4", "fig2D.sx", worst))
         coarse = dynamics._ehrenfest_residual(sx, s, 1.3, 1e-3)
         checks += _halving_checks("fig2D.sx", s, sx, 1.3, 1e-3, coarse)
         static = max(
             dynamics._ehrenfest_residual(s.hamiltonian, s, 1.3, 1e-4),
             dynamics._ehrenfest_residual(qubit.pauli("z"), s, 1.3, 1e-4),
         )
-        checks.append(check_max("ehrenfest.fig2D.static_observables", static, 1e-10))
+        checks.append(_check("ehrenfest.{}.static_observables", "fig2D", static))
         return {"ehrenfest": checks}
 
     spec = scenario.spectrum
@@ -175,7 +213,7 @@ def _suite_ehrenfest(scenario, rng, presets) -> dict[str, list[Check]]:
         worst = max(
             dynamics._ehrenfest_residual(matrix, scenario, t, fd) for t in probes
         )
-        checks.append(check_max(f"ehrenfest.{name}.residual@default", worst, 1e-6 * scale))
+        checks.append(_check("ehrenfest.{}.residual@default", name, worst, scale=scale))
     if scenario.observables:
         name, matrix = next(iter(scenario.observables.items()))
         coarse_step = 1e-3 * dynamics._period(spec, scenario.hbar)
@@ -194,7 +232,6 @@ def _suite_uncertainty(scenario, rng, presets) -> dict[str, list[Check]]:
     Otherwise: 1000 seeded random (A, B, psi) triples for each dim 2..6.
     """
     robertson, schrodinger = [], []
-    floor = -uncertainty.BOUND_SLACK_TOL
     if scenario is not None:
         names = [*scenario.observables, "energy"]
         matrices = np.stack([*scenario.observables.values(), scenario.hamiltonian])
@@ -207,25 +244,18 @@ def _suite_uncertainty(scenario, rng, presets) -> dict[str, list[Check]]:
         slacks = zip(first, second, (product - rob).tolist(), (product - sch).tolist())
         for i, j, rob_slack, sch_slack in slacks:
             pair = f"{names[i]}x{names[j]}"
-            robertson.append(check_min(f"robertson.{pair}.slack", rob_slack, floor))
-            schrodinger.append(check_min(f"schrodinger.{pair}.slack", sch_slack, floor))
+            robertson.append(_check("robertson.{}.slack", pair, rob_slack))
+            schrodinger.append(_check("schrodinger.{}.slack", pair, sch_slack))
         return {"robertson": robertson, "schrodinger": schrodinger}
 
     for dim in range(2, 7):
         product, rob, sch = uncertainty._pair_bounds(*_fuzz_triples(rng, dim))
-        robertson.append(
-            check_min(f"robertson.dim{dim}.min_slack", float(np.min(product - rob)), floor)
-        )
-        schrodinger.append(
-            check_min(f"schrodinger.dim{dim}.min_slack", float(np.min(product - sch)), floor)
-        )
-        schrodinger.append(
-            check_min(
-                f"schrodinger.dim{dim}.rhs_dominates_robertson",
-                float(np.min(sch - rob)),
-                0.0,
-            )
-        )
+        target = f"dim{dim}"
+        robertson.append(_check("robertson.{}.min_slack", target, float(np.min(product - rob))))
+        schrodinger += [
+            _check("schrodinger.{}.min_slack", target, float(np.min(product - sch))),
+            _check("schrodinger.{}.rhs_dominates_robertson", target, float(np.min(sch - rob))),
+        ]
     return {"robertson": robertson, "schrodinger": schrodinger}
 
 
@@ -236,41 +266,38 @@ def _extremum_distance(preset: qubit.QubitPreset, t: float) -> float:
     return min(frac, 1.0 - frac) * math.pi / preset.omega
 
 
-def _product_floor(hbar: float) -> float:
-    """Mandelstam-Tamm floor hbar/2, less a rounding margin relative to hbar."""
-    return 0.5 * hbar - 1e-10 * hbar
-
-
 def _mt_preset_checks(name: str, s, trajectory) -> list[Check]:
     preset = _presets()[name]
     _, delta_t, product = dynamics._trajectory_mt(s, trajectory, "sx")
     finite = np.isfinite(delta_t)
-    checks = [check_bool(f"mt.{name}.has_finite_samples", bool(finite.any()))]
+    checks = [_check("mt.{}.has_finite_samples", name, bool(finite.any()))]
     min_product = float(product[finite].min()) if finite.any() else math.inf
-    checks.append(check_min(f"mt.{name}.min_product", min_product, _product_floor(preset.hbar)))
+    hbar = preset.hbar
+    checks.append(_check("mt.{}.min_product", name, min_product, 0.5 * hbar, hbar))
     flagged = trajectory.times[~finite].tolist()
     worst_flag = max((_extremum_distance(preset, t) for t in flagged), default=0.0)
-    checks.append(check_max(f"mt.{name}.flags_at_extrema", worst_flag, s.time_grid.step))
+    checks.append(_check("mt.{}.flags_at_extrema", name, worst_flag, scale=s.time_grid.step))
     if abs(preset.coherence - 1.0) < 1e-12:
         worst_dt = float(np.abs(delta_t[finite] - 1.0 / preset.omega).max())
-        worst_prod = float(np.abs(product[finite] - 0.5 * preset.hbar).max())
-        checks.append(check_max(f"mt.{name}.delta_t_is_1/omega", worst_dt, 1e-9))
-        checks.append(check_max(f"mt.{name}.product_is_hbar/2", worst_prod, 1e-9))
+        worst_prod = float(np.abs(product[finite] - 0.5 * hbar).max())
+        checks.append(_check("mt.{}.delta_t_is_1/omega", name, worst_dt))
+        checks.append(_check("mt.{}.product_is_hbar/2", name, worst_prod))
     return checks
 
 
 def _mt_scenario_checks(name: str, s, trajectory) -> list[Check]:
     """The smallest finite product of each observable of a scenario file."""
     spread, floor = dynamics._energy_spread(s)
-    if spread <= floor:
+    eigenstate = _check("mt.{}.undefined_for_eigenstate", name, spread, floor)
+    if eigenstate.verdict == "pass":
         # an energy eigenstate has no Mandelstam-Tamm clock; mt_series refuses it
-        return [check_max(f"mt.{name}.undefined_for_eigenstate", spread, floor)]
+        return [eigenstate]
     checks = []
     for observable in s.observables:
         product = dynamics._trajectory_mt(s, trajectory, observable)[2]
         finite = product[np.isfinite(product)]
         value = float(finite.min()) if finite.size else math.inf
-        checks.append(check_min(f"mt.{observable}.min_product", value, _product_floor(s.hbar)))
+        checks.append(_check("mt.{}.min_product", observable, value, 0.5 * s.hbar, s.hbar))
     return checks
 
 
@@ -278,22 +305,14 @@ def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
     preset, s = _presets()["fig2D"], scenarios["fig2D"]
     result = uncertainty.orthogonalization_time(s)
     bounds = uncertainty.ml_bounds(s)
-    tau_expect = math.pi / preset.omega
+    tau_expect, tau_perp = math.pi / preset.omega, result.tau_perp
+    unshifted_infinite = math.isinf(bounds.from_mean_energy_unshifted)
     ml = [
-        check_bool("ml.fig2D.found", result.found),
-        check_max("ml.fig2D.tau_perp_is_pi/omega", abs(result.tau_perp - tau_expect), 1e-9),
-        check_max(
-            "ml.fig2D.spread_bound_equality",
-            abs(result.tau_perp - bounds.from_energy_spread),
-            1e-9,
-        ),
-        check_min(
-            "ml.fig2D.tau_above_mean_bound", result.tau_perp - bounds.from_mean_energy, -1e-9
-        ),
-        check_bool(
-            "ml.fig2D.unshifted_mean_bound_infinite",
-            math.isinf(bounds.from_mean_energy_unshifted),
-        ),
+        _check("ml.{}.found", "fig2D", result.found),
+        _check("ml.{}.tau_perp_is_pi/omega", "fig2D", abs(tau_perp - tau_expect)),
+        _check("ml.{}.spread_bound_equality", "fig2D", abs(tau_perp - bounds.from_energy_spread)),
+        _check("ml.{}.tau_above_mean_bound", "fig2D", tau_perp - bounds.from_mean_energy),
+        _check("ml.{}.unshifted_mean_bound_infinite", "fig2D", unshifted_infinite),
     ]
     for name, p in _presets().items():
         dominant = max(abs(p.alpha1), abs(p.alpha2)) ** 2
@@ -302,15 +321,10 @@ def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
             continue
         res = uncertainty.orthogonalization_time(scenarios[name])
         ok = (not res.found) and res.min_overlap_bound is not None
-        ml.append(check_bool(f"ml.{name}.never_orthogonal", ok))
+        ml.append(_check("ml.{}.never_orthogonal", name, ok))
         if ok:
-            ml.append(
-                check_max(
-                    f"ml.{name}.certificate_bound",
-                    abs(res.min_overlap_bound - (2.0 * dominant - 1.0)),
-                    1e-12,
-                )
-            )
+            error = abs(res.min_overlap_bound - (2.0 * dominant - 1.0))
+            ml.append(_check("ml.{}.certificate_bound", name, error))
 
     qsl = []
     for name, p in qubit.FIGURE_PRESETS.items():
@@ -318,12 +332,12 @@ def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
             continue
         tau = uncertainty.qsl_tau(scenarios[name])
         b = uncertainty.ml_bounds(scenarios[name])
-        qsl.append(check_bool(f"qsl.{name}.finite", math.isfinite(tau)))
+        qsl.append(_check("qsl.{}.finite", name, math.isfinite(tau)))
         expected = max(b.from_energy_spread, b.from_mean_energy)
-        qsl.append(check_max(f"qsl.{name}.equals_max_bound", abs(tau - expected), 1e-12))
+        qsl.append(_check("qsl.{}.equals_max_bound", name, abs(tau - expected)))
     tau = uncertainty.qsl_tau(s)
-    qsl.append(check_max("qsl.fig2D.tau_is_pi/omega", abs(tau - tau_expect), 1e-9))
-    qsl.append(check_max("qsl.fig2D.below_tau_perp", tau, result.tau_perp + 1e-9))
+    qsl.append(_check("qsl.{}.tau_is_pi/omega", "fig2D", abs(tau - tau_expect)))
+    qsl.append(_check("qsl.{}.below_tau_perp", "fig2D", tau, tau_perp))
     return {"ml": ml, "qsl": qsl}
 
 
@@ -337,38 +351,29 @@ def _suite_speed_limits(scenario, rng, presets) -> dict[str, list[Check]]:
     # an infinite QSL (eigenstate) has nothing to compare with tau_perp
     finite_qsl = not math.isinf(tau)
     qsl = [
-        check_max("qsl.scenario.equals_max_bound", abs(tau - expected), 1e-12)
+        _check("qsl.{}.equals_max_bound", "scenario", abs(tau - expected))
         if finite_qsl
-        else check_bool("qsl.scenario.infinite_for_eigenstate", math.isinf(expected))
+        else _check("qsl.{}.infinite_for_eigenstate", "scenario", math.isinf(expected))
     ]
     try:
         result = uncertainty.orthogonalization_time(scenario)
     except uncertainty.InconclusiveScanError as exc:
-        ml = [check_inconclusive("ml.scenario.search", exc.min_observed_overlap)]
+        ml = [_check("ml.{}.search", "scenario", exc.min_observed_overlap)]
         if finite_qsl:
-            qsl.append(
-                check_inconclusive("qsl.scenario.tau_perp_search", exc.min_observed_overlap)
-            )
+            qsl.append(_check("qsl.{}.tau_perp_search", "scenario", exc.min_observed_overlap))
         return {"ml": ml, "qsl": qsl}
     if not result.found:
-        ml = [check_min("ml.scenario.certificate_positive", result.min_overlap_bound, 0.0)]
+        ml = [_check("ml.{}.certificate_positive", "scenario", result.min_overlap_bound)]
         return {"ml": ml, "qsl": qsl}
-    overlap = abs(uncertainty.state_overlap(scenario, result.tau_perp))
+    tau_perp = result.tau_perp
+    overlap = abs(uncertainty.state_overlap(scenario, tau_perp))
     ml = [
-        check_max("ml.scenario.overlap_at_tau", overlap, uncertainty.DEFAULT_TOL_ORTH),
-        check_min(
-            "ml.scenario.tau_above_spread_bound",
-            result.tau_perp - bounds.from_energy_spread,
-            -1e-9,
-        ),
-        check_min(
-            "ml.scenario.tau_above_mean_bound",
-            result.tau_perp - bounds.from_mean_energy,
-            -1e-9,
-        ),
+        _check("ml.{}.overlap_at_tau", "scenario", overlap),
+        _check("ml.{}.tau_above_spread_bound", "scenario", tau_perp - bounds.from_energy_spread),
+        _check("ml.{}.tau_above_mean_bound", "scenario", tau_perp - bounds.from_mean_energy),
     ]
     if finite_qsl:
-        qsl.append(check_max("qsl.scenario.below_tau_perp", tau, result.tau_perp + 1e-9))
+        qsl.append(_check("qsl.{}.below_tau_perp", "scenario", tau, tau_perp))
     return {"ml": ml, "qsl": qsl}
 
 
@@ -409,7 +414,7 @@ def _input_digest(data: bytes | None) -> str:
 
 def _json_safe(x: float):
     if isinstance(x, float) and not math.isfinite(x):
-        return "inf" if x > 0 else "-inf"
+        return "nan" if math.isnan(x) else "inf" if x > 0 else "-inf"
     return x
 
 

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -476,6 +477,45 @@ def test_infinite_check_value_is_written_as_the_string_inf(tmp_path):
     text = report.read_text(encoding="utf-8")
     checks = {c["name"]: c for c in json.loads(text, parse_constant=refuse)["checks"]}
     assert checks["mt.n.min_product"]["lhs"] == "inf"
+
+
+def test_nan_check_value_is_written_as_the_string_nan():
+    """A NaN value fails its check, and the report writes it and its slack
+    as "nan", not as "-inf"."""
+    check = verify._check("mt.{}.min_product", "obs", math.nan, 0.5)
+    assert check.verdict == "fail"
+    entry = verify.build_report("mt", [check], 42, "builtin:presets")["checks"][0]
+    assert (entry["lhs"], entry["slack"], entry["verdict"]) == ("nan", "nan", "fail")
+    json.dumps(entry, allow_nan=False)
+
+
+def test_every_check_row_is_used_and_every_name_has_one_row(tmp_path, monkeypatch):
+    """Four verify runs reach every row of verify._CHECKS, and each check
+    name they report matches exactly one row's template."""
+    families = set()
+    check = verify._check
+
+    def recording(family, *args, **kwargs):
+        families.add(family)
+        return check(family, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_check", recording)
+    eigenstate = write_json(tmp_path / "eigenstate.json", _eigenstate_scenario("diagonal"))
+    runs = [
+        (["--seed", "42"], EXIT_PASS),
+        (["--scenario", str(DATA / "scenario_dim6.json")], EXIT_INCONCLUSIVE),
+        (["--scenario", str(DATA / "scenario_qubit_found.json")], EXIT_PASS),
+        (["--scenario", eigenstate], EXIT_PASS),
+    ]
+    names = []
+    for k, (source, status) in enumerate(runs):
+        report = tmp_path / f"{k}.json"
+        assert main(["verify", "all", *source, "--report", str(report)]) == status
+        names += [c["name"] for c in json.loads(report.read_text(encoding="utf-8"))["checks"]]
+    assert families == set(verify._CHECKS)
+    templates = [re.compile(".+".join(map(re.escape, t.split("{}")))) for t in verify._CHECKS]
+    for name in names:
+        assert sum(t.fullmatch(name) is not None for t in templates) == 1, name
 
 
 def _default_grid_payload(hbar, h, psi, observable) -> dict:

@@ -13,7 +13,7 @@ import pytest
 from conftest import random_hermitian, random_state, rotated
 from qubit_oracles import analytic_sx_mean, analytic_sx_rate
 from quncert import cli, dynamics
-from quncert.verify import check_max
+from quncert.verify import _check
 from quncert import (
     FIGURE_PRESETS,
     QubitPreset,
@@ -264,21 +264,23 @@ def _flat_trajectory(energy_mean) -> dynamics.Trajectory:
 
 def test_conservation_passes_at_its_tolerance():
     """A drift equal to the tolerance passes, in the library and in the
-    report's inclusive check_max alike."""
+    report's inclusive max_drift row alike."""
     report = check_conservation(_flat_trajectory([0.0, dynamics.CONSERVATION_TOL]))
     assert report.max_drift == report.tolerance
     assert report.passed
-    assert check_max("c", report.max_drift, report.tolerance).verdict == "pass"
+    assert _check("conservation.{}.max_drift", "c", report.max_drift).verdict == "pass"
 
 
 def test_offset_invariance_passes_at_its_tolerance():
-    """An energy-shift defect equal to the tolerance passes, as in check_max."""
+    """An energy-shift defect equal to the tolerance passes, as in the report's
+    offset row."""
     base = _flat_trajectory([0.0, 0.0])
     shifted = _flat_trajectory([0.0, dynamics.OFFSET_TOL])
     report = dynamics._offset_report(base, shifted, 0.0)
     assert report.max_energy_shift_defect == report.tolerance
     assert report.passed
-    assert check_max("o", report.max_energy_shift_defect, report.tolerance).verdict == "pass"
+    check = _check("offset.{}.E0={}", ("o", 0.0), report.max_energy_shift_defect)
+    assert check.verdict == "pass"
 
 
 @pytest.mark.parametrize("offset", OFFSETS)
