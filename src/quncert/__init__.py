@@ -41,7 +41,6 @@ _EXPORTS = {
     ),
     "uncertainty": (
         "BoundCheck",
-        "InconclusiveScanError",
         "MTSample",
         "OrthogonalizationResult",
         "SpeedLimitBounds",

@@ -250,8 +250,13 @@ def _energy_spread(scenario: Scenario) -> tuple[float, float]:
 
 def _rates(a: np.ndarray, h: np.ndarray, states: np.ndarray, hbar: float) -> np.ndarray:
     """Exact rates d<A>/dt = <[A, H]> / (i hbar) on (d, T) state columns, the
-    means of a Hermitian generator (qstat._means); nothing is validated."""
-    return qstat._means(_commutator(a, h) / (1j * hbar), states)[0]
+    means of a Hermitian generator (qstat._means); nothing is validated.  A
+    generator beyond the float range, at a tiny hbar, raises ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        generator = _commutator(a, h) / (1j * hbar)
+    if not np.isfinite(generator).all():
+        raise ValueError(f"the rate generator [A, H]/(i hbar) overflows at hbar = {hbar!r}")
+    return qstat._means(generator, states)[0]
 
 
 def _mt_columns(a, scenario: Scenario, states, delta_a):
@@ -452,8 +457,12 @@ def _period(spec: SpectralDecomposition, hbar: float) -> float:
 
 
 def default_fd_step(spec: SpectralDecomposition, hbar: float) -> float:
-    """FD_STEP_FRACTION of the fastest period (_period)."""
-    return FD_STEP_FRACTION * _period(spec, hbar)
+    """FD_STEP_FRACTION of the fastest period (_period); a step that
+    underflows to 0 raises ValueError."""
+    step = FD_STEP_FRACTION * _period(spec, hbar)
+    if step == 0.0:
+        raise ValueError(f"the default fd_step underflows to 0 at hbar = {hbar!r}")
+    return step
 
 
 def ehrenfest_residual(

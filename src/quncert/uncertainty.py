@@ -144,7 +144,7 @@ class OrthogonalizationResult(NamedTuple):
 
     kind is "found" (tau_perp set), "never_orthogonal" (min_overlap_bound
     set: the analytic floor below which the overlap modulus cannot drop) or
-    "inconclusive" (neither set), the kind InconclusiveScanError carries.
+    "inconclusive" (neither set: the search proved neither).
     evaluations counts the overlap evaluations the search spent, windows the
     march windows it ran, and decided_by names what settled the outcome:
     "degenerate" (a fully degenerate spectrum), "certificate" (a dominant
@@ -165,19 +165,8 @@ class OrthogonalizationResult(NamedTuple):
         return self.kind == "found"
 
 
-class InconclusiveScanError(RuntimeError):
-    """No orthogonal state found, but no analytic certificate excludes one:
-    ``result`` is the search's OrthogonalizationResult, of kind "inconclusive",
-    and its fields are attributes of the error too."""
-
-    def __init__(self, result: OrthogonalizationResult):
-        super().__init__(
-            "orthogonalization search is inconclusive: no overlap zero within "
-            f"horizon {result.horizon:.6g} (smallest observed modulus "
-            f"{result.min_observed_overlap:.6g}) and no analytic certificate applies"
-        )
-        self.result = result
-        vars(self).update(result._asdict())
+class _MarchStopped(Exception):
+    """A march that spent MARCH_BUDGET or whose earliest open lane is stuck."""
 
 
 def _overlap_modulus_and_slope(weights, rates, ts):
@@ -217,7 +206,7 @@ class _March:
 
     def evaluate(self, ts):
         if self.evaluations + ts.size > MARCH_BUDGET:
-            raise self.inconclusive(self.smallest_evaluated())
+            raise _MarchStopped
         self.evaluations += ts.size
         moduli, half_slopes = _overlap_modulus_and_slope(self.weights, self.rates, ts)
         self.points.append((ts, moduli, half_slopes))
@@ -232,9 +221,6 @@ class _March:
             kind, tau_perp, None, float(min_observed), float(self.horizon),
             self.evaluations, self.windows, "march",
         )
-
-    def inconclusive(self, min_observed):
-        return InconclusiveScanError(self.outcome("inconclusive", None, min_observed))
 
     def refine_minima(self, lo, hi):
         """Bisect the |o|^2 slope over every bracket [lo[j], hi[j]] at once.
@@ -276,7 +262,8 @@ class _March:
         a candidate; the candidates' brackets are refined together.  A
         refined minimum above tol sends its lane on from the bracket's far
         end.  Returns (time, modulus) of the earliest zero, or None when the
-        whole window is certified.
+        whole window is certified; raises _MarchStopped when the earliest
+        lane not certified to its end is stuck.
         """
         self.windows += 1
         tol, m = DEFAULT_TOL_ORTH, self.curvature
@@ -334,7 +321,7 @@ class _March:
             if not math.isnan(zeros[first]):
                 return float(zeros[first]), float(zero_moduli[first])
             if stuck[first]:
-                raise self.inconclusive(self.smallest_evaluated())
+                raise _MarchStopped
 
     def smallest_minimum(self):
         """min |o| over every point evaluated, lowered by refining each gap
@@ -394,13 +381,11 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     second-order lower bound falls below it.  Every outcome is one
     OrthogonalizationResult, with the work spent and what decided it.
 
-    Raises:
-        InconclusiveScanError: nothing found and no certificate applies, or
-            the march spent MARCH_BUDGET evaluations, or its step stopped
-            moving before a minimum above tol, or (dH / hbar)^2 overflows
-            or underflows.  It carries the search's result, of kind
-            "inconclusive", as ``result``; short of the horizon its
-            min_observed_overlap is the smallest modulus evaluated.
+    The kind is "inconclusive" when nothing is found and no certificate
+    applies, when the march spends MARCH_BUDGET evaluations or a lane's step
+    stops moving before a minimum above tol, and when (dH / hbar)^2
+    overflows or underflows, so that no step is certified.  Short of the
+    horizon its min_observed_overlap is the smallest modulus evaluated.
     """
     hbar, evals = scenario.hbar, scenario.spectrum.eigenvalues
     probs = _populations(scenario)
@@ -423,7 +408,7 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     march = _March(probs, evals, hbar, horizon)
     if not 0.0 < march.curvature < math.inf:
         # no step is certified when (dH / hbar)^2 overflows or underflows
-        raise march.inconclusive(march.smallest_evaluated())
+        return march.outcome("inconclusive", None, march.smallest_evaluated())
     scale = 1.0 / math.sqrt(march.curvature)
     start = min(horizon, math.acos(DEFAULT_TOL_ORTH) * scale)
     spans = [start]
@@ -431,13 +416,16 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     while spans[-1] < horizon:
         spans.append(min(horizon, spans[-1] + width))
         width *= 2.0
-    # the span before the start is marched only to observe the minimum
-    for lo, hi in [*zip(spans, spans[1:]), (0.0, start)]:
-        zero = march.window(lo, hi)
-        if zero is not None:
-            return march.outcome("found", *zero)
-    march.evaluate(np.array([horizon]))
-    raise march.inconclusive(march.smallest_minimum())
+    try:
+        # the span before the start is marched only to observe the minimum
+        for lo, hi in [*zip(spans, spans[1:]), (0.0, start)]:
+            zero = march.window(lo, hi)
+            if zero is not None:
+                return march.outcome("found", *zero)
+        march.evaluate(np.array([horizon]))
+        return march.outcome("inconclusive", None, march.smallest_minimum())
+    except _MarchStopped:
+        return march.outcome("inconclusive", None, march.smallest_evaluated())
 
 
 class SpeedLimitBounds(NamedTuple):

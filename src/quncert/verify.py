@@ -355,12 +355,11 @@ def _suite_speed_limits(scenario, rng, presets) -> dict[str, list[Check]]:
         if finite_qsl
         else _check("qsl.{}.infinite_for_eigenstate", "scenario", math.isinf(expected))
     ]
-    try:
-        result = uncertainty.orthogonalization_time(scenario)
-    except uncertainty.InconclusiveScanError as exc:
-        ml = [_check("ml.{}.search", "scenario", exc.min_observed_overlap)]
+    result = uncertainty.orthogonalization_time(scenario)
+    if result.kind == "inconclusive":
+        ml = [_check("ml.{}.search", "scenario", result.min_observed_overlap)]
         if finite_qsl:
-            qsl.append(_check("qsl.{}.tau_perp_search", "scenario", exc.min_observed_overlap))
+            qsl.append(_check("qsl.{}.tau_perp_search", "scenario", result.min_observed_overlap))
         return {"ml": ml, "qsl": qsl}
     if not result.found:
         ml = [_check("ml.{}.certificate_positive", "scenario", result.min_overlap_bound)]
@@ -392,17 +391,20 @@ _SUITES = dict(zip(cli.VERIFY_SUITES[:-1], (
 
 
 def _resolve_seed(cli_seed: int | None) -> int:
+    """--seed, else SEED_ENV_VAR, else the default; refused unless a non-negative integer."""
     if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise cli.ScenarioFormatError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return cli.DEFAULT_SEED
+        source, value = "--seed", str(cli_seed)
+    else:
+        source, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR)
+        if value is None:
+            return cli.DEFAULT_SEED
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1  # refused below, as a negative seed is
+    if seed < 0:
+        raise cli.ScenarioFormatError(f"{source} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _input_digest(data: bytes | None) -> str:

@@ -378,6 +378,15 @@ def test_verify_seed_sources(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QUNCERT_SEED", "not-a-number")
     assert main(["verify", "conservation"]) == EXIT_INPUT
     assert "QUNCERT_SEED" in capsys.readouterr().err
+    # a negative seed is refused at its source, before numpy sees it
+    monkeypatch.setenv("QUNCERT_SEED", "-1")
+    assert main(["verify", "all"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: QUNCERT_SEED must be a non-negative integer, got '-1'\n"
+    )
+    monkeypatch.delenv("QUNCERT_SEED")
+    assert main(["verify", "all", "--seed", "-1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got '-1'\n"
 
 
 def test_verify_custom_scenario_found(tmp_path, capsys):
@@ -810,6 +819,34 @@ def test_period_beyond_the_float_range_is_an_input_error(tmp_path, capsys, comma
         assert err.startswith("error: the fastest period") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command,status,message",
+    [
+        (["evolve"], EXIT_PASS, None),
+        (["verify", "all", "--scenario"], EXIT_INPUT, "the rate generator"),
+        (["verify", "mt", "--scenario"], EXIT_INPUT, "the rate generator"),
+        (["verify", "ehrenfest", "--scenario"], EXIT_INPUT, "the default fd_step"),
+        (["verify", "ml", "--scenario"], EXIT_INCONCLUSIVE, None),
+    ],
+    ids=["evolve", "verify-all", "verify-mt", "verify-ehrenfest", "verify-ml"],
+)
+def test_tiny_hbar_is_one_input_error_line(tmp_path, command, status, message):
+    """At hbar = 1e-320 on a grid of [0, 1e-300], evolve samples the grid,
+    while [A, H]/(i hbar) overflows and the default Ehrenfest step underflows
+    to 0: each is one error line naming hbar, and nothing warns.  The
+    search's curvature overflows, so ml is inconclusive."""
+    doc = json.loads((DATA / "scenario_dim6.json").read_text())
+    doc.update(hbar=1e-320, time={"start": 0.0, "stop": 1e-300, "steps": 5})
+    path = write_json(tmp_path / "tiny.json", doc)
+    result = run_cli_strict(*command, path)
+    assert result.returncode == status
+    if message is None:
+        assert result.stderr == ""
+    else:
+        assert result.stderr.startswith(f"error: {message}") and result.stderr.count("\n") == 1
+        assert "hbar = 1e-320" in result.stderr
+
+
 def test_rotated_fully_degenerate_spectrum_passes_every_check(tmp_path):
     """H = 2 I_3 in a seeded basis has eigenvalues a few ulps apart, but one
     level: no period, so the Ehrenfest step is a fraction of 2 pi and the
@@ -950,6 +987,30 @@ def test_verify_scenario_searches_once(tmp_path, count_calls, payload):
     names = [c["name"] for c in json.loads(report.read_text())["checks"]]
     assert any(n.startswith("ml.") for n in names)
     assert any(n.startswith("qsl.") for n in names)
+
+
+def test_spent_march_budget_is_inconclusive_through_verify(tmp_path, monkeypatch):
+    """A search that spends MARCH_BUDGET returns an inconclusive record, and
+    the ml and qsl checks both report its smallest evaluated modulus."""
+    monkeypatch.setattr(uncertainty, "MARCH_BUDGET", 200)
+    results = []
+    search = uncertainty.orthogonalization_time
+
+    def recording(scenario):
+        results.append(search(scenario))
+        return results[-1]
+
+    monkeypatch.setattr(uncertainty, "orthogonalization_time", recording)
+    report = tmp_path / "r.json"
+    argv = ["verify", "all", "--scenario", str(DATA / "scenario_dim6.json"), "--report", str(report)]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    [result] = results
+    assert (result.kind, result.decided_by) == ("inconclusive", "march")
+    assert 0 < result.evaluations <= 200
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    for name in ("ml.scenario.search", "qsl.scenario.tau_perp_search"):
+        assert checks[name]["verdict"] == "inconclusive"
+        assert checks[name]["lhs"] == result.min_observed_overlap
 
 
 def test_verify_scenario_evolves_each_trajectory_once(tmp_path, count_calls):
