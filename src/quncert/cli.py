@@ -24,8 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, dynamics
-from .hilbert import ConvergenceError
+from . import __version__, dynamics, hilbert
 
 
 def _lazy_layer(name: str):
@@ -417,7 +416,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConvergenceError as exc:
+    except hilbert.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     finally:

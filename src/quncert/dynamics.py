@@ -18,18 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hilbert, qstat
-from .hilbert import (
-    SpectralDecomposition,
-    _commutator,
-    _eigendecompose_stack,
-    _levels,
-    _phases,
-    as_state,
-    eigendecompose,
-    require_finite_real,
-    require_hermitian,
-    require_positive_finite,
-)
 
 CONSERVATION_TOL = 1e-10
 OFFSET_TOL = 1e-10
@@ -87,7 +75,7 @@ def _validated_observables(observables, dim: int) -> MappingProxyType:
 
 def _require_observable(matrix, dim: int, name: str = "observable") -> np.ndarray:
     """The one check that a matrix is a Hermitian observable of dimension dim."""
-    m = require_hermitian(matrix, name)
+    m = hilbert.require_hermitian(matrix, name)
     if m.shape[0] != dim:
         raise ValueError(f"{name} has dimension {m.shape[0]}, expected {dim}")
     return m
@@ -125,12 +113,12 @@ class Scenario:
     observables: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "hbar", require_positive_finite(self.hbar, "hbar"))
+        object.__setattr__(self, "hbar", hilbert.require_positive_finite(self.hbar, "hbar"))
         _require_phase_range(self.time_grid, self.hbar)
-        h = require_hermitian(self.hamiltonian, "hamiltonian")
+        h = hilbert.require_hermitian(self.hamiltonian, "hamiltonian")
         if h.shape[0] < 2:
             raise ValueError("scenario needs dimension >= 2")
-        psi = as_state(self.initial_state, "initial_state")
+        psi = hilbert.as_state(self.initial_state, "initial_state")
         if psi.shape[0] != h.shape[0]:
             raise ValueError(
                 f"initial_state dimension {psi.shape[0]} does not match "
@@ -147,9 +135,9 @@ class Scenario:
         return self.hamiltonian.shape[0]
 
     @cached_property
-    def spectrum(self) -> SpectralDecomposition:
+    def spectrum(self) -> hilbert.SpectralDecomposition:
         """Spectral decomposition of the validated Hamiltonian, computed once."""
-        return _eigendecompose_stack(self.hamiltonian[None])[0]
+        return hilbert._eigendecompose_stack(self.hamiltonian[None])[0]
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -168,7 +156,7 @@ def _on_default_grid(
     only after it exists: it is built on a placeholder grid, which is then
     replaced by the grid read from its own cached spectrum.
     """
-    placeholder = TimeGrid(0.0, require_positive_finite(hbar, "hbar"), 2)
+    placeholder = TimeGrid(0.0, hilbert.require_positive_finite(hbar, "hbar"), 2)
     scenario = Scenario(hbar, hamiltonian, initial_state, placeholder, observables)
     grid = default_time_grid(scenario.spectrum, hbar, steps)
     _require_phase_range(grid, scenario.hbar)
@@ -181,10 +169,10 @@ def default_time_grid(hamiltonian, hbar: float = 1.0, steps: int = DEFAULT_STEPS
     or [0, 4*pi] for a fully degenerate spectrum."""
     spec = (
         hamiltonian
-        if isinstance(hamiltonian, SpectralDecomposition)
-        else eigendecompose(hamiltonian)
+        if isinstance(hamiltonian, hilbert.SpectralDecomposition)
+        else hilbert.eigendecompose(hamiltonian)
     )
-    return TimeGrid(0.0, 2.0 * _period(spec, require_positive_finite(hbar, "hbar")), steps)
+    return TimeGrid(0.0, 2.0 * _period(spec, hilbert.require_positive_finite(hbar, "hbar")), steps)
 
 
 class SeriesStats(NamedTuple):
@@ -214,7 +202,7 @@ def _states_at(scenario: Scenario, times) -> np.ndarray:
     initial energy amplitudes, reassembled in the original basis.
     """
     spec = scenario.spectrum
-    phases = _phases(spec.eigenvalues, times, scenario.hbar)
+    phases = hilbert._phases(spec.eigenvalues, times, scenario.hbar)
     return spec.eigenvectors @ (scenario.amplitudes[:, None] * phases)
 
 
@@ -253,7 +241,7 @@ def _rates(a: np.ndarray, h: np.ndarray, states: np.ndarray, hbar: float) -> np.
     means of a Hermitian generator (qstat._means); nothing is validated.  A
     generator beyond the float range, at a tiny hbar, raises ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        generator = _commutator(a, h) / (1j * hbar)
+        generator = hilbert._commutator(a, h) / (1j * hbar)
     if not np.isfinite(generator).all():
         raise ValueError(f"the rate generator [A, H]/(i hbar) overflows at hbar = {hbar!r}")
     return qstat._means(generator, states)[0]
@@ -393,7 +381,7 @@ def _offset_comparison(
     shifted = []
     for offset in offsets:
         with np.errstate(over="ignore"):
-            h = _shift(scenario.hamiltonian, require_finite_real(offset, "offset"))
+            h = _shift(scenario.hamiltonian, hilbert.require_finite_real(offset, "offset"))
             if not math.isfinite(float(np.linalg.norm(h))):
                 raise ValueError("hamiltonian is too large: its Frobenius norm overflows")
         s = object.__new__(type(scenario))  # no __post_init__, and no cached spectrum
@@ -401,7 +389,7 @@ def _offset_comparison(
         shifted.append(s)
     if shifted:
         members = shifted if "spectrum" in vars(scenario) else [scenario, *shifted]
-        spectra = _eigendecompose_stack(np.stack([s.hamiltonian for s in members]))
+        spectra = hilbert._eigendecompose_stack(np.stack([s.hamiltonian for s in members]))
         for s, spec in zip(members, spectra):
             object.__setattr__(s, "spectrum", spec)
     base = evolve(scenario, store_states=True)
@@ -436,19 +424,19 @@ def _offset_report(base: Trajectory, shifted: Trajectory, offset) -> OffsetInvar
 
 def ehrenfest_rate(observable, hamiltonian, state, hbar: float = 1.0) -> float:
     """Exact mean-motion rate d<A>/dt = <[A, H]> / (i hbar)."""
-    h = require_hermitian(hamiltonian, "hamiltonian")
+    h = hilbert.require_hermitian(hamiltonian, "hamiltonian")
     a = _require_observable(observable, h.shape[0])
-    psi = as_state(state)
+    psi = hilbert.as_state(state)
     if psi.shape[0] != h.shape[0]:
         raise ValueError(f"dimension mismatch: {h.shape[0]} vs {psi.shape[0]}")
-    return float(_rates(a, h, psi[:, None], require_positive_finite(hbar, "hbar"))[0])
+    return float(_rates(a, h, psi[:, None], hilbert.require_positive_finite(hbar, "hbar"))[0])
 
 
-def _period(spec: SpectralDecomposition, hbar: float) -> float:
+def _period(spec: hilbert.SpectralDecomposition, hbar: float) -> float:
     """The fastest period 2*pi*hbar/(E_max - E_min); 2*pi for a fully degenerate
-    spectrum, of one level (_levels), which has none: its default grid is [0, 4*pi].
+    spectrum, of one level (hilbert._levels), which has none: its default grid is [0, 4*pi].
     A period beyond the float range raises ValueError."""
-    if not _levels(spec.eigenvalues).any():
+    if not hilbert._levels(spec.eigenvalues).any():
         return 2.0 * math.pi
     period = 2.0 * math.pi * hbar / spec.span
     if not math.isfinite(period):
@@ -456,7 +444,7 @@ def _period(spec: SpectralDecomposition, hbar: float) -> float:
     return period
 
 
-def default_fd_step(spec: SpectralDecomposition, hbar: float) -> float:
+def default_fd_step(spec: hilbert.SpectralDecomposition, hbar: float) -> float:
     """FD_STEP_FRACTION of the fastest period (_period); a step that
     underflows to 0 raises ValueError."""
     step = FD_STEP_FRACTION * _period(spec, hbar)
@@ -478,11 +466,11 @@ def ehrenfest_residual(
 
 def _ehrenfest_residual(a: np.ndarray, scenario: Scenario, t, fd_step) -> float:
     """ehrenfest_residual of an observable the caller has validated."""
-    t = require_finite_real(t, "t")
+    t = hilbert.require_finite_real(t, "t")
     spec = scenario.spectrum
     if fd_step is None:
         fd_step = default_fd_step(spec, scenario.hbar)
-    require_positive_finite(fd_step, "fd_step")
+    hilbert.require_positive_finite(fd_step, "fd_step")
 
     # one single-column evaluation per stencil point, so that the rounding of
     # each mean (which the difference quotient amplifies by 1/fd_step) does

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import as_state, require_hermitian
+from . import hilbert
 
 
 class StatSummary(NamedTuple):
@@ -58,8 +58,8 @@ def stats(observable, state) -> StatSummary:
     the state is close to an eigenstate (the raw difference of second and
     squared first moments cancels catastrophically there).
     """
-    a = require_hermitian(observable, "observable")
-    psi = as_state(state)
+    a = hilbert.require_hermitian(observable, "observable")
+    psi = hilbert.as_state(state)
     if a.shape[0] != psi.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {psi.shape[0]}")
     means, variances, _ = _moments(a, psi[:, None])
@@ -91,7 +91,7 @@ def coherence_from_amplitudes(amplitudes) -> CoherenceSummary:
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or amps.size < 2:
         raise ValueError("coherence needs an amplitude vector of dimension >= 2")
-    mods = np.abs(as_state(amps, "amplitude vector"))
+    mods = np.abs(hilbert.as_state(amps, "amplitude vector"))
     coherence, predictability = _coherence_columns(mods[:, None])
     if coherence[0] > 1.0 + 1e-12:
         raise ValueError(f"coherence {coherence[0]!r} exceeds 1 beyond rounding")

@@ -12,8 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DEFAULT_STEPS, Scenario, Trajectory, _on_default_grid
-from .hilbert import as_state, require_positive_finite
+from . import dynamics, hilbert
 
 SIGMA_X = np.asarray([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.asarray([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -52,9 +51,9 @@ class QubitPreset:
     hbar: float = 1.0
 
     def __post_init__(self):
-        require_positive_finite(self.omega, "omega")
-        require_positive_finite(self.hbar, "hbar")
-        as_state([self.alpha1, self.alpha2], "preset amplitudes")
+        hilbert.require_positive_finite(self.omega, "omega")
+        hilbert.require_positive_finite(self.hbar, "hbar")
+        hilbert.as_state([self.alpha1, self.alpha2], "preset amplitudes")
 
     @property
     def coherence(self) -> float:
@@ -97,11 +96,13 @@ def default_clock_observables() -> dict[str, np.ndarray]:
 def qubit_scenario(
     preset: QubitPreset,
     observables: dict | None = None,
-    steps: int = DEFAULT_STEPS,
-) -> Scenario:
+    steps: int = dynamics.DEFAULT_STEPS,
+) -> dynamics.Scenario:
     """Scenario for a preset: two precession periods (default_time_grid)."""
     observables = default_clock_observables() if observables is None else observables
-    return _on_default_grid(preset.hbar, preset.hamiltonian(), preset.state(), observables, steps)
+    return dynamics._on_default_grid(
+        preset.hbar, preset.hamiltonian(), preset.state(), observables, steps
+    )
 
 
 def _interference(preset: QubitPreset):
@@ -118,7 +119,7 @@ class TickTockReport(NamedTuple):
     product: float         # delta_e * delta_t, compared against h/2
 
 
-def tick_tock(trajectory: Trajectory, observable_name: str) -> TickTockReport:
+def tick_tock(trajectory: dynamics.Trajectory, observable_name: str) -> TickTockReport:
     """Locate alternating extrema of a mean series and form the clock product.
 
     Extrema are detected as sign changes of the first difference and then

@@ -19,17 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qstat
-from .dynamics import (
-    Scenario,
-    _energy_moments,
-    _energy_spread,
-    _mt_columns,
-    _populations,
-    _require_observable,
-    _states_at,
-)
-from .hilbert import _levels, _phases, as_state
+from . import dynamics, hilbert, qstat
 
 BOUND_SLACK_TOL = 1e-10
 DEFAULT_TOL_ORTH = 1e-9
@@ -74,9 +64,9 @@ def _pair_bounds(a, b, states):
 
 
 def _validated_pair_bounds(a, b, state):
-    psi = as_state(state)
-    a = _require_observable(a, psi.shape[0], "first observable")
-    b = _require_observable(b, psi.shape[0], "second observable")
+    psi = hilbert.as_state(state)
+    a = dynamics._require_observable(a, psi.shape[0], "first observable")
+    b = dynamics._require_observable(b, psi.shape[0], "second observable")
     return [float(x) for x in _pair_bounds(a, b, psi)]
 
 
@@ -106,13 +96,13 @@ class MTSample(NamedTuple):
     product: float
 
 
-def mt_series(observable, scenario: Scenario) -> list[MTSample]:
+def mt_series(observable, scenario: dynamics.Scenario) -> list[MTSample]:
     """One MTSample per point of the scenario's time grid, in grid order."""
-    a = _require_observable(observable, scenario.dim)
+    a = dynamics._require_observable(observable, scenario.dim)
     times = scenario.time_grid.times()
-    states = _states_at(scenario, times)
+    states = dynamics._states_at(scenario, times)
     delta_a = np.sqrt(qstat._moments(a, states)[1])
-    columns = (times, delta_a, *_mt_columns(a, scenario, states, delta_a))
+    columns = (times, delta_a, *dynamics._mt_columns(a, scenario, states, delta_a))
     return [MTSample(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
@@ -123,10 +113,10 @@ def _overlap(weights, evals, ts, hbar):
     (m, T) result; with the energy populations as weights this is the
     survival amplitude.  Nothing is validated here.
     """
-    return weights @ _phases(evals, ts, hbar)
+    return weights @ hilbert._phases(evals, ts, hbar)
 
 
-def state_overlap(scenario: Scenario, t):
+def state_overlap(scenario: dynamics.Scenario, t):
     """Survival amplitude <psi(0)|psi(t)> = sum_k |a_k|^2 exp(-i E_k t / hbar).
 
     Scalar t gives a complex scalar; an array of times gives a complex array.
@@ -135,7 +125,7 @@ def state_overlap(scenario: Scenario, t):
     if not np.isfinite(ts).all():
         raise ValueError(f"t must be finite real times, got {t!r}")
     evals = scenario.spectrum.eigenvalues
-    out = _overlap(_populations(scenario), evals, ts.reshape(-1), scenario.hbar)
+    out = _overlap(dynamics._populations(scenario), evals, ts.reshape(-1), scenario.hbar)
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
@@ -349,7 +339,7 @@ class _March:
         return smallest
 
 
-def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
+def orthogonalization_time(scenario: dynamics.Scenario) -> OrthogonalizationResult:
     """Earliest time at which the evolved state is orthogonal to the start.
 
     A dominant level certifies analytically that the overlap modulus never
@@ -388,10 +378,10 @@ def orthogonalization_time(scenario: Scenario) -> OrthogonalizationResult:
     horizon its min_observed_overlap is the smallest modulus evaluated.
     """
     hbar, evals = scenario.hbar, scenario.spectrum.eigenvalues
-    probs = _populations(scenario)
+    probs = dynamics._populations(scenario)
 
-    # the first column of each level (_levels); a level's columns are adjacent
-    starts = np.flatnonzero(np.diff(_levels(evals), prepend=-1))
+    # the first column of each level (hilbert._levels); a level's columns are adjacent
+    starts = np.flatnonzero(np.diff(hilbert._levels(evals), prepend=-1))
     if starts.size == 1:
         # fully degenerate spectrum: overlap modulus is identically 1
         return OrthogonalizationResult(
@@ -432,7 +422,7 @@ class SpeedLimitBounds(NamedTuple):
     """Lower bounds on the orthogonalization time.
 
     from_energy_spread: pi*hbar / (2 dH); infinite on an energy eigenstate
-    (_energy_spread), which has no Mandelstam-Tamm clock either.
+    (dynamics._energy_spread), which has no Mandelstam-Tamm clock either.
     from_mean_energy: pi*hbar / (2 <H'>) with the spectrum shifted so that
     E_min = 0 (the convention under which the bound is valid).
     from_mean_energy_unshifted: the raw pi*hbar / (2 <H>) with no shift;
@@ -446,18 +436,18 @@ class SpeedLimitBounds(NamedTuple):
     from_mean_energy_unshifted: float
 
 
-def ml_bounds(scenario: Scenario) -> SpeedLimitBounds:
+def ml_bounds(scenario: dynamics.Scenario) -> SpeedLimitBounds:
     """Margolus-Levitin style lower bounds on the orthogonalization time."""
     half_pi_hbar = 0.5 * math.pi * scenario.hbar
-    mean, _, shifted_mean, floor = _energy_moments(scenario)
-    spread, eigenstate_floor = _energy_spread(scenario)
+    mean, _, shifted_mean, floor = dynamics._energy_moments(scenario)
+    spread, eigenstate_floor = dynamics._energy_spread(scenario)
     from_spread = half_pi_hbar / spread if spread > eigenstate_floor else math.inf
     from_mean = half_pi_hbar / shifted_mean if shifted_mean > floor else math.inf
     raw = half_pi_hbar / mean if abs(mean) > floor else math.inf
     return SpeedLimitBounds(from_spread, from_mean, raw)
 
 
-def qsl_tau(scenario: Scenario) -> float:
+def qsl_tau(scenario: dynamics.Scenario) -> float:
     """Unified quantum speed limit: the larger of the two ml_bounds,
     pi*hbar / (2 min(dH, <H'>)) with E_min = 0 (Levitin & Toffoli 2009).
 

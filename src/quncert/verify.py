@@ -126,13 +126,15 @@ def _presets() -> dict:
     }
 
 
-def _suite_evolution(scenario, rng, presets) -> dict[str, list[Check]]:
+def _suite_evolution(scenario, rng, presets, suites) -> dict[str, list[Check]]:
     """Conservation, offset and Mandelstam-Tamm checks from one evolution of each target.
 
     On a scenario: the scenario, for all three.  Otherwise: conservation on
     every figure preset and 10 seeded random scenarios, offsets on fig2A-D,
     whose conservation drift reads the base trajectory of the offset check,
-    and Mandelstam-Tamm on fig2D, fig3AB and fig3CD, which read it too.
+    and Mandelstam-Tamm on fig2D, fig3AB and fig3CD, which read it too.  The
+    offsets are compared only for the suite "offset" and the Mandelstam-Tamm
+    columns computed only for "mt", when ``suites`` holds them.
     """
     if scenario is not None:
         targets = {"scenario": scenario}
@@ -147,10 +149,10 @@ def _suite_evolution(scenario, rng, presets) -> dict[str, list[Check]]:
         mt_checks = dict.fromkeys(("fig2D", "fig3AB", "fig3CD"), _mt_preset_checks)
     conservation, offset, mt = [], [], []
     for name, s in targets.items():
-        offsets = OFFSET_VALUES if name in offset_targets else ()
+        offsets = OFFSET_VALUES if "offset" in suites and name in offset_targets else ()
         trajectory, reports = dynamics._offset_comparison(s, offsets)
         drift = dynamics.check_conservation(trajectory)
-        if name in mt_checks:
+        if "mt" in suites and name in mt_checks:
             mt += mt_checks[name](name, s, trajectory)
         del trajectory  # freed before the next target evolves, which lowers the peak RSS
         conservation.append(_check("conservation.{}.max_drift", name, drift.max_drift))
@@ -186,7 +188,7 @@ def _halving_checks(label: str, s, observable, t, step, coarse) -> list[Check]:
     ]
 
 
-def _suite_ehrenfest(scenario, rng, presets) -> dict[str, list[Check]]:
+def _suite_ehrenfest(scenario, rng, presets, suites) -> dict[str, list[Check]]:
     checks = []
     if scenario is None:
         s = presets["fig2D"]
@@ -225,7 +227,7 @@ def _suite_ehrenfest(scenario, rng, presets) -> dict[str, list[Check]]:
     return {"ehrenfest": checks}
 
 
-def _suite_uncertainty(scenario, rng, presets) -> dict[str, list[Check]]:
+def _suite_uncertainty(scenario, rng, presets, suites) -> dict[str, list[Check]]:
     """Robertson and Schrodinger checks from one evaluation of both bounds.
 
     On a scenario: its observables and H against each other, pairwise.
@@ -305,7 +307,9 @@ def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
     preset, s = _presets()["fig2D"], scenarios["fig2D"]
     result = uncertainty.orthogonalization_time(s)
     bounds = uncertainty.ml_bounds(s)
-    tau_expect, tau_perp = math.pi / preset.omega, result.tau_perp
+    tau_expect = math.pi / preset.omega
+    # a search that did not find tau_perp fails every row that reads it
+    tau_perp = result.tau_perp if result.found else math.nan
     unshifted_infinite = math.isinf(bounds.from_mean_energy_unshifted)
     ml = [
         _check("ml.{}.found", "fig2D", result.found),
@@ -341,7 +345,7 @@ def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
     return {"ml": ml, "qsl": qsl}
 
 
-def _suite_speed_limits(scenario, rng, presets) -> dict[str, list[Check]]:
+def _suite_speed_limits(scenario, rng, presets, suites) -> dict[str, list[Check]]:
     """ML and QSL checks, both reading one orthogonalization search per scenario."""
     if scenario is None:
         return _preset_speed_limits(presets)
@@ -377,7 +381,7 @@ def _suite_speed_limits(scenario, rng, presets) -> dict[str, list[Check]]:
 
 
 # The analysis of each suite of cli.VERIFY_SUITES but the last, "all", in order; suites that
-# share one run it once, and a suite run alone runs all of it.
+# share one run it once, and each is passed the requested suites.
 _SUITES = dict(zip(cli.VERIFY_SUITES[:-1], (
     _suite_evolution,  # conservation
     _suite_evolution,  # offset
@@ -462,7 +466,7 @@ def cmd_verify(args) -> int:
     analyses = dict.fromkeys(_SUITES[suite] for suite in suites)
     for analysis in sorted(analyses, key=lambda a: a is not _suite_uncertainty):
         rng = None if scenario is not None else np.random.default_rng(seed)
-        results.update(analysis(scenario, rng, presets))
+        results.update(analysis(scenario, rng, presets, suites))
     checks = [c for suite in suites for c in results[suite]]
 
     report = build_report(args.suite, checks, seed, digest)

@@ -825,16 +825,19 @@ def test_period_beyond_the_float_range_is_an_input_error(tmp_path, capsys, comma
         (["evolve"], EXIT_PASS, None),
         (["verify", "all", "--scenario"], EXIT_INPUT, "the rate generator"),
         (["verify", "mt", "--scenario"], EXIT_INPUT, "the rate generator"),
+        (["verify", "conservation", "--scenario"], EXIT_PASS, None),
         (["verify", "ehrenfest", "--scenario"], EXIT_INPUT, "the default fd_step"),
         (["verify", "ml", "--scenario"], EXIT_INCONCLUSIVE, None),
     ],
-    ids=["evolve", "verify-all", "verify-mt", "verify-ehrenfest", "verify-ml"],
+    ids=["evolve", "verify-all", "verify-mt", "verify-conservation", "verify-ehrenfest",
+         "verify-ml"],
 )
 def test_tiny_hbar_is_one_input_error_line(tmp_path, command, status, message):
     """At hbar = 1e-320 on a grid of [0, 1e-300], evolve samples the grid,
     while [A, H]/(i hbar) overflows and the default Ehrenfest step underflows
-    to 0: each is one error line naming hbar, and nothing warns.  The
-    search's curvature overflows, so ml is inconclusive."""
+    to 0: each is one error line naming hbar, and nothing warns.  Conservation
+    reads no rate, so it passes.  The search's curvature overflows, so ml is
+    inconclusive."""
     doc = json.loads((DATA / "scenario_dim6.json").read_text())
     doc.update(hbar=1e-320, time={"start": 0.0, "stop": 1e-300, "steps": 5})
     path = write_json(tmp_path / "tiny.json", doc)
@@ -888,71 +891,47 @@ def test_near_eigenstate_is_an_eigenstate_to_every_suite(tmp_path):
     assert "qsl.scenario.infinite_for_eigenstate" in names
 
 
-def _record_every_binding(monkeypatch, original, record):
-    """Replace every quncert module binding of original with a wrapper that
-    calls record(*args) first."""
-
-    def recording(*args, **kwargs):
-        record(*args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "quncert" or name.startswith("quncert."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, recording)
-
-
-class _Decompositions(list):
-    """Matrices through the stacked eigensolver, in call order; ``stacks``
-    holds the number of matrices in each call."""
-
-    def __init__(self):
-        super().__init__()
-        self.stacks = []
-
-    def record(self, matrices):
-        self.stacks.append(len(matrices))
-        self.extend(np.array(m) for m in matrices)
-
-
 @pytest.fixture
-def decompositions(monkeypatch):
-    """Matrices decomposed by the stacked eigensolver, which eigendecompose
-    and the offset check both call, through every module's binding."""
-    recorded = _Decompositions()
-    _record_every_binding(monkeypatch, hilbert._eigendecompose_stack, recorded.record)
-    return recorded
+def decompositions(count_calls):
+    """The stacks passed to the stacked eigensolver, which eigendecompose and
+    the offset check both call, one (stack,) per call."""
+    return count_calls(hilbert, "_eigendecompose_stack")
+
+
+def _matrices(stacks) -> list:
+    """The matrices of the recorded stacks, in call order."""
+    return [m for (stack,) in stacks for m in stack]
 
 
 def test_verify_scenario_decomposes_each_hamiltonian_once(tmp_path, decompositions):
     path = write_json(tmp_path / "scenario.json", BALANCED_QUBIT)
     assert main(["verify", "all", "--scenario", path, "--report", str(tmp_path / "r")]) == 0
     # the scenario's own H once, then H + c*I once per offset
-    assert len(decompositions) == 1 + len(OFFSET_VALUES)
-    distinct = {m.tobytes() for m in decompositions}
-    assert len(distinct) == len(decompositions)
+    matrices = _matrices(decompositions)
+    assert len(matrices) == 1 + len(OFFSET_VALUES)
+    assert len({m.tobytes() for m in matrices}) == len(matrices)
 
 
 def test_verify_scenario_offsets_share_one_stacked_call(tmp_path, decompositions):
     path = write_json(tmp_path / "scenario.json", BALANCED_QUBIT)
     assert main(["verify", "offset", "--scenario", path, "--report", str(tmp_path / "r")]) == 0
     # the scenario's own H leads every H + c*I in one stack
-    assert decompositions.stacks == [1 + len(OFFSET_VALUES)]
+    assert [len(stack) for (stack,) in decompositions] == [1 + len(OFFSET_VALUES)]
 
 
 @pytest.mark.parametrize("figure,expected", [("fig1", 4), ("fig2", 4), ("fig3", 2)])
 def test_figure_decomposes_once_per_panel(tmp_path, capsys, decompositions, figure, expected):
     assert main(["figure", figure, "-d", str(tmp_path)]) == EXIT_PASS
-    assert len(decompositions) == expected
+    assert len(_matrices(decompositions)) == expected
 
 
 def test_verify_all_decomposition_count(tmp_path, decompositions):
     """Each preset Scenario is built once per run, so the analyses that read
     one preset share its cached spectrum."""
     assert main(["verify", "all", "--report", str(tmp_path / "r.json")]) == EXIT_PASS
-    assert len(decompositions) == 33
-    assert len({m.tobytes() for m in decompositions}) == 14
+    matrices = _matrices(decompositions)
+    assert len(matrices) == 33
+    assert len({m.tobytes() for m in matrices}) == 14
 
 
 @pytest.fixture
@@ -1022,46 +1001,40 @@ def test_verify_scenario_evolves_each_trajectory_once(tmp_path, count_calls):
     assert len(evolves) == 1 + len(OFFSET_VALUES)
 
 
-def test_verify_scenario_evolves_the_grid_once_per_trajectory(tmp_path, monkeypatch):
+def test_verify_scenario_evolves_the_grid_once_per_trajectory(tmp_path, count_calls):
     """Mandelstam-Tamm reads the base trajectory too: the whole grid is
     evolved for the scenario and for each H + c*I, and never again."""
-    sizes = []
-    _record_every_binding(
-        monkeypatch, dynamics._states_at, lambda scenario, times: sizes.append(len(times))
-    )
+    calls = count_calls(dynamics, "_states_at")
     path = DATA / "scenario_dim6.json"
     steps = json.loads(path.read_text())["time"]["steps"]
     main(["verify", "all", "--scenario", str(path), "--report", str(tmp_path / "r.json")])
-    assert sizes.count(steps) == 1 + len(OFFSET_VALUES)
+    assert [len(times) for _, times in calls].count(steps) == 1 + len(OFFSET_VALUES)
 
 
-def _validated_matrices(monkeypatch):
-    """Matrices passed to require_hermitian, through every module's binding."""
-    seen = []
-    _record_every_binding(
-        monkeypatch, hilbert.require_hermitian, lambda m, *_: seen.append(np.array(m).tobytes())
-    )
-    return seen
+def _validated(calls) -> list:
+    """The bytes of each matrix passed to require_hermitian, in call order."""
+    return [np.array(args[0]).tobytes() for args in calls]
 
 
-def test_verify_scenario_validates_each_matrix_once(tmp_path, monkeypatch):
+def test_verify_scenario_validates_each_matrix_once(tmp_path, count_calls):
     """H, obs0 and obs1 when the file loads; each H + c*I inherits H's
     Hermiticity, so no analysis validates a matrix again (3 + 3 calls when
     each H + c*I was validated too)."""
-    seen = _validated_matrices(monkeypatch)
+    calls = count_calls(hilbert, "require_hermitian")
     main(["verify", "all", "--scenario", str(DATA / "scenario_dim6.json"),
           "--report", str(tmp_path / "r.json")])
+    seen = _validated(calls)
     assert len(seen) == len(set(seen)) == 3
 
 
-def test_verify_all_validation_count(tmp_path, monkeypatch):
+def test_verify_all_validation_count(tmp_path, count_calls):
     """Each preset Scenario is built once per run, and analyses take its
     matrices as validated: 232 calls before presets were shared, 86 while
     each H + c*I was validated."""
-    seen = _validated_matrices(monkeypatch)
+    calls = count_calls(hilbert, "require_hermitian")
     assert main(["verify", "all", "--seed", "42", "--report", str(tmp_path / "r.json")]) == 0
     # 11 presets x (H and 3 observables), 10 random x (H and 2)
-    assert len(seen) == 74
+    assert len(_validated(calls)) == 74
 
 
 @pytest.mark.parametrize("target", ["scenario_dim6.json", "fig2D", "fig3AB", "fig3CD"])
@@ -1108,14 +1081,10 @@ def test_verify_digests_the_bytes_it_parsed(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["ml", "qsl"])
-def test_speed_limits_validate_the_scenario_once(tmp_path, monkeypatch, suite):
+def test_speed_limits_validate_the_scenario_once(tmp_path, count_calls, suite):
     """The loaded Scenario checks its state and hbar; the speed-limit
     analyzers read them from it and check neither again."""
-    calls = {"as_state": [], "require_positive_finite": []}
-    for name, seen in calls.items():
-        _record_every_binding(
-            monkeypatch, getattr(hilbert, name), lambda *args, seen=seen: seen.append(args)
-        )
+    calls = {name: count_calls(hilbert, name) for name in ("as_state", "require_positive_finite")}
     main(["verify", suite, "--scenario", str(DATA / "scenario_dim6.json"),
           "--report", str(tmp_path / "r.json")])
     assert {name: len(seen) for name, seen in calls.items()} == {
@@ -1159,6 +1128,9 @@ def test_random_draws_keep_their_formulas(seed):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+FUZZ_SUITES = ("robertson", "schrodinger")
+
+
 @pytest.mark.parametrize("seed", [42, 1, 97])
 def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
     """The fuzz's block draws give the arrays, bit for bit, and the generator
@@ -1166,7 +1138,7 @@ def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
     triple."""
     calls = count_calls(uncertainty, "_pair_bounds")
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    verify._suite_uncertainty(None, rng, None)
+    verify._suite_uncertainty(None, rng, None, FUZZ_SUITES)
     assert [a.shape[-1] for a, _, _ in calls] == [2, 3, 4, 5, 6]
     for a, b, psi in calls:
         dim = a.shape[-1]
@@ -1183,10 +1155,11 @@ def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
 def test_uncertainty_fuzz_memory_is_bounded():
     """The fuzz draws its triples in blocks: drawing a whole dimension at
     once peaks above 6 MB."""
-    verify._suite_uncertainty(None, np.random.default_rng(42), None)  # numpy's one-time set-up
+    # numpy's one-time set-up
+    verify._suite_uncertainty(None, np.random.default_rng(42), None, FUZZ_SUITES)
     tracemalloc.start()
     try:
-        verify._suite_uncertainty(None, np.random.default_rng(42), None)
+        verify._suite_uncertainty(None, np.random.default_rng(42), None, FUZZ_SUITES)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_hermitian, random_state, rotated
 from qubit_oracles import analytic_sx_mean, analytic_sx_rate
-from quncert import cli, dynamics
+from quncert import cli, dynamics, hilbert
 from quncert.verify import _check
 from quncert import (
     FIGURE_PRESETS,
@@ -329,7 +329,7 @@ def test_offset_invariance_stack_matches_single_offsets(monkeypatch):
 
     with monkeypatch.context() as m:
         # the undecomposed base joins the stack instead of decomposing alone
-        m.setattr(dynamics, "eigendecompose", None)
+        m.setattr(hilbert, "eigendecompose", None)
         m.setattr(dynamics, "evolve", recording)
         together = offset_invariance_check(s, OFFSETS)
     assert s.spectrum.eigenvalues.tobytes() == alone.eigenvalues.tobytes()

@@ -1,0 +1,89 @@
+"""Mutants that ``verify`` must kill.
+
+Each mutant replaces one kernel with one ``monkeypatch.setattr`` on the module
+that defines it.  Every other module calls the kernel through that module, so
+the one patch reaches every caller, and the reports must then fail a check.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from quncert import dynamics, hilbert, uncertainty
+from quncert.cli import EXIT_FAIL, main
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _scaled_rates(original):
+    return lambda *args: 1.01 * original(*args)
+
+
+def _scaled_bounds(original):
+    return lambda scenario: uncertainty.SpeedLimitBounds(*(1.01 * b for b in original(scenario)))
+
+
+def _scaled_spread(original):
+    def spread(scenario):
+        value, floor = original(scenario)
+        return 1.01 * value, floor
+
+    return spread
+
+
+def _time_reversed(original):
+    return lambda *args: np.conj(original(*args))
+
+
+# (module, name, mutant of the original, also killed on the dim-6 file)
+MUTANTS = {
+    "rates-x1.01": (dynamics, "_rates", _scaled_rates, True),
+    "ml_bounds-x1.01": (uncertainty, "ml_bounds", _scaled_bounds, False),
+    "energy_spread-x1.01": (dynamics, "_energy_spread", _scaled_spread, False),
+    "phases-time-reversed": (hilbert, "_phases", _time_reversed, True),
+}
+
+
+def _mutate(monkeypatch, mutant):
+    module, name, mutate, _ = MUTANTS[mutant]
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+
+
+def _verify(tmp_path, *args) -> tuple[int, dict]:
+    report = tmp_path / "r.json"
+    status = main(["verify", "all", *args, "--report", str(report)])
+    return status, json.loads(report.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_mutant_fails_the_seed_42_report(tmp_path, monkeypatch, mutant):
+    _mutate(monkeypatch, mutant)
+    assert _verify(tmp_path, "--seed", "42")[0] == EXIT_FAIL
+
+
+@pytest.mark.parametrize("mutant", [m for m, row in MUTANTS.items() if row[3]])
+def test_mutant_fails_the_dim6_report(tmp_path, monkeypatch, mutant):
+    _mutate(monkeypatch, mutant)
+    assert _verify(tmp_path, "--scenario", str(DATA / "scenario_dim6.json"))[0] == EXIT_FAIL
+
+
+def test_time_reversed_phases_fail_the_rows_that_read_tau_perp(tmp_path, monkeypatch):
+    """fig2D's search finds no tau_perp under e^{+iEt/hbar}: the rows that
+    compare with it read NaN and fail, and the report keeps every name."""
+    _mutate(monkeypatch, "phases-time-reversed")
+    status, report = _verify(tmp_path, "--seed", "42")
+    golden = json.loads((DATA / "verify_all_seed42.json").read_text(encoding="utf-8"))
+    assert status == EXIT_FAIL
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in golden["checks"]]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["ml.fig2D.found"]["verdict"] == "fail"
+    for name in (
+        "ml.fig2D.tau_perp_is_pi/omega",
+        "ml.fig2D.spread_bound_equality",
+        "ml.fig2D.tau_above_mean_bound",
+        "qsl.fig2D.below_tau_perp",
+    ):
+        assert checks[name]["verdict"] == "fail"
+        assert "nan" in (checks[name]["lhs"], checks[name]["rhs"])

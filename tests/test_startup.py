@@ -14,9 +14,11 @@ freeing them one at a time.
 """
 
 import dataclasses
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +158,22 @@ def test_star_import_binds_each_name_to_its_layer_object():
         if home is not None:
             assert getattr(sys.modules[home], name) is value, name
         assert any(vars(layer).get(name) is value for layer in layers), name
+
+
+def test_each_function_and_class_is_bound_only_where_it_is_defined():
+    """Layers call each other through the module (``hilbert._phases``), so a
+    patch on the defining module reaches every caller.  The package's own
+    re-exports are its public surface and are exempt."""
+    copies = []
+    for info in pkgutil.iter_modules(quncert.__path__, "quncert."):
+        module = importlib.import_module(info.name)
+        for attr, value in vars(module).items():
+            home = getattr(value, "__module__", "")
+            if (inspect.isfunction(value) or inspect.isclass(value)) and (
+                home.startswith("quncert.") and home != info.name
+            ):
+                copies.append(f"{info.name}.{attr} from {home}")
+    assert copies == []
 
 
 def test_dir_lists_every_public_name_before_first_use():
