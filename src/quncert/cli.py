@@ -92,54 +92,25 @@ def _as_complex(value, where: str) -> complex:
     return complex(_as_number(value[0], where), _as_number(value[1], where))
 
 
-def _is_pair(entry) -> bool:
-    """A [re, im] list of two JSON numbers (int or float, never bool)."""
-    return (
-        type(entry) is list
-        and len(entry) == 2
-        and type(entry[0]) in (int, float)
-        and type(entry[1]) in (int, float)
-    )
-
-
-def _pairs_at_once(entries: list, names) -> np.ndarray:
-    """The [re, im] pairs parsed from JSON as one flat complex array.
-
-    One numpy conversion keeps every bit of the floats that float() gives,
-    signed zeros included.  When some entry is not a pair of finite numbers,
-    the first such entry raises the ScenarioFormatError of _as_complex, under
-    its path from ``names``.
-    """
-    values = None
-    if all(map(_is_pair, entries)):
-        try:
-            values = np.array(entries, dtype=np.float64)
-        except OverflowError:  # an integer literal beyond the float range
-            pass
-    if values is None or not np.isfinite(values).all():
-        for entry, where in zip(entries, names):
-            _as_complex(entry, where)
-    return values.view(np.complex128).reshape(-1)
-
-
 def _as_complex_matrix(value, where: str) -> np.ndarray:
+    """Read row by row, each row's length checked before its entries, so the
+    first fault in reading order is the one named."""
     if not (isinstance(value, list) and value):
         raise ScenarioFormatError(f"{where}: expected a nonempty matrix")
     n = len(value)
-    names = (f"{where}[{i}][{j}]" for i in range(n) for j in range(n))
-    entries = []
+    rows = []
     for i, row in enumerate(value):
         if not (isinstance(row, list) and len(row) == n):
-            _pairs_at_once(entries, names)  # a fault in an earlier row comes first
             raise ScenarioFormatError(f"{where}[{i}]: expected a row of {n} entries")
-        entries += row
-    return _pairs_at_once(entries, names).reshape(n, n)
+        rows.append([_as_complex(entry, f"{where}[{i}][{j}]") for j, entry in enumerate(row)])
+    return np.array(rows, dtype=np.complex128)
 
 
 def _as_complex_vector(value, where: str) -> np.ndarray:
     if not (isinstance(value, list) and value):
         raise ScenarioFormatError(f"{where}: expected a nonempty vector")
-    return _pairs_at_once(value, (f"{where}[{i}]" for i in range(len(value))))
+    entries = [_as_complex(entry, f"{where}[{i}]") for i, entry in enumerate(value)]
+    return np.array(entries, dtype=np.complex128)
 
 
 def _require_keys(value: dict, where: str, required, optional=()) -> None:

@@ -49,6 +49,8 @@ class TimeGrid:
             raise ValueError(f"grid bounds and width must be finite, got [{self.start}, {self.stop}]")
         if not self.stop > self.start:
             raise ValueError(f"stop must exceed start, got [{self.start}, {self.stop}]")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         # numpy holds at most intp.max bytes in one array: (2^63 - 1) // 8 float64 times
         if not 2 <= self.steps <= np.iinfo(np.intp).max // 8:
             raise ValueError(f"steps must be >= 2 and fit one float64 array, got {self.steps}")

@@ -137,8 +137,8 @@ class OrthogonalizationResult(NamedTuple):
     "inconclusive" (neither set: the search proved neither).
     evaluations counts the overlap evaluations the search spent, windows the
     march windows it ran, and decided_by names what settled the outcome:
-    "degenerate" (a fully degenerate spectrum), "certificate" (a dominant
-    level) or "march".
+    "certificate" (a dominant level, such as the one level of a fully
+    degenerate spectrum) or "march".
     """
 
     kind: str
@@ -346,7 +346,8 @@ def orthogonalization_time(scenario: dynamics.Scenario) -> OrthogonalizationResu
     drops below 2 P - 1, where P > 1/2 is the largest population of a level
     (hilbert._levels; the slowest beat is the smallest gap between levels).
     The populations sum with rounding, so the reported floor is capped at 1.
-    No search runs then, nor on a fully degenerate spectrum (|o| = 1).
+    No search runs then.  A fully degenerate spectrum is one level that holds
+    all the population, so the certificate decides it too.
 
     Otherwise a certified march looks for the first time with |o| at or
     below DEFAULT_TOL_ORTH, up to a horizon of HORIZON_PERIODS slowest beat
@@ -382,12 +383,6 @@ def orthogonalization_time(scenario: dynamics.Scenario) -> OrthogonalizationResu
 
     # the first column of each level (hilbert._levels); a level's columns are adjacent
     starts = np.flatnonzero(np.diff(hilbert._levels(evals), prepend=-1))
-    if starts.size == 1:
-        # fully degenerate spectrum: overlap modulus is identically 1
-        return OrthogonalizationResult(
-            "never_orthogonal", None, 1.0, 1.0, 0.0, 0, 0, "degenerate"
-        )
-
     bound = min(1.0, 2.0 * float(np.add.reduceat(probs, starts).max()) - 1.0)
     if bound > DEFAULT_TOL_ORTH:
         return OrthogonalizationResult(

@@ -208,11 +208,16 @@ def test_loader_names_the_offending_entry(tmp_path, mangle, message):
 
 def test_loader_arrays_keep_every_bit(tmp_path):
     """The arrays equal an entry-by-entry complex(float(re), float(im)),
-    signed zeros, integers and subnormals included."""
+    signed zeros, integers and subnormals included, and integers that a
+    float64 cannot hold exactly, beyond the int64 range too."""
     doc = json.loads(json.dumps(BALANCED_QUBIT))
     doc["hamiltonian"] = [[[-0.0, 0], [1, -0.0]], [[1, 0.0], [5e-324, -0.0]]]
     doc["initial_state"] = [[SQ, -0.0], [-0.0, SQ]]
     doc["observables"]["sx"] = [[[0, -0.0], [1e-300, 2]], [[1e-300, -2], [-0.0, 0]]]
+    wide = [2**53 + 1, 2**63 - 1, 2**63, 2**64 + 3, 10**20 + 1, -(2**63) - 1, 3**200]
+    for k, (x, y) in enumerate(zip(wide, wide[1:] + wide[:1])):
+        # Hermitian, with x and y each a real part, an imaginary part and a diagonal entry
+        doc["observables"][f"wide{k}"] = [[[x, 0], [x, y]], [[x, -y], [y, 0]]]
     scenario = load_scenario(write_json(tmp_path / "bits.json", doc))
 
     def reference(entries):
@@ -223,8 +228,9 @@ def test_loader_arrays_keep_every_bit(tmp_path):
     rows = [e for row in doc["hamiltonian"] for e in row]
     assert scenario.hamiltonian.tobytes() == reference(rows).tobytes()
     assert scenario.initial_state.tobytes() == reference(doc["initial_state"]).tobytes()
-    rows = [e for row in doc["observables"]["sx"] for e in row]
-    assert scenario.observables["sx"].tobytes() == reference(rows).tobytes()
+    for name, matrix in doc["observables"].items():
+        rows = [e for row in matrix for e in row]
+        assert scenario.observables[name].tobytes() == reference(rows).tobytes()
 
 
 @pytest.mark.parametrize("command", [["evolve"], ["verify", "all", "--scenario"]])

@@ -66,6 +66,20 @@ def test_time_grid_validation():
     assert grid.step == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "steps", [10.5, 10.0, np.float64(10), True, "10"], ids=["half", "float", "float64", "bool", "str"]
+)
+def test_time_grid_refuses_steps_that_are_not_integers(steps):
+    """A float, bool or string count is refused when the grid is built, not
+    in evolve, where numpy's linspace would raise a TypeError."""
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        TimeGrid(0.0, 1.0, steps)
+
+
+def test_time_grid_takes_numpy_integer_steps():
+    assert TimeGrid(0.0, 1.0, np.int64(5)).times().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 def test_scenario_validation():
     h = pauli("z")
     grid = TimeGrid(0.0, 1.0, 4)
@@ -321,17 +335,25 @@ def test_offset_invariance_stack_matches_single_offsets(monkeypatch):
     of any report, and each spectrum is that of its own H or H + E0 * I."""
     s = random_scenario(9, 5)
     alone = eigendecompose(s.hamiltonian)
-    evolved = []
+    evolved, stacks = [], []
+    decompose_stack = hilbert._eigendecompose_stack
 
     def recording(scenario, store_states=True):
         evolved.append(scenario)
         return evolve(scenario, store_states)
 
+    def recording_stack(matrices):
+        stacks.append(matrices.copy())
+        return decompose_stack(matrices)
+
     with monkeypatch.context() as m:
-        # the undecomposed base joins the stack instead of decomposing alone
-        m.setattr(hilbert, "eigendecompose", None)
+        m.setattr(hilbert, "_eigendecompose_stack", recording_stack)
         m.setattr(dynamics, "evolve", recording)
         together = offset_invariance_check(s, OFFSETS)
+    # the undecomposed base joins the one stack instead of decomposing alone
+    members = [s.hamiltonian, *(dynamics._shift(s.hamiltonian, e0) for e0 in OFFSETS)]
+    assert len(stacks) == 1
+    assert stacks[0].tobytes() == np.stack(members).tobytes()
     assert s.spectrum.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
     assert s.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
     assert together == [offset_invariance_check(s, [e0])[0] for e0 in OFFSETS]

@@ -228,6 +228,21 @@ def test_orthogonalization_degenerate_spectrum():
     assert result.min_overlap_bound == pytest.approx(1.0)
 
 
+def test_fully_degenerate_floor_is_the_population_certificate():
+    """H = 2 I_3 with ||psi||^2 = 1 - 9e-13, within NORM_TOL: |o| is the
+    population 0.9999999999991 at every t, so a floor of 1 would be false;
+    the one level's certificate 2 P - 1 = 0.9999999999982 holds."""
+    psi = random_state(np.random.default_rng(5), 3) * math.sqrt(1.0 - 9e-13)
+    s = scenario_of(2.0 * np.eye(3), psi)
+    result = orthogonalization_time(s)
+    assert (result.kind, result.decided_by, result.evaluations) == (
+        "never_orthogonal", "certificate", 0
+    )
+    assert result.min_overlap_bound < 1.0
+    moduli = np.abs(state_overlap(s, np.array([0.0, 0.5, math.pi, 1e3, 1e9])))
+    assert (result.min_overlap_bound <= moduli).all()
+
+
 @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
 def test_eigenstate_in_a_degenerate_level_is_certified(rotate):
     """psi = (|0> + |1>)/sqrt(2) in the doubly degenerate level of
@@ -498,6 +513,31 @@ def test_march_budget_ends_inconclusive(monkeypatch):
     assert result.decided_by == "march"
 
 
+def test_march_stops_on_a_stuck_lane():
+    """Near t = 1e17 a step of the qubit's march falls below one ulp of t,
+    so the earliest open lane is stuck well before MARCH_BUDGET is spent."""
+    march = uncertainty._March(np.array([0.5, 0.5]), np.array([0.0, 1.0]), 1.0, 1e18)
+    with pytest.raises(uncertainty._MarchStopped):
+        march.window(1e17, 1e17 + 1e4)
+    assert (march.evaluations, march.windows) == (512, 1)
+
+
+def test_stopped_march_is_inconclusive(monkeypatch):
+    """A march that stops returns an "inconclusive" record, decided by the
+    march, with the smallest modulus it evaluated; nothing is raised."""
+    seen = []
+
+    def look_then_stop(self, start, end):
+        seen.append(self.evaluate(np.linspace(start, end, 5))[0])
+        raise uncertainty._MarchStopped
+
+    monkeypatch.setattr(uncertainty._March, "window", look_then_stop)
+    result = orthogonalization_time(scenario_of(np.diag([0.0, 1.0]), np.full(2, math.sqrt(0.5))))
+    assert (result.kind, result.tau_perp, result.min_overlap_bound) == ("inconclusive", None, None)
+    assert (result.decided_by, result.evaluations) == ("march", 5)
+    assert result.min_observed_overlap == float(seen[0].min()) < 1.0
+
+
 def test_search_reports_its_work():
     """evaluations, windows and decided_by of each way a search ends."""
     result = orthogonalization_time(_product_family(1e3))
@@ -511,7 +551,7 @@ def test_search_reports_its_work():
     result = orthogonalization_time(qubit_scenario(FIGURE_PRESETS["fig1A"]))
     assert (result.evaluations, result.windows, result.decided_by) == (0, 0, "certificate")
     result = orthogonalization_time(scenario_of(np.eye(3), np.full(3, 1.0 / math.sqrt(3.0))))
-    assert (result.evaluations, result.windows, result.decided_by) == (0, 0, "degenerate")
+    assert (result.evaluations, result.windows, result.decided_by) == (0, 0, "certificate")
 
 
 def test_batched_refinement_returns_earliest_qualifying_minimum():
