@@ -21,7 +21,6 @@ import numpy as np
 
 from . import dynamics, hilbert, qstat
 
-BOUND_SLACK_TOL = 1e-10
 DEFAULT_TOL_ORTH = 1e-9
 HORIZON_PERIODS = 20
 REFINE_REL_TOL = 1e-12
@@ -31,17 +30,16 @@ MARCH_BUDGET = 100_000
 
 
 class BoundCheck(NamedTuple):
-    """One inequality instance: lhs >= rhs expected, slack = lhs - rhs."""
+    """One inequality instance, lhs >= rhs expected: its two sides and
+    slack = lhs - rhs, which only ``verify`` compares with a limit."""
 
     lhs: float
     rhs: float
     slack: float
-    satisfied: bool
 
     @classmethod
     def of(cls, lhs: float, rhs: float) -> "BoundCheck":
-        slack = lhs - rhs
-        return cls(lhs, rhs, slack, slack >= -BOUND_SLACK_TOL)
+        return cls(lhs, rhs, lhs - rhs)
 
 
 def _pair_bounds(a, b, states):

@@ -61,18 +61,18 @@ class Check(NamedTuple):
 # "max" check when value <= bound + limit * scale; a trailing comment names the
 # scale where it is not 1 and the bound where it is not 0.
 _CHECKS = {
-    "conservation.{}.max_drift": ("max", dynamics.CONSERVATION_TOL),
-    "offset.{}.E0={}": ("max", dynamics.OFFSET_TOL),
+    "conservation.{}.max_drift": ("max", 1e-10),
+    "offset.{}.E0={}": ("max", 1e-10),
     "ehrenfest.{}.residual@1e-4": ("max", 1e-8),
     "ehrenfest.{}.static_observables": ("max", 1e-10),
     "ehrenfest.{}.residual@default": ("max", 1e-6),  # scale: max(1, span/hbar ||A||_F)
     "ehrenfest.{}.residual_at_rounding_floor": ("max", 1000.0),  # scale: d eps ||A||_2 / step
     "ehrenfest.{}.halving_ratio_low": ("min", 3.5),
     "ehrenfest.{}.halving_ratio_high": ("max", 4.5),
-    "robertson.{}.slack": ("min", -uncertainty.BOUND_SLACK_TOL),
-    "schrodinger.{}.slack": ("min", -uncertainty.BOUND_SLACK_TOL),
-    "robertson.{}.min_slack": ("min", -uncertainty.BOUND_SLACK_TOL),
-    "schrodinger.{}.min_slack": ("min", -uncertainty.BOUND_SLACK_TOL),
+    "robertson.{}.slack": ("min", -1e-10),
+    "schrodinger.{}.slack": ("min", -1e-10),
+    "robertson.{}.min_slack": ("min", -1e-10),
+    "schrodinger.{}.min_slack": ("min", -1e-10),
     "schrodinger.{}.rhs_dominates_robertson": ("min", 0.0),
     "mt.{}.has_finite_samples": ("bool", None),
     "mt.{}.min_product": ("min", -1e-10),  # scale: hbar, bound: hbar/2
@@ -320,8 +320,8 @@ def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
     ]
     for name, p in _presets().items():
         dominant = max(abs(p.alpha1), abs(p.alpha2)) ** 2
-        # strictly dominant amplitude; the balanced presets sit at 1/2 + rounding
-        if dominant <= 0.5 + 1e-12:
+        # the certificate's own rule: no floor 2P - 1 above the search's tolerance
+        if 2.0 * dominant - 1.0 <= uncertainty.DEFAULT_TOL_ORTH:
             continue
         res = uncertainty.orthogonalization_time(scenarios[name])
         ok = (not res.found) and res.min_overlap_bound is not None
@@ -332,7 +332,8 @@ def _preset_speed_limits(scenarios) -> dict[str, list[Check]]:
 
     qsl = []
     for name, p in qubit.FIGURE_PRESETS.items():
-        if p.coherence == 0.0:
+        # the eigenstate threshold: a qubit preset's dH / ||H||_2 is its coherence
+        if p.coherence <= dynamics.ENERGY_SPREAD_MIN:
             continue
         tau = uncertainty.qsl_tau(scenarios[name])
         b = uncertainty.ml_bounds(scenarios[name])

@@ -7,6 +7,7 @@ or by the Scenario it arrives in, when the Scenario is built.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,17 +16,20 @@ from quncert import (
     Scenario,
     TimeGrid,
     coherence_from_amplitudes,
+    commutator,
     ehrenfest_rate,
     ehrenfest_residual,
     ml_bounds,
     mt_series,
     orthogonalization_time,
     qsl_tau,
+    require_hermitian,
     robertson_check,
     schrodinger_check,
     state_overlap,
     stats,
 )
+from quncert import hilbert
 from quncert.qubit import pauli
 
 LOPSIDED = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -77,6 +81,35 @@ def _scenario(**overrides):
 )
 def test_non_hermitian_input_is_rejected_at_entry(call):
     with pytest.raises(ValueError, match="not Hermitian"):
+        call()
+
+
+E3 = np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: _scenario(initial_state=E3),
+         "initial_state dimension 3 does not match hamiltonian dimension 2"),
+        (lambda: _scenario(observables={"x": np.eye(3)}),
+         "observable 'x' has dimension 3, expected 2"),
+        (lambda: ehrenfest_rate(SX, SZ, E3), "dimension mismatch: 2 vs 3"),
+        (lambda: commutator(SX, np.eye(3)), "dimension mismatch: (2, 2) vs (3, 3)"),
+        (lambda: require_hermitian(np.empty((0, 0))), "matrix must have dimension >= 1"),
+        (lambda: require_hermitian(np.array([[1.0, math.nan], [math.nan, 1.0]])),
+         "matrix contains non-finite entries"),
+        (lambda: hilbert.as_state([]), "state must be a nonempty vector, got shape (0,)"),
+    ],
+    ids=[
+        "Scenario.initial_state", "Scenario.observable", "ehrenfest_rate.state",
+        "commutator", "require_hermitian.empty", "require_hermitian.nan", "as_state.empty",
+    ],
+)
+def test_each_malformed_input_is_refused_with_its_message(call, message):
+    """Dimension mismatches, an empty matrix or state and a NaN entry are
+    refused at entry, each with its own message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

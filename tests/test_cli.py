@@ -533,6 +533,45 @@ def test_every_check_row_is_used_and_every_name_has_one_row(tmp_path, monkeypatc
         assert sum(t.fullmatch(name) is not None for t in templates) == 1, name
 
 
+# Presets between verify's former skip rules and the library's own thresholds:
+# a dominant population of 1/2 + 1e-10, whose certificate floor 2P - 1 is
+# below DEFAULT_TOL_ORTH, and a coherence of 2e-13, below ENERGY_SPREAD_MIN.
+BORDER_PRESETS = {
+    "near_balanced": qubit._preset(0.5 + 1e-10, 0.5 - 1e-10),
+    "near_eigen": qubit._preset(1.0, 1e-26),
+}
+
+
+@pytest.fixture
+def border_presets(monkeypatch):
+    """BORDER_PRESETS added to the figure presets, and so to verify's presets."""
+    for name, preset in BORDER_PRESETS.items():
+        monkeypatch.setitem(qubit.FIGURE_PRESETS, name, preset)
+    verify._presets.cache_clear()
+    yield
+    verify._presets.cache_clear()
+
+
+@pytest.mark.parametrize("suite,present,skipped", [
+    ("ml", "ml.near_eigen.never_orthogonal", "ml.near_balanced."),
+    ("qsl", "qsl.near_balanced.finite", "qsl.near_eigen."),
+])
+def test_preset_rows_follow_the_library_thresholds(tmp_path, border_presets, suite, present, skipped):
+    """The never_orthogonal rows skip a preset whose certificate does not
+    apply (2P - 1 <= DEFAULT_TOL_ORTH), which the search finds orthogonal,
+    and the QSL rows skip one whose coherence, a qubit's dH / ||H||_2, is at
+    or below ENERGY_SPREAD_MIN, whose qsl_tau is infinite."""
+    assert uncertainty.orthogonalization_time(
+        qubit.qubit_scenario(BORDER_PRESETS["near_balanced"])
+    ).found
+    assert math.isinf(uncertainty.qsl_tau(qubit.qubit_scenario(BORDER_PRESETS["near_eigen"])))
+    report = tmp_path / f"{suite}.json"
+    assert main(["verify", suite, "--seed", "42", "--report", str(report)]) == EXIT_PASS
+    names = [c["name"] for c in json.loads(report.read_text(encoding="utf-8"))["checks"]]
+    assert present in names
+    assert not [n for n in names if n.startswith(skipped)]
+
+
 def _default_grid_payload(hbar, h, psi, observable) -> dict:
     grid = dynamics.default_time_grid(h, hbar)
     return {
@@ -609,7 +648,9 @@ def test_offset_check_on_an_offset_cancelling_file():
     s = load_scenario(str(DATA / "scenario_offset_cancels.json"))
     reports = dynamics.offset_invariance_check(s, OFFSET_VALUES)
     assert [r.offset for r in reports] == list(OFFSET_VALUES)
-    assert all(r.passed for r in reports)
+    for r in reports:
+        worst = max(r.max_observable_diff, r.max_phase_defect, r.max_energy_shift_defect)
+        assert verify._check("offset.{}.E0={}", ("scenario", r.offset), worst).verdict == "pass"
 
 
 def test_offset_whose_shifted_norm_overflows_is_refused():

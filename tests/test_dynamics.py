@@ -13,7 +13,7 @@ import pytest
 from conftest import random_hermitian, random_state, rotated
 from qubit_oracles import analytic_sx_mean, analytic_sx_rate
 from quncert import cli, dynamics, hilbert
-from quncert.verify import _check
+from quncert.verify import _CHECKS, _check
 from quncert import (
     FIGURE_PRESETS,
     QubitPreset,
@@ -255,17 +255,28 @@ def test_evolve_without_state_storage():
     assert trajectory.energy.mean.shape == (200,)
 
 
+def _conservation_verdict(report) -> str:
+    """The verdict of verify's row for a ConservationReport."""
+    return _check("conservation.{}.max_drift", "c", report.max_drift).verdict
+
+
+def _offset_verdict(report) -> str:
+    """The verdict of verify's row for an OffsetInvarianceReport: its worst defect."""
+    worst = max(report.max_observable_diff, report.max_phase_defect, report.max_energy_shift_defect)
+    return _check("offset.{}.E0={}", ("o", report.offset), worst).verdict
+
+
 @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
 def test_conservation_on_presets(name):
     report = check_conservation(evolve(qubit_scenario(FIGURE_PRESETS[name])))
-    assert report.passed, report.drifts
+    assert _conservation_verdict(report) == "pass", report.drifts
     assert report.max_drift < 1e-10
 
 
 @pytest.mark.parametrize("seed,dim", [(0, 2), (1, 3), (2, 4), (3, 5), (4, 6)])
 def test_conservation_on_random_scenarios(seed, dim):
     report = check_conservation(evolve(random_scenario(seed, dim, steps=500)))
-    assert report.passed, report.drifts
+    assert _conservation_verdict(report) == "pass", report.drifts
 
 
 def _flat_trajectory(energy_mean) -> dynamics.Trajectory:
@@ -277,24 +288,26 @@ def _flat_trajectory(energy_mean) -> dynamics.Trajectory:
 
 
 def test_conservation_passes_at_its_tolerance():
-    """A drift equal to the tolerance passes, in the library and in the
-    report's inclusive max_drift row alike."""
-    report = check_conservation(_flat_trajectory([0.0, dynamics.CONSERVATION_TOL]))
-    assert report.max_drift == report.tolerance
-    assert report.passed
-    assert _check("conservation.{}.max_drift", "c", report.max_drift).verdict == "pass"
+    """A drift equal to the limit of the max_drift row passes, as the row is
+    inclusive; the next float above it fails."""
+    limit = _CHECKS["conservation.{}.max_drift"][1]
+    report = check_conservation(_flat_trajectory([0.0, limit]))
+    assert report.max_drift == limit
+    assert _conservation_verdict(report) == "pass"
+    above = check_conservation(_flat_trajectory([0.0, math.nextafter(limit, 1.0)]))
+    assert _conservation_verdict(above) == "fail"
 
 
 def test_offset_invariance_passes_at_its_tolerance():
-    """An energy-shift defect equal to the tolerance passes, as in the report's
-    offset row."""
+    """An energy-shift defect equal to the limit of the offset row passes, as
+    the row is inclusive; the next float above it fails."""
+    limit = _CHECKS["offset.{}.E0={}"][1]
     base = _flat_trajectory([0.0, 0.0])
-    shifted = _flat_trajectory([0.0, dynamics.OFFSET_TOL])
-    report = dynamics._offset_report(base, shifted, 0.0)
-    assert report.max_energy_shift_defect == report.tolerance
-    assert report.passed
-    check = _check("offset.{}.E0={}", ("o", 0.0), report.max_energy_shift_defect)
-    assert check.verdict == "pass"
+    report = dynamics._offset_report(base, _flat_trajectory([0.0, limit]), 0.0)
+    assert report.max_energy_shift_defect == limit
+    assert _offset_verdict(report) == "pass"
+    above = _flat_trajectory([0.0, math.nextafter(limit, 1.0)])
+    assert _offset_verdict(dynamics._offset_report(base, above, 0.0)) == "fail"
 
 
 @pytest.mark.parametrize("offset", OFFSETS)
@@ -303,7 +316,7 @@ def test_offset_invariance_qubit(offset):
     (report,) = offset_invariance_check(
         qubit_scenario(FIGURE_PRESETS["fig2C"]), [offset]
     )
-    assert report.passed
+    assert _offset_verdict(report) == "pass"
     assert report.max_observable_diff < 1e-10
     assert report.max_phase_defect < 1e-10
     assert report.max_energy_shift_defect < 1e-10
@@ -311,7 +324,7 @@ def test_offset_invariance_qubit(offset):
 
 def test_offset_invariance_random():
     (report,) = offset_invariance_check(random_scenario(9, 5), [7.3])
-    assert report.passed
+    assert _offset_verdict(report) == "pass"
 
 
 def test_offset_invariance_evolves_the_base_once(monkeypatch):

@@ -1,8 +1,9 @@
 """Mutants that ``verify`` must kill.
 
-Each mutant replaces one kernel with one ``monkeypatch.setattr`` on the module
-that defines it.  Every other module calls the kernel through that module, so
-the one patch reaches every caller, and the reports must then fail a check.
+Each mutant replaces one or more kernels, each with one ``monkeypatch.setattr``
+on the module that defines it.  Every other module calls a kernel through that
+module, so the one patch reaches every caller, and the reports must then fail
+a check.
 """
 
 import json
@@ -15,6 +16,13 @@ from quncert import dynamics, hilbert, uncertainty
 from quncert.cli import EXIT_FAIL, main
 
 DATA = Path(__file__).resolve().parent / "data"
+
+# the verify all reports a mutant can fail; only the qubit file has hbar != 1
+REPORTS = {
+    "seed42": ["--seed", "42"],
+    "dim6": ["--scenario", str(DATA / "scenario_dim6.json")],
+    "qubit_found": ["--scenario", str(DATA / "scenario_qubit_found.json")],
+}
 
 
 def _scaled_rates(original):
@@ -37,18 +45,38 @@ def _time_reversed(original):
     return lambda *args: np.conj(original(*args))
 
 
-# (module, name, mutant of the original, also killed on the dim-6 file)
+def _without_hbar(original):
+    """A kernel whose last argument, hbar, is replaced by 1."""
+    return lambda *args: original(*args[:-1], 1.0)
+
+
+# name: ((module, kernel, mutant of the original), ...) and the REPORTS it fails.
+# Schrodinger's rhs replaced by Robertson's fails none of them, so it is not here.
 MUTANTS = {
-    "rates-x1.01": (dynamics, "_rates", _scaled_rates, True),
-    "ml_bounds-x1.01": (uncertainty, "ml_bounds", _scaled_bounds, False),
-    "energy_spread-x1.01": (dynamics, "_energy_spread", _scaled_spread, False),
-    "phases-time-reversed": (hilbert, "_phases", _time_reversed, True),
+    "rates-x1.01": (
+        ((dynamics, "_rates", _scaled_rates),), {"seed42", "dim6", "qubit_found"},
+    ),
+    "ml_bounds-x1.01": (((uncertainty, "ml_bounds", _scaled_bounds),), {"seed42", "qubit_found"}),
+    "energy_spread-x1.01": (((dynamics, "_energy_spread", _scaled_spread),), {"seed42"}),
+    "phases-time-reversed": (
+        ((hilbert, "_phases", _time_reversed),), {"seed42", "dim6", "qubit_found"},
+    ),
+    "phases-hbar-dropped": (((hilbert, "_phases", _without_hbar),), {"qubit_found"}),
+    "rates-hbar-dropped": (((dynamics, "_rates", _without_hbar),), {"qubit_found"}),
+    "phases-and-rates-hbar-dropped": (
+        ((hilbert, "_phases", _without_hbar), (dynamics, "_rates", _without_hbar)),
+        {"qubit_found"},
+    ),
 }
 
 
 def _mutate(monkeypatch, mutant):
-    module, name, mutate, _ = MUTANTS[mutant]
-    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    for module, name, mutate in MUTANTS[mutant][0]:
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+
+
+def _failing(report):
+    return [m for m, (_, reports) in MUTANTS.items() if report in reports]
 
 
 def _verify(tmp_path, *args) -> tuple[int, dict]:
@@ -57,16 +85,25 @@ def _verify(tmp_path, *args) -> tuple[int, dict]:
     return status, json.loads(report.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("mutant", MUTANTS)
+def _assert_fails(tmp_path, monkeypatch, mutant, report):
+    _mutate(monkeypatch, mutant)
+    assert _verify(tmp_path, *REPORTS[report])[0] == EXIT_FAIL
+
+
+@pytest.mark.parametrize("mutant", _failing("seed42"))
 def test_mutant_fails_the_seed_42_report(tmp_path, monkeypatch, mutant):
-    _mutate(monkeypatch, mutant)
-    assert _verify(tmp_path, "--seed", "42")[0] == EXIT_FAIL
+    _assert_fails(tmp_path, monkeypatch, mutant, "seed42")
 
 
-@pytest.mark.parametrize("mutant", [m for m, row in MUTANTS.items() if row[3]])
+@pytest.mark.parametrize("mutant", _failing("dim6"))
 def test_mutant_fails_the_dim6_report(tmp_path, monkeypatch, mutant):
-    _mutate(monkeypatch, mutant)
-    assert _verify(tmp_path, "--scenario", str(DATA / "scenario_dim6.json"))[0] == EXIT_FAIL
+    _assert_fails(tmp_path, monkeypatch, mutant, "dim6")
+
+
+@pytest.mark.parametrize("mutant", _failing("qubit_found"))
+def test_mutant_fails_the_qubit_found_report(tmp_path, monkeypatch, mutant):
+    """hbar = 0.5 here, so a kernel that drops hbar moves a verdict."""
+    _assert_fails(tmp_path, monkeypatch, mutant, "qubit_found")
 
 
 def test_time_reversed_phases_fail_the_rows_that_read_tau_perp(tmp_path, monkeypatch):

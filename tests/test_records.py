@@ -19,12 +19,11 @@ RECORD_FIELDS = {
         "times", "observables", "energy", "coherence", "predictability", "states",
         "energy_span",
     ),
-    quncert.ConservationReport: ("drifts", "tolerance", "passed"),
+    quncert.ConservationReport: ("drifts",),
     quncert.OffsetInvarianceReport: (
         "offset", "max_observable_diff", "max_phase_defect", "max_energy_shift_defect",
-        "tolerance", "passed",
     ),
-    quncert.BoundCheck: ("lhs", "rhs", "slack", "satisfied"),
+    quncert.BoundCheck: ("lhs", "rhs", "slack"),
     quncert.MTSample: ("t", "delta_a", "rate", "delta_t", "product"),
     quncert.OrthogonalizationResult: (
         "kind", "tau_perp", "min_overlap_bound", "min_observed_overlap", "horizon",
