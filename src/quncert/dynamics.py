@@ -101,9 +101,9 @@ class Scenario:
 
     The arrays are read-only copies of the caller's, and ``observables`` is a
     read-only mapping, so nothing bypasses the validation.  The spectral
-    decomposition and the initial energy amplitudes are computed on first
-    use and cached; ``dataclasses.replace`` builds a new instance with
-    caches of its own.
+    decomposition, the initial energy amplitudes and the level populations
+    are computed on first use and cached; ``dataclasses.replace`` builds a
+    new instance with caches of its own.
     """
 
     hbar: float
@@ -145,6 +145,12 @@ class Scenario:
         alpha0 = self.spectrum.eigenvectors.conj().T @ self.initial_state
         alpha0.setflags(write=False)
         return alpha0
+
+    @cached_property
+    def _populations(self) -> np.ndarray:
+        """Initial energy populations per level (hilbert.Levels): |a_k|^2 summed over its columns."""
+        probs = np.add.reduceat(np.abs(self.amplitudes) ** 2, self.spectrum.levels.starts)
+        return _frozen_copy(probs)
 
 
 def _on_default_grid(
@@ -192,7 +198,7 @@ class Trajectory(NamedTuple):
     coherence: np.ndarray
     predictability: np.ndarray
     states: np.ndarray | None    # (dim, len(times)) column snapshots, optional
-    energy_span: float           # E_max - E_min of the generating Hamiltonian
+    energy_span: float           # max - min of the level energies populated above d eps
 
 
 def _states_at(scenario: Scenario, times) -> np.ndarray:
@@ -211,20 +217,15 @@ def _series_stats(matrix: np.ndarray, states: np.ndarray) -> SeriesStats:
     return SeriesStats(means, variances, np.sqrt(variances))
 
 
-def _populations(scenario: Scenario) -> np.ndarray:
-    """Energy populations |a_k|^2 of the initial state, ascending energy."""
-    return np.abs(scenario.amplitudes) ** 2
-
-
 def _energy_moments(scenario: Scenario):
     """<H>, dH, <H> - E_min and MEAN_ENERGY_MIN * ||H||_2, the threshold of
-    both mean energies, from the energy populations over the cached spectrum."""
-    spec, probs = scenario.spectrum, _populations(scenario)
-    mean = float(probs @ spec.eigenvalues)
+    both mean energies, from the level populations over the level energies."""
+    spec, probs = scenario.spectrum, scenario._populations
+    mean = float(probs @ spec.levels.energies)
     # shifted second moment: an eigenstate's spread is exactly zero, not the
     # sqrt(eps)-sized cancellation residue that would defeat _energy_spread
-    spread = math.sqrt(float(probs @ (spec.eigenvalues - mean) ** 2))
-    shifted_mean = mean - float(spec.eigenvalues.min())
+    spread = math.sqrt(float(probs @ (spec.levels.energies - mean) ** 2))
+    shifted_mean = mean - float(spec.levels.energies[0])
     return mean, spread, shifted_mean, MEAN_ENERGY_MIN * hilbert._energy_scale(spec.eigenvalues)
 
 
@@ -288,6 +289,7 @@ def evolve(scenario: Scenario, store_states: bool = True) -> Trajectory:
         for name, matrix in scenario.observables.items()
     }
     energy = _series_stats(scenario.hamiltonian, states)
+    populated = spec.levels.energies[scenario._populations > scenario.dim * np.finfo(np.float64).eps]
     coherence, predictability = qstat._coherence_columns(
         np.abs(spec.eigenvectors.conj().T @ states)
     )
@@ -299,7 +301,7 @@ def evolve(scenario: Scenario, store_states: bool = True) -> Trajectory:
         coherence=coherence,
         predictability=predictability,
         states=states if store_states else None,
-        energy_span=spec.span,
+        energy_span=float(populated.max() - populated.min()),
     )
 
 
@@ -427,9 +429,9 @@ def ehrenfest_rate(observable, hamiltonian, state, hbar: float = 1.0) -> float:
 
 def _period(spec: hilbert.SpectralDecomposition, hbar: float) -> float:
     """The fastest period 2*pi*hbar/(E_max - E_min); 2*pi for a fully degenerate
-    spectrum, of one level (hilbert._levels), which has none: its default grid is [0, 4*pi].
+    spectrum, of one level (spec.levels), which has none: its default grid is [0, 4*pi].
     A period beyond the float range raises ValueError."""
-    if not hilbert._levels(spec.eigenvalues).any():
+    if spec.levels.energies.size == 1:
         return 2.0 * math.pi
     period = 2.0 * math.pi * hbar / spec.span
     if not math.isfinite(period):

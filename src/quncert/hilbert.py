@@ -130,8 +130,18 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+class Levels(NamedTuple):
+    """The levels of a spectrum (_levels), ascending.  Level j holds columns
+    starts[j] up to the next start; its energy is hi - (hi - lo) / 2 of its
+    extreme eigenvalues, so a level of equal eigenvalues keeps their bits."""
+
+    starts: np.ndarray    # (L,) first column of each level
+    energies: np.ndarray  # (L,) float64, ascending
+    spread: float         # largest hi - lo, 0.0 when no level merges distinct values
+
+
 class SpectralDecomposition(NamedTuple):
-    """Eigenvalues (ascending, but not within a level) and orthonormal eigenvectors.
+    """Eigenvalues (ascending, but not within a level), orthonormal eigenvectors and their Levels.
 
     ``sweeps`` is the number of Jacobi sweeps the solver ran (0 for a
     diagonal input) and ``offdiag_residual`` the off-diagonal Frobenius norm
@@ -142,6 +152,7 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray  # (n, n) complex128, column k pairs with eigenvalue k
     sweeps: int
     offdiag_residual: float
+    levels: Levels
 
     @property
     def dim(self) -> int:
@@ -276,19 +287,23 @@ def _anchor_indices(v: np.ndarray) -> np.ndarray:
 def _spectral_decomposition(av: np.ndarray, sweeps: int, residual: float):
     """The SpectralDecomposition read off one converged A-over-V member: each
     column rotated so that its anchor component (_anchor_indices) is real >= 0
-    (a zero column stays zero), and the eigenpairs in one stable sort by level
-    (_levels), anchor and value."""
+    (a zero column stays zero), the eigenpairs in one stable sort by level
+    (_levels), anchor and value, and the Levels they form."""
     n = av.shape[1]
     evals, vecs = av[:n].diagonal().real, av[n:]
     anchors = _anchor_indices(vecs)
     tops = vecs[anchors, np.arange(n)]
     # the scalar modulus (libm hypot), which can differ from np.abs in the last bit
     vecs = vecs * (tops.conj() / [abs(z) or 1.0 for z in tops.tolist()])
-    order = np.lexsort((evals, anchors, _levels(evals)))
+    labels = _levels(evals)
+    order = np.lexsort((evals, anchors, labels))
     evals, vecs = evals[order], vecs[:, order]
-    evals.setflags(write=False)
-    vecs.setflags(write=False)
-    return SpectralDecomposition(evals, vecs, sweeps, residual)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(labels)[:-1])))
+    lo, hi = np.minimum.reduceat(evals, starts), np.maximum.reduceat(evals, starts)
+    levels = Levels(starts, hi - 0.5 * (hi - lo), float((hi - lo).max()))
+    for x in (evals, vecs, *levels[:2]):
+        x.setflags(write=False)
+    return SpectralDecomposition(evals, vecs, sweeps, residual, levels)
 
 
 def _eigendecompose_stack(matrices: np.ndarray) -> list[SpectralDecomposition]:
@@ -333,20 +348,16 @@ def _eigendecompose_stack(matrices: np.ndarray) -> list[SpectralDecomposition]:
 def eigendecompose(matrix) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix via Jacobi sweeps.
 
-    Each sweep runs the rounds of _round_robin: every pair (p, q) once, in
-    rounds of disjoint pairs whose rotations are applied together.  Sweeps
-    stop once the off-diagonal Frobenius norm is at most
-    JACOBI_TOL_FACTOR * ||A||_F.  The order depends only on the dimension and
-    every step is elementwise, so decompositions of the same matrix agree
-    bit-for-bit.  The matrix runs as a stack of one through the lock-step
-    kernel, _eigendecompose_stack, which gives each member of a stack the
-    bits it would get alone.
+    The sweeps (_round_robin) stop once the off-diagonal Frobenius norm is
+    at most JACOBI_TOL_FACTOR * ||A||_F.  The matrix runs as a stack of one
+    through _eigendecompose_stack, which gives each member the bits it would
+    get alone, so decompositions of the same matrix agree bit-for-bit.
 
-    Eigenvalues come out ascending level by level; each eigenvector column is
-    rotated so that its largest component is real >= 0, and the columns of a
-    degenerate level are ordered by the index of that component
-    (_spectral_decomposition).
-    The result also records the sweep count and the final residual.
+    Eigenvalues come out ascending level by level, with the Levels they
+    form; each eigenvector column is rotated so that its largest component
+    is real >= 0, and the columns of a degenerate level are ordered by the
+    index of that component (_spectral_decomposition).  The result also
+    records the sweep count and the final residual.
 
     Raises:
         ValueError: non-Hermitian input.

@@ -115,7 +115,7 @@ class TickTockReport(NamedTuple):
 
     extrema: list          # [(time, "tick" | "tock"), ...] tick = max, tock = min
     delta_t: float         # mean spacing between consecutive extrema
-    delta_e: float         # E_max - E_min of the driving Hamiltonian
+    delta_e: float         # span of the populated levels (Trajectory.energy_span)
     product: float         # delta_e * delta_t, compared against h/2
 
 

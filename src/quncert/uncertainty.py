@@ -107,23 +107,23 @@ def mt_series(observable, scenario: dynamics.Scenario) -> list[MTSample]:
 def _overlap(weights, evals, ts, hbar):
     """sum_k w_k exp(-i E_k t / hbar) at each of a 1-D array of times.
 
-    ``weights`` is a (d,) vector or a (m, d) stack, giving a (T,) or an
-    (m, T) result; with the energy populations as weights this is the
+    ``weights`` is a (L,) vector or a (m, L) stack, giving a (T,) or an
+    (m, T) result; with the level populations as weights this is the
     survival amplitude.  Nothing is validated here.
     """
     return weights @ hilbert._phases(evals, ts, hbar)
 
 
 def state_overlap(scenario: dynamics.Scenario, t):
-    """Survival amplitude <psi(0)|psi(t)> = sum_k |a_k|^2 exp(-i E_k t / hbar).
+    """Survival amplitude <psi(0)|psi(t)> = sum_L P_L exp(-i E_L t / hbar) over levels L.
 
     Scalar t gives a complex scalar; an array of times gives a complex array.
     """
     ts = np.asarray(t, dtype=np.float64)
     if not np.isfinite(ts).all():
         raise ValueError(f"t must be finite real times, got {t!r}")
-    evals = scenario.spectrum.eigenvalues
-    out = _overlap(dynamics._populations(scenario), evals, ts.reshape(-1), scenario.hbar)
+    energies = scenario.spectrum.levels.energies
+    out = _overlap(scenario._populations, energies, ts.reshape(-1), scenario.hbar)
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
@@ -159,33 +159,32 @@ class _MarchStopped(Exception):
 
 def _overlap_modulus_and_slope(weights, rates, ts):
     """|o(t)| and Re(conj(o) o'(t)), half the slope of |o|^2, at each of a
-    1-D array of times.
-
-    ``rates`` are the centred energies (E_k - <H>) / hbar and ``weights``
-    stacks the populations p_k over -i rates_k p_k, so one product gives the
-    centred overlap and its derivative.
-    """
+    1-D array of times: ``rates`` are the centred level energies
+    (E_L - <H>) / hbar and ``weights`` stacks the populations P_L over
+    -i rates_L P_L, so one product gives the centred overlap and its derivative."""
     o, o_dot = _overlap(weights, rates, ts, 1.0)
     return np.abs(o), (o.conj() * o_dot).real
 
 
 class _March:
-    """One orthogonalization search: the centred overlap o_c(t) =
-    sum_k p_k exp(-i e_k t), e_k = (E_k - <H>) / hbar, whose modulus is |o|,
-    its curvature bound M = sum_k p_k e_k^2 >= |o_c''|, and every point
-    evaluated so far, as (time, modulus, half slope of |o|^2).
-    """
+    """One orthogonalization search over a scenario's levels: the centred
+    overlap o_c(t) = sum_L P_L exp(-i e_L t), e_L = (E_L - <H>) / hbar, whose
+    modulus is |o|, its curvature bound M = sum_L P_L e_L^2 >= |o_c''|, and
+    every point evaluated so far, as (time, modulus, half slope of |o|^2)."""
 
-    def __init__(self, probs, evals, hbar, horizon):
+    def __init__(self, scenario: dynamics.Scenario, horizon):
+        levels, probs = scenario.spectrum.levels, scenario._populations
         # a dH / hbar beyond the float range leaves the curvature inf or NaN,
         # which orthogonalization_time refuses to march with
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = (evals - float(probs @ evals)) / hbar
+            rates = (levels.energies - dynamics._energy_moments(scenario)[0]) / scenario.hbar
             self.weights = np.stack((probs, -1j * rates * probs))
             self.curvature = float(probs @ rates**2)
+            # merging a level's eigenvalues moves o(t) by at most spread * t / hbar
+            self.spread_rate = levels.spread / scenario.hbar
         self.rates = rates
         self.horizon = horizon
-        # rounding of o_c(t): d terms, each phase argument e_k t off by eps|e_k t|
+        # rounding of o_c(t): L terms, each phase argument e_L t off by eps|e_L t|
         self.rounding = probs.size * np.finfo(np.float64).eps
         self.max_rate = float(np.abs(rates).max())
         self.points = []
@@ -255,7 +254,7 @@ class _March:
         """
         self.windows += 1
         tol, m = DEFAULT_TOL_ORTH, self.curvature
-        margin = self.rounding * (1.0 + self.max_rate * end)
+        margin = self.rounding * (1.0 + self.max_rate * end) + self.spread_rate * end
         edges = np.linspace(start, end, MARCH_LANES + 1)
         t, ends = edges[:-1].copy(), edges[1:]
         open_ = np.ones(MARCH_LANES, dtype=bool)  # not yet certified to its end
@@ -340,55 +339,43 @@ class _March:
 def orthogonalization_time(scenario: dynamics.Scenario) -> OrthogonalizationResult:
     """Earliest time at which the evolved state is orthogonal to the start.
 
-    A dominant level certifies analytically that the overlap modulus never
-    drops below 2 P - 1, where P > 1/2 is the largest population of a level
-    (hilbert._levels; the slowest beat is the smallest gap between levels).
-    The populations sum with rounding, so the reported floor is capped at 1.
-    No search runs then.  A fully degenerate spectrum is one level that holds
-    all the population, so the certificate decides it too.
+    The search reads the levels (hilbert.Levels) and their populations, not
+    the eigenvalues.  A dominant level certifies analytically that the
+    overlap modulus never drops below 2 P - 1, where P > 1/2 is the largest
+    population of a level; the populations sum with rounding, so the floor
+    is capped at 1, and no march runs.  A fully degenerate spectrum is one
+    level that holds all the population.
 
-    Otherwise a certified march looks for the first time with |o| at or
-    below DEFAULT_TOL_ORTH, up to a horizon of HORIZON_PERIODS slowest beat
-    periods.  It starts at the Mandelstam-Tamm time hbar arccos(tol) / dH,
-    before which |o| >= cos(dH t / hbar) > tol.  From a point with modulus a
-    and radial slope r it steps by the positive root s of
-    a + r s - (dH/hbar)^2 s^2 / 2 = tol + margin, a second-order
-    Piyavskii-Shubert step: no modulus at or below tol lies within it.  The
-    margin d eps (1 + max|E_k - <H>| t / hbar) covers the rounding of the
-    phases up to the window's end.  The windows run in time order, the first
-    8 pi hbar / dH wide and each next one twice as wide; each is split into
-    MARCH_LANES lanes that march together.  A lane that gets within 2 tol on
-    a descent, or whose step stops moving it, is refined by bisecting the
-    |o|^2 slope to REFINE_REL_TOL relative to max(t, hbar / dH); the first
-    window holding a refined minimum at or below tol returns the earliest.
+    Otherwise a certified march (_March.window) looks for the first time
+    with |o| at or below DEFAULT_TOL_ORTH, up to HORIZON_PERIODS periods of
+    the slowest beat, the smallest gap between level energies.  It starts
+    at the Mandelstam-Tamm time hbar arccos(tol) / dH, before which
+    |o| >= cos(dH t / hbar) > tol.  Its margin
+    L eps (1 + max|E_L - <H>| t / hbar) + spread t / hbar covers the
+    rounding of the L phases and the merging of each level's eigenvalues
+    into its energy, so what it certifies of the level overlap holds for
+    the eigenvalue overlap.  The windows run in time order, the first
+    8 pi hbar / dH wide and each next one twice as wide; the first holding a
+    refined minimum at or below tol returns the earliest.
 
     min_observed_overlap is |o(tau_perp)| when found.  When the march
     certifies that no zero lies up to the horizon, the span [0, t_MT] is
-    marched too and min_observed_overlap is the minimum of |o| over
-    [0, horizon]: the smallest evaluated modulus, lowered by refining each
-    gap between evaluated points whose end slopes straddle zero and whose
-    second-order lower bound falls below it.  Every outcome is one
-    OrthogonalizationResult, with the work spent and what decided it.
-
-    The kind is "inconclusive" when nothing is found and no certificate
-    applies, when the march spends MARCH_BUDGET evaluations or a lane's step
-    stops moving before a minimum above tol, and when (dH / hbar)^2
-    overflows or underflows, so that no step is certified.  Short of the
-    horizon its min_observed_overlap is the smallest modulus evaluated.
+    marched too, and the search is inconclusive with the minimum of |o| over
+    [0, horizon] (_March.smallest_minimum).  It is inconclusive, with the
+    smallest modulus evaluated, when the march spends MARCH_BUDGET
+    evaluations or a lane's step stops moving before a minimum above tol,
+    and when (dH / hbar)^2 overflows or underflows, so that no step is
+    certified.
     """
-    hbar, evals = scenario.hbar, scenario.spectrum.eigenvalues
-    probs = dynamics._populations(scenario)
-
-    # the first column of each level (hilbert._levels); a level's columns are adjacent
-    starts = np.flatnonzero(np.diff(hilbert._levels(evals), prepend=-1))
-    bound = min(1.0, 2.0 * float(np.add.reduceat(probs, starts).max()) - 1.0)
+    bound = min(1.0, 2.0 * float(scenario._populations.max()) - 1.0)
     if bound > DEFAULT_TOL_ORTH:
         return OrthogonalizationResult(
             "never_orthogonal", None, bound, 1.0, 0.0, 0, 0, "certificate"
         )
 
-    horizon = HORIZON_PERIODS * 2.0 * math.pi * hbar / float(np.diff(evals)[starts[1:] - 1].min())
-    march = _March(probs, evals, hbar, horizon)
+    slowest_beat = float(np.diff(scenario.spectrum.levels.energies).min())
+    horizon = HORIZON_PERIODS * 2.0 * math.pi * scenario.hbar / slowest_beat
+    march = _March(scenario, horizon)
     if not 0.0 < march.curvature < math.inf:
         # no step is certified when (dH / hbar)^2 overflows or underflows
         return march.outcome("inconclusive", None, march.smallest_evaluated())

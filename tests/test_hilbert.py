@@ -167,16 +167,22 @@ def test_degenerate_group_ordering():
 
 def test_degenerate_runs_at_both_ends_are_ordered_by_anchor():
     """Each run of eigenvalues within tolerance is ordered by anchor row, the
-    runs at both ends of the spectrum alike; lone eigenvalues keep their place."""
+    runs at both ends of the spectrum alike; lone eigenvalues keep their place.
+    The runs are two levels of the record: the split one takes hi - (hi - lo)/2
+    and the spread 1e-12, the exact one and the lone eigenvalues their own bits."""
     # -2 + 1e-12 is within the tolerance 1e-12 * max|E| of -2
     evals = np.array([-2.0, -2.0, -2.0 + 1e-12, 0.5, 1.0, 3.0, 3.0])
     perm = [5, 1, 3, 6, 0, 4, 2]  # the anchor row of each column
-    out_evals, out_vecs, _, _ = hilbert._spectral_decomposition(
+    out_evals, out_vecs, _, _, levels = hilbert._spectral_decomposition(
         _member(evals, np.eye(7)[:, perm]), 0, 0.0
     )
     expected = [1, 3, 5, 6, 0, 2, 4]
     np.testing.assert_array_equal(out_vecs, np.eye(7)[:, expected])
     np.testing.assert_array_equal(out_evals, evals[[perm.index(k) for k in expected]])
+    split = (-2.0 + 1e-12) - 0.5 * ((-2.0 + 1e-12) - -2.0)
+    assert levels.starts.tolist() == [0, 3, 4, 5]
+    assert levels.energies.tobytes() == np.array([split, 0.5, 1.0, 3.0]).tobytes()
+    assert levels.spread == (-2.0 + 1e-12) - -2.0
 
 
 def _member(evals, vecs) -> np.ndarray:

@@ -16,6 +16,7 @@ from qubit_oracles import (
 from quncert import (
     FIGURE_PRESETS,
     QubitPreset,
+    Scenario,
     SeriesStats,
     TimeGrid,
     Trajectory,
@@ -144,6 +145,21 @@ def test_tick_tock_half_period_product(name):
     assert report.delta_t == pytest.approx(math.pi / p.omega, rel=1e-6)
     assert report.delta_e == pytest.approx(p.hbar * p.omega, abs=1e-12)
     assert report.product == pytest.approx(math.pi * p.hbar, rel=1e-6)
+
+
+def test_clock_rate_reads_the_populated_levels():
+    """H = diag(0, 1, 5) with psi on the lower pair: the clock ticks across
+    the one gap the state populates, so delta_E is 1, not E_max - E_min = 5,
+    and delta_E * delta_t is pi."""
+    sx = np.zeros((3, 3))
+    sx[:2, :2] = pauli("x").real
+    s = Scenario(
+        1.0, np.diag([0.0, 1.0, 5.0]), np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0),
+        TimeGrid(0.0, 20.0, 4000), {"sx": sx},
+    )
+    report = tick_tock(evolve(s), "sx")
+    assert report.delta_e == 1.0
+    assert report.product == pytest.approx(math.pi, rel=1e-6)
 
 
 def test_tick_tock_extrema_alternate_and_refine():

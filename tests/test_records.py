@@ -8,10 +8,13 @@ and its fields in the order callers already rely on.
 import pytest
 
 import quncert
-from quncert import verify
+from quncert import hilbert, verify
 
 RECORD_FIELDS = {
-    quncert.SpectralDecomposition: ("eigenvalues", "eigenvectors", "sweeps", "offdiag_residual"),
+    quncert.SpectralDecomposition: (
+        "eigenvalues", "eigenvectors", "sweeps", "offdiag_residual", "levels",
+    ),
+    hilbert.Levels: ("starts", "energies", "spread"),
     quncert.StatSummary: ("mean", "variance", "stddev"),
     quncert.CoherenceSummary: ("coherence", "predictability", "basis_dim"),
     quncert.SeriesStats: ("mean", "variance", "stddev"),

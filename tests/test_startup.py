@@ -13,6 +13,7 @@ collector frozen, so shutdown skips the import-time objects instead of
 freeing them one at a time.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -26,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import quncert
-from quncert import cli, verify
+from quncert import cli, hilbert, verify
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = str(Path(quncert.__file__).resolve().parent.parent)
@@ -174,6 +175,23 @@ def test_each_function_and_class_is_bound_only_where_it_is_defined():
             ):
                 copies.append(f"{info.name}.{attr} from {home}")
     assert copies == []
+
+
+def test_levels_are_derived_in_one_place():
+    """The one level rule: hilbert._levels has one caller, the epilogue that
+    builds SpectralDecomposition.levels, and every other reader of the levels
+    reads that record."""
+    calls = []
+    for info in pkgutil.iter_modules(quncert.__path__, "quncert."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(info.name)))
+        calls += [
+            (info.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "_levels" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    lines, first = inspect.getsourcelines(hilbert._spectral_decomposition)
+    assert [module for module, _ in calls] == ["quncert.hilbert"]
+    assert first <= calls[0][1] < first + len(lines)
 
 
 def test_dir_lists_every_public_name_before_first_use():

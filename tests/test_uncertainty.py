@@ -299,6 +299,69 @@ def test_degenerate_level_certificate_is_tight():
     assert abs(state_overlap(s, math.pi)) == pytest.approx(0.2, abs=1e-12)
 
 
+# six incommensurate levels and their populations, the d = 6 member of a family
+FAMILY_LEVELS = np.array(
+    [0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0), math.pi / 1.7, math.e / 1.3]
+)
+FAMILY_POPULATIONS = np.array([0.2, 0.15, 0.2, 0.15, 0.15, 0.15])
+
+
+def _repeated_levels(n):
+    """The family at d = 6 n: each level repeated n times, its population split evenly."""
+    evals = np.repeat(FAMILY_LEVELS, n)
+    return scenario_of(np.diag(evals), np.sqrt(np.repeat(FAMILY_POPULATIONS / n, n)))
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 16], ids=lambda n: f"d{6 * n}")
+def test_repeated_levels_search_as_their_six_levels(monkeypatch, n):
+    """The survival amplitude depends only on the levels, so the search over
+    d = 6 n eigenvalues is the search over the six levels: the same kind, the
+    same evaluations, the same minimum to rounding, and six overlap terms."""
+    base = orthogonalization_time(_repeated_levels(1))
+    terms = []
+    overlap = uncertainty._overlap
+
+    def recording(weights, *args):
+        terms.append(weights.shape[-1])
+        return overlap(weights, *args)
+
+    monkeypatch.setattr(uncertainty, "_overlap", recording)
+    result = orthogonalization_time(_repeated_levels(n))
+    assert (result.kind, result.evaluations) == (base.kind, base.evaluations)
+    assert (base.kind, base.evaluations) == ("inconclusive", 1728)
+    assert abs(result.min_observed_overlap - base.min_observed_overlap) <= 1e-12
+    assert set(terms) == {6}
+
+
+SPLIT_POPULATIONS = {
+    "eigenstate": [0.0, 0.5, 0.5, 0.0],
+    "found": [0.25, 0.25, 0.25, 0.25],
+    "inconclusive": [0.5, 0.125, 0.125, 0.25],
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_POPULATIONS)
+def test_a_level_split_below_the_gap_tolerance_searches_as_its_twin(case):
+    """Eigenvalues 1 and 1 + 1e-13 in a rotated basis, closer than
+    GAP_TOL_FACTOR * ||H||_2 = 2e-12, are one level of spread about 1e-13,
+    which the march's margin covers: the search decides as it does for the
+    exactly degenerate diag(0, 1, 1, 2), whose spread is 0.0."""
+    probs = np.array(SPLIT_POPULATIONS[case])
+    twin = scenario_of(np.diag([0.0, 1.0, 1.0, 2.0]), np.sqrt(probs))
+    split = scenario_of(*rotated(np.diag([0.0, 1.0, 1.0 + 1e-13, 2.0]), np.sqrt(probs)))
+    assert twin.spectrum.levels.spread == 0.0
+    assert 0.0 < split.spectrum.levels.spread < hilbert.GAP_TOL_FACTOR
+    want, got = orthogonalization_time(twin), orthogonalization_time(split)
+    assert (got.kind, got.decided_by) == (want.kind, want.decided_by)
+    assert want.kind == ("never_orthogonal" if case == "eigenstate" else case)
+    if want.min_overlap_bound is not None:
+        assert got.min_overlap_bound == pytest.approx(want.min_overlap_bound, abs=1e-12)
+    if want.tau_perp is not None:
+        # |o| = cos^2(t / 2) is flat at its zero pi: the split's zero is the twin's
+        assert abs(state_overlap(twin, got.tau_perp)) <= DEFAULT_TOL_ORTH
+    assert got.min_observed_overlap == pytest.approx(want.min_observed_overlap, abs=1e-9)
+
+
 def test_underflowing_curvature_makes_the_search_inconclusive():
     """At hbar = 1e300, (dH / hbar)^2 underflows to 0: the state does reach
     an orthogonal one, at pi * hbar, but no step can be certified."""
@@ -336,7 +399,7 @@ def test_refine_minima_falls_back_to_midpoint_of_unclean_bracket():
     lo = np.array([0.9, 1.2]) * t_min
     hi = np.array([1.1, 1.6]) * t_min
     unclean_mid = 0.5 * (lo[1] + hi[1])
-    march = uncertainty._March(probs, evals, hbar, horizon=0.0)
+    march = uncertainty._March(scenario_of(np.diag(evals), np.sqrt(probs), hbar), horizon=0.0)
     t_star, _ = march.refine_minima(lo, hi)
     assert abs(t_star[0] - t_min) <= REFINE_REL_TOL * max(1.0, t_min)
     assert t_star[1] == unclean_mid
@@ -516,7 +579,8 @@ def test_march_budget_ends_inconclusive(monkeypatch):
 def test_march_stops_on_a_stuck_lane():
     """Near t = 1e17 a step of the qubit's march falls below one ulp of t,
     so the earliest open lane is stuck well before MARCH_BUDGET is spent."""
-    march = uncertainty._March(np.array([0.5, 0.5]), np.array([0.0, 1.0]), 1.0, 1e18)
+    s = scenario_of(np.diag([0.0, 1.0]), np.full(2, math.sqrt(0.5)))
+    march = uncertainty._March(s, 1e18)
     with pytest.raises(uncertainty._MarchStopped):
         march.window(1e17, 1e17 + 1e4)
     assert (march.evaluations, march.windows) == (512, 1)
