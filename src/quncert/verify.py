@@ -243,9 +243,12 @@ def _suite_uncertainty(scenario, rng, presets, suites) -> dict[str, list[Check]]
             matrices[second],
             np.broadcast_to(scenario.initial_state, (first.size, scenario.dim)),
         )
-        slacks = zip(first, second, (product - rob).tolist(), (product - sch).tolist())
-        for i, j, rob_slack, sch_slack in slacks:
-            pair = f"{names[i]}x{names[j]}"
+        pairs = [f"{names[i]}x{names[j]}" for i, j in zip(first, second)]
+        if len(set(pairs)) < len(pairs):  # e.g. x with xxx and xx with xx
+            repeated = next(p for k, p in enumerate(pairs) if p in pairs[:k])
+            raise ValueError(f"two observable pairs share the check name {repeated!r}")
+        slacks = zip(pairs, (product - rob).tolist(), (product - sch).tolist())
+        for pair, rob_slack, sch_slack in slacks:
             robertson.append(_check("robertson.{}.slack", pair, rob_slack))
             schrodinger.append(_check("schrodinger.{}.slack", pair, sch_slack))
         return {"robertson": robertson, "schrodinger": schrodinger}

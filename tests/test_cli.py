@@ -1,9 +1,11 @@
 """End-to-end CLI tests: scenario parsing, CSV emission, verify reports.
 
 Runs the entry point in process via main(argv). Child processes run the
-inputs that once hung, under ``-W error`` and a timeout, others check that a
-child process writes the bytes main(argv) writes, and one confirms the
-installed console script is wired up.
+inputs that once hung and the inputs the arithmetic cannot hold, under
+``-W error`` and a timeout; others check that a child process writes the
+bytes main(argv) writes, that a closed pipe ends it quietly, and that
+``tests/digests.py`` prints its table; one confirms the installed console
+script is wired up.  These are the process-level facts CI relies on.
 """
 
 import builtins
@@ -724,20 +726,47 @@ def test_ctrl_c_ends_with_one_line_and_no_traceback(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "args,status",
+    "args,mangle,status",
     [
-        (["verify", "all", "--seed", "42"], EXIT_PASS),
-        (["evolve", str(DATA / "scenario_dim6.json")], EXIT_PASS),
-        (["figure", "fig2", "-d", "{dir}"], EXIT_PASS),
-        (["evolve", "{dir}/missing.json"], EXIT_INPUT),
+        (["verify", "all", "--seed", "42"], None, EXIT_PASS),
+        # the dim-6 file's orthogonalization search is inconclusive
+        (["verify", "all", "--scenario", str(DATA / "scenario_dim6.json")], None,
+         EXIT_INCONCLUSIVE),
+        (["verify", "all", "--scenario", str(DATA / "scenario_qubit_found.json")], None,
+         EXIT_PASS),
+        (["verify", "all", "--scenario", str(DATA / "scenario_offset_cancels.json")], None,
+         EXIT_PASS),
+        (["evolve", str(DATA / "scenario_dim6.json")], None, EXIT_PASS),
+        # 10,000 rows cross two seams of the writer's 4096-row chunks
+        (["evolve", "{scenario}"], lambda d: d["time"].update(steps=10000), EXIT_PASS),
+        (["figure", "fig1", "-d", "{dir}"], None, EXIT_PASS),
+        (["figure", "fig2", "-d", "{dir}"], None, EXIT_PASS),
+        (["figure", "fig3", "-d", "{dir}"], None, EXIT_PASS),
+        (["evolve", "{dir}/missing.json"], None, EXIT_INPUT),
+        # observables x, xx and xxx name both pairs (x, xxx) and (xx, xx) "xxxxx",
+        # which only the uncertainty suites name checks by
+        (["verify", "robertson", "--scenario", "{scenario}"],
+         lambda d: d.update(observables=dict.fromkeys(["x", "xx", "xxx"], d["hamiltonian"])),
+         EXIT_INPUT),
+        (["verify", "conservation", "--scenario", "{scenario}"],
+         lambda d: d.update(observables=dict.fromkeys(["x", "xx", "xxx"], d["hamiltonian"])),
+         EXIT_PASS),
     ],
-    ids=["verify", "evolve", "figure", "missing-file"],
+    ids=["verify", "verify-dim6", "verify-qubit-found", "verify-offset-cancels", "evolve",
+         "evolve-10k", "figure-fig1", "figure", "figure-fig3", "missing-file",
+         "repeated-pair-name-robertson", "repeated-pair-name-conservation"],
 )
-def test_a_process_writes_what_main_argv_writes(tmp_path, capsysbinary, args, status):
+def test_a_process_writes_what_main_argv_writes(tmp_path, capsysbinary, args, mangle, status):
     """`python -m quncert.cli`, which ends by freezing the collector, writes
-    the same bytes and exits with the same status as main(argv) in process."""
+    the same bytes and exits with the same status as main(argv) in process,
+    and warns of nothing: the child turns every warning into an error.
+    ``mangle`` edits a copy of the dim-6 file, run as ``{scenario}``."""
     outdir = tmp_path / "out"
-    argv = [a.format(dir=outdir) for a in args]
+    if mangle is not None:
+        doc = json.loads((DATA / "scenario_dim6.json").read_text())
+        mangle(doc)
+        write_json(tmp_path / "scenario.json", doc)
+    argv = [a.format(dir=outdir, scenario=tmp_path / "scenario.json") for a in args]
 
     def files():
         return {p.name: p.read_bytes() for p in outdir.iterdir()} if outdir.exists() else {}
@@ -758,30 +787,46 @@ def test_a_process_writes_what_main_argv_writes(tmp_path, capsysbinary, args, st
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,lines",
     [
-        ["evolve", str(DATA / "scenario_dim6.json")],
-        ["verify", "all"],
-        ["figure", "fig1", "-d", "{tmp}"],
+        (["evolve", str(DATA / "scenario_dim6.json")], 0),
+        (["verify", "all"], 0),
+        (["figure", "fig1", "-d", "{tmp}"], 0),
+        # `| head -1` on 10,000 rows, more than the pipe buffers
+        (["evolve", "{tmp}/dim6_10k.json"], 1),
     ],
-    ids=["evolve", "verify", "figure"],
+    ids=["evolve", "verify", "figure", "evolve-head-1"],
 )
-def test_a_closed_pipe_ends_quietly(tmp_path, args):
+def test_a_closed_pipe_ends_quietly(tmp_path, args, lines):
     """A reader that has closed stdout, as `| head` does once it has its
     lines, stops the command with 128 + SIGPIPE and nothing on stderr, not
-    with the bad-input code, an error line or an "Exception ignored" at exit."""
+    with the bad-input code, an error line or an "Exception ignored" at exit.
+    The reader takes ``lines`` lines first; with none, it is gone before the
+    first write."""
+    doc = json.loads((DATA / "scenario_dim6.json").read_text())
+    doc["time"]["steps"] = 10000
+    write_json(tmp_path / "dim6_10k.json", doc)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = [a.format(tmp=tmp_path) for a in args]
     read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before the first write
+    if not lines:
+        os.close(read_end)
     try:
-        result = subprocess.run(
+        child = subprocess.Popen(
             [sys.executable, "-W", "error", "-m", "quncert.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
         )
     finally:
         os.close(write_end)
-    assert (result.returncode, result.stderr) == (EXIT_BROKEN_PIPE, b"")
+    try:
+        if lines:
+            with open(read_end, "rb") as reader:
+                for _ in range(lines):
+                    assert reader.readline()
+        _, stderr = child.communicate(timeout=60)
+    finally:
+        child.kill()  # a hang fails the test at the timeout; nothing once it has exited
+    assert (child.returncode, stderr) == (EXIT_BROKEN_PIPE, b"")
 
 
 def test_figure_runs_without_stdout(tmp_path):
@@ -832,18 +877,17 @@ def test_unallocatable_grid_is_an_input_error(tmp_path, capsys, command):
     ],
     ids=["width", "steps_2^63-1", "steps_2^63", "hbar_1e-320"],
 )
-def test_grid_the_arithmetic_cannot_hold_is_an_input_error(
-    tmp_path, capsys, command, change, message
-):
+def test_grid_the_arithmetic_cannot_hold_is_an_input_error(tmp_path, command, change, message):
     """A width that overflows would sample NaN times, np.linspace cannot
     sample a step count beyond one float64 array, and a time over hbar that
-    overflows would make every phase NaN: all are bad input."""
+    overflows would make every phase NaN: all are bad input, also from the
+    process entry, where main freezes the collector."""
     doc = {**json.loads((DATA / "scenario_dim6.json").read_text()), **change}
     path = write_json(tmp_path / "grid.json", doc)
-    assert main([*command, path]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    result = run_cli_strict(*command, path)
+    assert result.returncode == EXIT_INPUT
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert message in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -851,19 +895,20 @@ def test_grid_the_arithmetic_cannot_hold_is_an_input_error(
     [(["evolve"], EXIT_PASS), (["verify", "all", "--scenario"], EXIT_INPUT)],
     ids=["evolve", "verify"],
 )
-def test_period_beyond_the_float_range_is_an_input_error(tmp_path, capsys, command, status):
+def test_period_beyond_the_float_range_is_an_input_error(tmp_path, command, status):
     """At hbar = 1e308 the dim-6 file's own grid holds, so evolve samples it.
     verify's default Ehrenfest step is a fraction of the fastest period
     2 pi hbar / (E_max - E_min), which overflows: one error line names it,
     and no timescale that overflows on the way warns."""
     doc = {**json.loads((DATA / "scenario_dim6.json").read_text()), "hbar": 1e308}
     path = write_json(tmp_path / "hbar.json", doc)
-    assert main([*command, path]) == status
-    err = capsys.readouterr().err
+    result = run_cli_strict(*command, path)
+    assert result.returncode == status
     if status == EXIT_PASS:
-        assert err == ""
+        assert result.stderr == ""
     else:
-        assert err.startswith("error: the fastest period") and err.count("\n") == 1
+        assert result.stderr.startswith("error: the fastest period")
+        assert result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -1214,21 +1259,35 @@ def test_uncertainty_fuzz_memory_is_bounded():
 
 
 def _verify_checks(tmp_path, suite, extra):
+    """The exit status of `verify <suite>` and the checks it reported."""
     report = tmp_path / f"{suite}.json"
-    main(["verify", suite, *extra, "--report", str(report)])
-    return json.loads(report.read_text(encoding="utf-8"))["checks"]
+    status = main(["verify", suite, *extra, "--report", str(report)])
+    return status, json.loads(report.read_text(encoding="utf-8"))["checks"]
 
 
-@pytest.mark.parametrize("extra", [["--seed", "42"], ["--scenario", str(DATA / "scenario_dim6.json")]])
-def test_single_suite_matches_slice_of_all(tmp_path, extra):
-    """Suites sharing an analysis keep their own checks, bit for bit."""
-    everything = _verify_checks(tmp_path, "all", extra)
+@pytest.mark.parametrize(
+    "extra,empty",
+    [
+        (["--seed", "42"], []),
+        (["--scenario", str(DATA / "scenario_dim6.json")], []),
+        (["--scenario", str(DATA / "scenario_qubit_found.json")], []),
+        # a file without observables gives ehrenfest and mt nothing to check
+        (["--scenario", str(DATA / "scenario_offset_cancels.json")], ["ehrenfest", "mt"]),
+    ],
+    ids=["seed42", "dim6", "qubit-found", "offset-cancels"],
+)
+def test_single_suite_matches_slice_of_all(tmp_path, extra, empty):
+    """Suites sharing an analysis keep their own checks, bit for bit, and
+    each exits inconclusive only for a search it reports inconclusive."""
+    _, everything = _verify_checks(tmp_path, "all", extra)
     suites = [s for s in VERIFY_SUITES if s != "all"]
     assert len(suites) == 8
     covered = 0
     for suite in suites:
-        alone = _verify_checks(tmp_path, suite, extra)
-        assert alone
+        status, alone = _verify_checks(tmp_path, suite, extra)
+        assert bool(alone) is (suite not in empty), suite
+        inconclusive = any(c["verdict"] == "inconclusive" for c in alone)
+        assert status == (EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS), suite
         # the JSON floats round-trip, so equality here is bit equality
         assert alone == [c for c in everything if c["name"].startswith(suite + ".")]
         covered += len(alone)
@@ -1260,14 +1319,25 @@ def test_verify_all_matches_golden_report(tmp_path):
     assert_matches_golden(path, "verify_all_seed42.json")
 
 
-def test_verify_scenario_matches_golden_report(tmp_path):
+@pytest.mark.parametrize(
+    "scenario,golden,status",
+    [
+        ("scenario_dim6.json", "verify_all_scenario_dim6.json", EXIT_INCONCLUSIVE),
+        ("scenario_qubit_found.json", "verify_all_scenario_qubit_found.json", EXIT_PASS),
+        ("scenario_offset_cancels.json", "verify_all_scenario_offset_cancels.json", EXIT_PASS),
+    ],
+    ids=["dim6", "qubit-found", "offset-cancels"],
+)
+def test_verify_scenario_matches_golden_report(tmp_path, scenario, golden, status):
     """A dim-6 scenario, whose Ehrenfest halving ratios amplify any change in
-    the rounding of the mean by the inverse finite-difference step."""
+    the rounding of the mean by the inverse finite-difference step; a qubit
+    whose search finds tau_perp; and an H that the offset E0 = -5 nearly
+    cancels.  A golden that moves is rewritten by `verify all --scenario
+    tests/data/<scenario> --report tests/data/<golden>`."""
     path = tmp_path / "report.json"
-    scenario = str(DATA / "scenario_dim6.json")
-    code = main(["verify", "all", "--scenario", scenario, "--report", str(path)])
-    assert code == EXIT_INCONCLUSIVE
-    assert_matches_golden(path, "verify_all_scenario_dim6.json")
+    code = main(["verify", "all", "--scenario", str(DATA / scenario), "--report", str(path)])
+    assert code == status
+    assert_matches_golden(path, golden)
 
 
 def test_figure_fig1_population_panels(tmp_path, capsys):
@@ -1284,6 +1354,9 @@ def test_figure_fig1_population_panels(tmp_path, capsys):
 
 
 def test_figure_fig2_tick_annotations(tmp_path):
+    """Each tick table alternates, and matches its committed copy: kinds
+    exact, times within 1e-12 relative.  A copy that moves is rewritten from
+    `figure fig2 -d <dir>`."""
     assert main(["figure", "fig2", "-d", str(tmp_path)]) == EXIT_PASS
     assert not (tmp_path / "fig2A_ticks.csv").exists()  # no clock at C = 0
     for panel in ("fig2B", "fig2C", "fig2D"):
@@ -1292,6 +1365,11 @@ def test_figure_fig2_tick_annotations(tmp_path):
         kinds = [row.split(",")[1] for row in lines[1:]]
         assert len(kinds) >= 3
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
+        golden = (DATA / f"{panel}_ticks.csv").read_text().strip().splitlines()
+        assert len(lines) == len(golden) and lines[0] == golden[0]
+        for row, want in zip(lines[1:], golden[1:]):
+            (t, kind), (t_want, kind_want) = row.split(","), want.split(",")
+            assert kind == kind_want and math.isclose(float(t), float(t_want), rel_tol=1e-12)
 
 
 def test_figure_fig3_product_floor(tmp_path):
@@ -1418,6 +1496,22 @@ def test_figure_output_is_deterministic(tmp_path):
     assert main(["figure", "fig2", "-d", str(second)]) == EXIT_PASS
     for name in sorted(os.listdir(first)):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_digest_table_names_each_output():
+    """`python tests/digests.py` prints one digest per output; the values
+    depend on the BLAS numpy links, so only the names and the format are pinned."""
+    result = subprocess.run(
+        [sys.executable, "-W", "error", str(Path(__file__).parent / "digests.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (EXIT_PASS, "")
+    rows = [re.fullmatch(r"(\S+)  [0-9a-f]{16}", line) for line in result.stdout.splitlines()]
+    assert all(rows)
+    assert [row[1] for row in rows] == [
+        "verify-seed42", "verify-seed1", "verify-dim6", "verify-qubit-found",
+        "verify-offset-cancels", "figures", "evolve-dim6",
+    ]
 
 
 @pytest.mark.skipif(shutil.which("quncert") is None, reason="script not on PATH")
