@@ -95,7 +95,7 @@ def _require_phase_range(grid: TimeGrid, hbar: float) -> None:
         raise ValueError(f"t / hbar overflows: |t| reaches {t_max!r} at hbar = {hbar!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Hamiltonian, initial state, sampling grid, and named observables.
 
@@ -162,7 +162,7 @@ def _on_default_grid(
     only after it exists: it is built on a placeholder grid, which is then
     replaced by the grid read from its own cached spectrum.
     """
-    placeholder = TimeGrid(0.0, hilbert.require_positive_finite(hbar, "hbar"), 2)
+    placeholder = TimeGrid(0.0, hbar, 2)
     scenario = Scenario(hbar, hamiltonian, initial_state, placeholder, observables)
     grid = default_time_grid(scenario.spectrum, hbar, steps)
     _require_phase_range(grid, scenario.hbar)
@@ -355,13 +355,14 @@ def offset_invariance_check(scenario: Scenario, offsets) -> list[OffsetInvarianc
     one shifted trajectory at a time; the base and shifted Hamiltonians are
     decomposed together (_offset_comparison).
     """
+    offsets = [hilbert.require_finite_real(offset, "offset") for offset in offsets]
     return _offset_comparison(scenario, offsets)[1]
 
 
 def _offset_comparison(
     scenario: Scenario, offsets
 ) -> tuple[Trajectory, list[OffsetInvarianceReport]]:
-    """The base trajectory and one OffsetInvarianceReport per offset.
+    """The base trajectory and one OffsetInvarianceReport per validated offset.
 
     Each shifted scenario copies the base's fields with H + offset * identity;
     a real shift of the diagonal leaves every entry of H - H^dagger as it is,
@@ -374,12 +375,11 @@ def _offset_comparison(
     for itself.  Each shifted trajectory is then evolved and compared in turn.
     The conservation and Mandelstam-Tamm checks read the base trajectory too.
     """
-    offsets = list(offsets)
     base_fields = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
     shifted = []
     for offset in offsets:
         with np.errstate(over="ignore"):
-            h = _shift(scenario.hamiltonian, hilbert.require_finite_real(offset, "offset"))
+            h = _shift(scenario.hamiltonian, offset)
             if not math.isfinite(float(np.linalg.norm(h))):
                 raise ValueError("hamiltonian is too large: its Frobenius norm overflows")
         s = object.__new__(type(scenario))  # no __post_init__, and no cached spectrum
@@ -456,17 +456,15 @@ def ehrenfest_residual(
     The centered difference uses exact spectral evolution at t +- fd_step, so
     the residual is pure O(fd_step^2) truncation error.
     """
-    return _ehrenfest_residual(_require_observable(observable, scenario.dim), scenario, t, fd_step)
-
-
-def _ehrenfest_residual(a: np.ndarray, scenario: Scenario, t, fd_step) -> float:
-    """ehrenfest_residual of an observable the caller has validated."""
+    a = _require_observable(observable, scenario.dim)
     t = hilbert.require_finite_real(t, "t")
-    spec = scenario.spectrum
     if fd_step is None:
-        fd_step = default_fd_step(spec, scenario.hbar)
-    hilbert.require_positive_finite(fd_step, "fd_step")
+        fd_step = default_fd_step(scenario.spectrum, scenario.hbar)
+    return _ehrenfest_residual(a, scenario, t, hilbert.require_positive_finite(fd_step, "fd_step"))
 
+
+def _ehrenfest_residual(a: np.ndarray, scenario: Scenario, t: float, fd_step: float) -> float:
+    """ehrenfest_residual of an observable, a time and a step the caller has validated."""
     # one single-column evaluation per stencil point, so that the rounding of
     # each mean (which the difference quotient amplifies by 1/fd_step) does
     # not depend on how many columns share a matrix product

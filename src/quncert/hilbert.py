@@ -56,7 +56,7 @@ def as_complex_matrix(matrix, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -106,7 +106,7 @@ def as_state(vector, name: str = "state") -> np.ndarray:
     v = np.asarray(vector, dtype=np.complex128)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{name} must be a nonempty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     norm_sq = float(np.real(np.vdot(v, v)))
     if abs(norm_sq - 1.0) > NORM_TOL:

@@ -4,7 +4,7 @@
 
 Runs ``quncert.cli.main(argv)`` of this checkout's ``src`` in this process,
 into a temporary directory, and prints ``name  sha256[:16]`` for the seed-42
-and seed-1 preset reports, the ``verify all`` reports of the three committed
+and seed-1 preset reports, the ``verify all`` reports of the four committed
 scenario files, the 13 figure CSVs concatenated in name order, and
 ``evolve`` on the dim-6 file.  The digests depend on the BLAS numpy links, so
 they compare two commits on one machine; no test compares them to a kept value.
@@ -25,6 +25,7 @@ REPORTS = {
     "verify-dim6": ["--scenario", str(DATA / "scenario_dim6.json")],
     "verify-qubit-found": ["--scenario", str(DATA / "scenario_qubit_found.json")],
     "verify-offset-cancels": ["--scenario", str(DATA / "scenario_offset_cancels.json")],
+    "verify-pool0-dim24": ["--scenario", str(DATA / "scenario_pool0_dim24.json")],
 }
 
 

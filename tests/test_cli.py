@@ -1325,15 +1325,18 @@ def test_verify_all_matches_golden_report(tmp_path):
         ("scenario_dim6.json", "verify_all_scenario_dim6.json", EXIT_INCONCLUSIVE),
         ("scenario_qubit_found.json", "verify_all_scenario_qubit_found.json", EXIT_PASS),
         ("scenario_offset_cancels.json", "verify_all_scenario_offset_cancels.json", EXIT_PASS),
+        ("scenario_pool0_dim24.json", "verify_all_scenario_pool0_dim24.json", EXIT_INCONCLUSIVE),
     ],
-    ids=["dim6", "qubit-found", "offset-cancels"],
+    ids=["dim6", "qubit-found", "offset-cancels", "pool0-dim24"],
 )
 def test_verify_scenario_matches_golden_report(tmp_path, scenario, golden, status):
     """A dim-6 scenario, whose Ehrenfest halving ratios amplify any change in
     the rounding of the mean by the inverse finite-difference step; a qubit
-    whose search finds tau_perp; and an H that the offset E0 = -5 nearly
-    cancels.  A golden that moves is rewritten by `verify all --scenario
-    tests/data/<scenario> --report tests/data/<golden>`."""
+    whose search finds tau_perp; an H that the offset E0 = -5 nearly
+    cancels; and the first dim-24 scenario of the benchmark's verify_scenario
+    pool (seed 1), whose search is inconclusive.  A golden that moves is
+    rewritten by `verify all --scenario tests/data/<scenario> --report
+    tests/data/<golden>`."""
     path = tmp_path / "report.json"
     code = main(["verify", "all", "--scenario", str(DATA / scenario), "--report", str(path)])
     assert code == status
@@ -1510,7 +1513,7 @@ def test_digest_table_names_each_output():
     assert all(rows)
     assert [row[1] for row in rows] == [
         "verify-seed42", "verify-seed1", "verify-dim6", "verify-qubit-found",
-        "verify-offset-cancels", "figures", "evolve-dim6",
+        "verify-offset-cancels", "verify-pool0-dim24", "figures", "evolve-dim6",
     ]
 
 

@@ -162,6 +162,15 @@ def test_replaced_scenario_decomposes_its_own_hamiltonian():
     assert s.spectrum is base
 
 
+def test_scenarios_compare_and_hash_by_identity():
+    """A record of arrays has no truth value for ==, so two builds of one
+    preset are two Scenarios, and each is hashable."""
+    a, b = (qubit_scenario(FIGURE_PRESETS["fig2D"]) for _ in range(2))
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 @pytest.mark.parametrize("h", [2.0 * np.eye(3), pauli("z")], ids=["degenerate", "sz"])
 def test_default_time_grid_is_two_fastest_periods(h, hbar):

@@ -194,6 +194,44 @@ def test_levels_are_derived_in_one_place():
     assert first <= calls[0][1] < first + len(lines)
 
 
+VALIDATORS = {"require_hermitian", "as_complex_matrix", "as_state",
+              "require_positive_finite", "require_finite_real", "_require_observable"}
+# private helpers whose one job is to validate what a public entry received
+VALIDATOR_HELPERS = {"require_hermitian", "_validated_observables", "_require_observable",
+                     "_validated_pair_bounds"}
+
+
+def _validator_calls(node, enclosing=None):
+    """(innermost enclosing function, line) of each VALIDATORS call under node;
+    the function is None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _validator_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and VALIDATORS & {
+            getattr(child.func, "id", None), getattr(child.func, "attr", None)
+        }:
+            yield enclosing, child.lineno
+        yield from _validator_calls(child, enclosing)
+
+
+def test_inputs_are_validated_once_at_the_boundary():
+    """The one boundary rule: a value is validated by the public entry or the
+    record's __post_init__ that receives it, or by a helper that only
+    validates, and a private kernel trusts what its caller validated."""
+    calls = []
+    for info in pkgutil.iter_modules(quncert.__path__, "quncert."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(info.name)))
+        calls += [(info.name, name, line) for name, line in _validator_calls(tree)]
+    misplaced = [
+        f"{module}.{name}:{line}" for module, name, line in calls
+        if name is None
+        or name.startswith("_") and name != "__post_init__" and name not in VALIDATOR_HELPERS
+    ]
+    assert misplaced == []
+    assert {"__post_init__", "ehrenfest_residual"} <= {name for _, name, _ in calls}
+
+
 def test_dir_lists_every_public_name_before_first_use():
     """A fresh package has bound no public name yet, only __version__."""
     bound, names = _probe("import quncert", "[sorted(vars(quncert)), dir(quncert)]")
