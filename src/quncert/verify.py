@@ -18,8 +18,9 @@ from . import __version__, cli, dynamics, qubit, uncertainty
 SEED_ENV_VAR = "QUNCERT_SEED"
 OFFSET_VALUES = (-5.0, 0.5, 7.3)
 
-# Triples the fuzz draws per standard_normal call (a divisor of 1000). Drawing
-# all 1000 at once raises the fuzz's tracemalloc peak from ~2 MB to ~6 MB.
+# Triples the fuzz draws, bounds and reduces at a time (a divisor of 1000). A
+# block of 250 puts d = 6's normals over glibc's 128 KiB mmap threshold and
+# raises a preset run's peak RSS.
 _FUZZ_BLOCK = 100
 
 
@@ -28,22 +29,6 @@ def random_scenario(rng: np.random.Generator, dim: int) -> dynamics.Scenario:
     h = cli.random_hermitian(rng, dim)
     observables = {f"obs{k}": cli.random_hermitian(rng, dim) for k in range(2)}
     return dynamics._on_default_grid(1.0, h, cli.random_state(rng, dim), observables)
-
-
-def _fuzz_triples(rng: np.random.Generator, dim: int):
-    """1000 (A, B, psi) triples, the same arrays and stream as 1000 rounds of
-    random_hermitian, random_hermitian, random_state."""
-    a = np.empty((1000, dim, dim), dtype=np.complex128)
-    b = np.empty_like(a)
-    psi = np.empty((1000, dim), dtype=np.complex128)
-    split = 4 * dim * dim  # each triple draws Re A, Im A, Re B, Im B, Re psi, Im psi
-    for start in range(0, 1000, _FUZZ_BLOCK):
-        rows = slice(start, start + _FUZZ_BLOCK)
-        normals = rng.standard_normal((_FUZZ_BLOCK, split + 2 * dim))
-        pair = cli._gaussian_hermitian(normals[:, :split].reshape(_FUZZ_BLOCK, 2, 2, dim, dim))
-        a[rows], b[rows] = pair[:, 0], pair[:, 1]
-        psi[rows] = cli._gaussian_state(normals[:, split:].reshape(_FUZZ_BLOCK, 2, dim))
-    return a, b, psi
 
 
 class Check(NamedTuple):
@@ -231,7 +216,9 @@ def _suite_uncertainty(scenario, rng, presets, suites) -> dict[str, list[Check]]
     """Robertson and Schrodinger checks from one evaluation of both bounds.
 
     On a scenario: its observables and H against each other, pairwise.
-    Otherwise: 1000 seeded random (A, B, psi) triples for each dim 2..6.
+    Otherwise: 1000 seeded random (A, B, psi) triples for each dim 2..6, the
+    stream of 1000 rounds of random_hermitian, random_hermitian, random_state,
+    each block bounded and reduced to its minima before the next is drawn.
     """
     robertson, schrodinger = [], []
     if scenario is not None:
@@ -254,12 +241,19 @@ def _suite_uncertainty(scenario, rng, presets, suites) -> dict[str, list[Check]]
         return {"robertson": robertson, "schrodinger": schrodinger}
 
     for dim in range(2, 7):
-        product, rob, sch = uncertainty._pair_bounds(*_fuzz_triples(rng, dim))
+        split = 4 * dim * dim  # each triple draws Re A, Im A, Re B, Im B, Re psi, Im psi
+        lows = np.full(3, np.inf)  # np.minimum keeps a NaN, as one np.min over all would
+        for _ in range(1000 // _FUZZ_BLOCK):
+            normals = rng.standard_normal((_FUZZ_BLOCK, split + 2 * dim))
+            pair = cli._gaussian_hermitian(normals[:, :split].reshape(_FUZZ_BLOCK, 2, 2, dim, dim))
+            psi = cli._gaussian_state(normals[:, split:].reshape(_FUZZ_BLOCK, 2, dim))
+            product, rob, sch = uncertainty._pair_bounds(pair[:, 0], pair[:, 1], psi)
+            lows = np.minimum(lows, np.min([product - rob, product - sch, sch - rob], axis=1))
         target = f"dim{dim}"
-        robertson.append(_check("robertson.{}.min_slack", target, float(np.min(product - rob))))
+        robertson.append(_check("robertson.{}.min_slack", target, float(lows[0])))
         schrodinger += [
-            _check("schrodinger.{}.min_slack", target, float(np.min(product - sch))),
-            _check("schrodinger.{}.rhs_dominates_robertson", target, float(np.min(sch - rob))),
+            _check("schrodinger.{}.min_slack", target, float(lows[1])),
+            _check("schrodinger.{}.rhs_dominates_robertson", target, float(lows[2])),
         ]
     return {"robertson": robertson, "schrodinger": schrodinger}
 
@@ -464,11 +458,9 @@ def cmd_verify(args) -> int:
     presets = None if scenario else {n: qubit.qubit_scenario(p) for n, p in _presets().items()}
 
     # each analysis runs once, for all the suites it covers, with a fresh rng of
-    # its own on the presets (none draws on a scenario); uncertainty runs first,
-    # on the smallest heap, since the fuzz's arrays set a preset run's peak RSS
+    # its own on the presets (none draws on a scenario)
     results: dict[str, list[Check]] = {}
-    analyses = dict.fromkeys(_SUITES[suite] for suite in suites)
-    for analysis in sorted(analyses, key=lambda a: a is not _suite_uncertainty):
+    for analysis in dict.fromkeys(_SUITES[suite] for suite in suites):
         rng = None if scenario is not None else np.random.default_rng(seed)
         results.update(analysis(scenario, rng, presets, suites))
     checks = [c for suite in suites for c in results[suite]]

@@ -1185,10 +1185,13 @@ def test_speed_limits_validate_the_scenario_once(tmp_path, count_calls, suite):
     }
 
 
-def test_verify_all_evaluates_pair_bounds_once_per_dimension(tmp_path, count_calls):
+def test_verify_all_evaluates_pair_bounds_once_per_block(tmp_path, count_calls):
+    """Ten 100-row stacks per dimension, in dimension order 2..6."""
     calls = count_calls(uncertainty, "_pair_bounds")
     assert main(["verify", "all", "--report", str(tmp_path / "r.json")]) == EXIT_PASS
-    assert [a.shape[-1] for a, _, _ in calls] == [2, 3, 4, 5, 6]
+    assert [(a.shape, b.shape, psi.shape) for a, b, psi in calls] == [
+        ((100, d, d), (100, d, d), (100, d)) for d in range(2, 7) for _ in range(10)
+    ]
 
 
 def test_verify_scenario_evaluates_pair_bounds_once_per_pair(tmp_path, count_calls):
@@ -1225,15 +1228,16 @@ FUZZ_SUITES = ("robertson", "schrodinger")
 
 @pytest.mark.parametrize("seed", [42, 1, 97])
 def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
-    """The fuzz's block draws give the arrays, bit for bit, and the generator
-    state of one random_hermitian, random_hermitian, random_state round per
-    triple."""
+    """The fuzz's blocks, concatenated per dimension, give the arrays, bit for
+    bit, and the generator state of one random_hermitian, random_hermitian,
+    random_state round per triple."""
     calls = count_calls(uncertainty, "_pair_bounds")
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     verify._suite_uncertainty(None, rng, None, FUZZ_SUITES)
-    assert [a.shape[-1] for a, _, _ in calls] == [2, 3, 4, 5, 6]
-    for a, b, psi in calls:
-        dim = a.shape[-1]
+    assert [a.shape[-1] for a, _, _ in calls] == [d for d in range(2, 7) for _ in range(10)]
+    for dim in range(2, 7):
+        blocks = [call for call in calls if call[0].shape[-1] == dim]
+        a, b, psi = (np.concatenate(arrays) for arrays in zip(*blocks))
         rounds = [
             (cli.random_hermitian(ref, dim), cli.random_hermitian(ref, dim),
              cli.random_state(ref, dim))
@@ -1245,8 +1249,8 @@ def test_uncertainty_fuzz_draws_the_per_triple_stream(count_calls, seed):
 
 
 def test_uncertainty_fuzz_memory_is_bounded():
-    """The fuzz draws its triples in blocks: drawing a whole dimension at
-    once peaks above 6 MB."""
+    """The fuzz holds one block of triples at a time: holding each
+    dimension's 1000 triples at once peaks at 1,978,641 B."""
     # numpy's one-time set-up
     verify._suite_uncertainty(None, np.random.default_rng(42), None, FUZZ_SUITES)
     tracemalloc.start()
@@ -1255,7 +1259,7 @@ def test_uncertainty_fuzz_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6
+    assert peak < 1e6
 
 
 def _verify_checks(tmp_path, suite, extra):
@@ -1341,6 +1345,44 @@ def test_verify_scenario_matches_golden_report(tmp_path, scenario, golden, statu
     code = main(["verify", "all", "--scenario", str(DATA / scenario), "--report", str(path)])
     assert code == status
     assert_matches_golden(path, golden)
+
+
+def assert_csv_matches_golden(csv_path, golden_name):
+    """The committed table's header and row count exactly, a non-finite cell
+    (such as the "inf" of a flagged Mandelstam-Tamm sample) exactly, and
+    every number within 1e-12, as assert_matches_golden compares reports."""
+    got = csv_path.read_text(encoding="utf-8").splitlines()
+    want = (DATA / golden_name).read_text(encoding="utf-8").splitlines()
+    assert got[0] == want[0] and len(got) == len(want), golden_name
+    for k, (row, golden_row) in enumerate(zip(got[1:], want[1:]), start=1):
+        cells, golden_cells = row.split(","), golden_row.split(",")
+        assert len(cells) == len(golden_cells), (golden_name, k)
+        for x, y in zip(cells, golden_cells):
+            number = float(y)
+            if math.isfinite(number):
+                assert abs(float(x) - number) <= 1e-12 * max(1.0, abs(number)), (golden_name, k)
+            else:
+                assert x == y, (golden_name, k)
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
+def test_figure_tables_match_golden(tmp_path, figure):
+    """Each panel's table matches its committed copy, which
+    `figure <figure> -d tests/data` rewrites."""
+    assert main(["figure", figure, "-d", str(tmp_path)]) == EXIT_PASS
+    panels = [p for p in qubit.FIGURE_PRESETS if p.startswith(figure)]
+    assert len(panels) == {"fig1": 4, "fig2": 4, "fig3": 2}[figure]
+    for panel in panels:
+        assert_csv_matches_golden(tmp_path / f"{panel}.csv", f"{panel}.csv")
+
+
+def test_evolve_matches_golden(tmp_path):
+    """`evolve` on the dim-6 file matches its committed copy, which `evolve
+    tests/data/scenario_dim6.json -o tests/data/evolve_scenario_dim6.csv`
+    rewrites."""
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", str(DATA / "scenario_dim6.json"), "-o", str(out)]) == EXIT_PASS
+    assert_csv_matches_golden(out, "evolve_scenario_dim6.csv")
 
 
 def test_figure_fig1_population_panels(tmp_path, capsys):
